@@ -25,9 +25,16 @@ discharged in the engine's module docstring and test suite):
     one board-wide RNG stream whose draw order is global) and by the
     SDRAM timing model (service times depend on global access order).
 ``NO_GLOBAL_ORDER_COUPLING``
-    Transaction-buffer occupancy cannot couple records across shards:
-    every buffer drains within one bus tenure, so queue depth never
-    exceeds one and occupancy history is order-free.
+    Every transaction buffer's service time is at most the bus tenure.
+    Float addition is monotone, so a finish time ``t + service`` is at
+    most the next tenure's ``t + tenure``: each admission finds the queue
+    drained and queue depth never exceeds one.  Buffer state after any
+    run of admissions then has a closed form — ``accepted`` grows by the
+    admissions, the queue holds only the last admission's ``t +
+    service``, high-water is one, nothing is rejected — so it depends on
+    how many admissions a node saw and when the last was, not on their
+    global order.  The compiled engine settles buffers this way per
+    chunk; sharding relies on it to split records across workers.
 ``SHARD_DECOMPOSABLE_SETS``
     The shard index field fits inside **every** node's set-index field,
     so no cache set is split across workers.  Only provable against a

@@ -270,6 +270,7 @@ register_engine(
                 Capability.INERT_BACKGROUND_TICK,
                 Capability.DETERMINISTIC_REPLACEMENT,
                 Capability.DENSE_PROTOCOL_STATE,
+                Capability.NO_GLOBAL_ORDER_COUPLING,
             }
         ),
         rank=15,

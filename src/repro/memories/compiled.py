@@ -30,8 +30,9 @@ forces this via :data:`_FORCE_FLAT_KERNEL` to prove the lowering), but
 interpreted numpy scalar indexing is *slower* than the fused object
 path, so the production no-numba fallback is :func:`_python_runner`
 instead: the fused loop with integer-indexed counter accumulators,
-cpu-indexed routing tables and an inlined install path (incremental way
-maps instead of per-miss rebuilds).
+cpu-indexed routing tables, an inlined install path (incremental way
+maps instead of per-miss rebuilds) and inlined peer probes, with the
+transaction buffers settled in closed form once per chunk.
 
 Bit-identity argument, per structure:
 
@@ -43,9 +44,17 @@ Bit-identity argument, per structure:
   :mod:`repro.memories.replacement` operation for operation, so every
   victim choice matches.  (``random`` replacement is denied statically:
   the capability prover withholds ``DETERMINISTIC_REPLACEMENT``.)
-* **Buffers** — the ring buffer replays the exact drain/occupancy
-  arithmetic of :class:`~repro.memories.tx_buffer.TransactionBuffer`;
-  finish times are the same IEEE-754 sums in the same order.
+* **Buffers** — the flat kernel's ring buffer replays the exact
+  drain/occupancy arithmetic of
+  :class:`~repro.memories.tx_buffer.TransactionBuffer`; finish times are
+  the same IEEE-754 sums in the same order.  The Python runner needs
+  ``NO_GLOBAL_ORDER_COUPLING`` (no service time above the bus tenure):
+  float addition is monotone, so every finish time is at most the next
+  tenure's time, each admission finds its queue drained, and a chunk's
+  admissions leave ``accepted += n`` and the single finish time
+  ``t_last + service`` (:meth:`_CompiledNode.settle`).  Both the
+  capability and a drained starting queue are checked on entry
+  (:func:`_buffers_decoupled`); otherwise the call replays on batched.
 * **Counters** — the accumulator matrix is a commutative reordering of
   increments within one chunk, flushed before any observer
   (``on_countdown`` → ``board.statistics()``) can look.
@@ -65,6 +74,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.common.errors import EmulationError
+from repro.engines.capabilities import Capability, prove_capabilities
 from repro.memories.batch import (
     _CASTOUT,
     _DIRTY_OF,
@@ -845,15 +855,29 @@ def _flat_runner(img: _CompiledImage, st: _KernelState):
 
 # ---------------------------------------------------------------------------
 # Production no-numba fallback: fused object path with compiled-style
-# integer-id accumulators and inlined install.
+# integer-id accumulators, inlined install and inlined peer probes.  No
+# per-tenure buffer admission runs here: the transaction buffers are
+# settled in closed form at chunk end (see _CompiledNode.settle).
 # ---------------------------------------------------------------------------
+
+_NEVER = float("-inf")
 
 
 class _CompiledNode(_FusedNode):
-    """_FusedNode with an integer-indexed counter accumulator and the
-    extra per-node constants the inlined install path needs."""
+    """_FusedNode with an integer-indexed counter accumulator, the extra
+    per-node constants the inlined install path needs, and the chunk's
+    buffer-admission tallies.
 
-    __slots__ = ("accv", "policy_code", "assoc", "victim_way")
+    The tallies (reset by :meth:`begin`): ``local_n`` / ``local_t`` count
+    this node's own tenures and hold the time of the last;
+    ``snoop_rd`` / ``snoop_wr`` count the read and write snoops it
+    broadcast to its peers and ``snoop_t`` holds the time of the last.
+    """
+
+    __slots__ = (
+        "accv", "policy_code", "assoc", "victim_way",
+        "local_n", "local_t", "snoop_rd", "snoop_wr", "snoop_t",
+    )
 
     def __init__(self, node) -> None:
         super().__init__(node)
@@ -865,78 +889,90 @@ class _CompiledNode(_FusedNode):
             policy.victim_way if type(policy) is PlruPolicy else None
         )
 
-    def store(self) -> None:
-        buffer = self.buffer
-        buffer._last_finish = self.last_finish
-        stats = buffer.stats
-        stats.accepted = self.accepted
-        stats.rejected = self.rejected
-        stats.high_water = self.high_water
-        counters = self.counters
+    def begin(self) -> None:
+        """Reset the admission tallies for the coming chunk."""
+        self.local_n = 0
+        self.local_t = _NEVER
+        self.snoop_rd = 0
+        self.snoop_wr = 0
+        self.snoop_t = _NEVER
+
+    def settle(self, reads: int, writes: int, snoop_t: float) -> None:
+        """Close the chunk: settle the buffer, then flush the counters.
+
+        ``reads`` / ``writes`` are the snoops this node received in the
+        chunk (from its peers and from unmapped masters) and ``snoop_t``
+        the time of the last.  With the buffers decoupled (checked by
+        :func:`_buffers_decoupled` before the call) every admission finds
+        the queue drained, so the chunk's admissions all succeed and leave
+        exactly one finish time: the last admission's plus the service.
+        """
+        admissions = self.local_n + reads + writes
         accv = self.accv
+        if admissions:
+            last = self.local_t if self.local_t > snoop_t else snoop_t
+            finish = last + self.service
+            buffer = self.buffer
+            finish_times = buffer._finish_times
+            finish_times.clear()
+            finish_times.append(finish)
+            buffer._last_finish = finish
+            stats = buffer.stats
+            stats.accepted += admissions
+            if stats.high_water < 1:
+                stats.high_water = 1
+            accv[_CID_REMOTE_READ] += reads
+            accv[_CID_REMOTE_WRITE] += writes
+        counters = self.counters
         for cid, value in enumerate(accv):
             if value:
                 counters.increment(COUNTER_NAMES[cid], value)
                 accv[cid] = 0
 
 
-def _remote_compiled(fused: _CompiledNode, op: int, address: int, now: float):
-    """_remote with integer-id counter accumulation."""
-    accv = fused.accv
-    if op == _REMOTE_READ:
-        accv[_CID_REMOTE_READ] += 1
-    else:
-        accv[_CID_REMOTE_WRITE] += 1
-    ft = fused.ft
-    while ft and ft[0] <= now:
-        ft.popleft()
-    if len(ft) >= fused.capacity:
-        fused.rejected += 1
-        return False, False
-    last = fused.last_finish
-    start = now if now > last else last
-    finish = start + fused.service
-    ft.append(finish)
-    fused.last_finish = finish
-    fused.accepted += 1
-    depth = len(ft)
-    if depth > fused.high_water:
-        fused.high_water = depth
-    set_index = (address >> fused.off_bits) & fused.set_mask
-    tag = address >> fused.tag_shift
-    way = fused.ways[set_index].get(tag, -1)
-    if way < 0:
-        return False, False
-    states_in_set = fused.states[set_index]
+def _settle_group(controllers, unmapped) -> None:
+    """Settle every controller of one coherence group at chunk end.
+
+    ``unmapped`` is the group's ``[reads, writes, last time]`` tally of
+    unmapped-master snoops, which reach every controller.
+    """
+    u_reads, u_writes, u_time = unmapped
+    for node in controllers:
+        reads, writes, last = u_reads, u_writes, u_time
+        for peer in node.peers:
+            reads += peer.snoop_rd
+            writes += peer.snoop_wr
+            if peer.snoop_t > last:
+                last = peer.snoop_t
+        node.settle(reads, writes, last)
+
+
+def _snoop_hit(peer: _CompiledNode, op: int, set_index: int, way: int) -> bool:
+    """The directory half of NodeController.process_remote, on a probe
+    that found the line; returns whether the peer supplied dirty data."""
+    accv = peer.accv
+    states_in_set = peer.states[set_index]
     state = states_in_set[way]
-    next_state, invalidates, is_hit = fused.trans[op][state]
+    next_state, invalidates, is_hit = peer.trans[op][state]
     supplied_dirty = is_hit and _DIRTY_OF[state]
     if supplied_dirty:
         accv[_CID_SUPPLIED_DIRTY] += 1
     if invalidates:
-        _invalidate(fused, set_index, way)
+        _invalidate(peer, set_index, way)
         accv[_CID_INVALIDATED] += 1
     else:
         states_in_set[way] = next_state
-    return True, supplied_dirty
+    return supplied_dirty
 
 
-def _process_local(local: _CompiledNode, cpu, cmd, addr, resp, now) -> None:
-    """One admitted local tenure on a _CompiledNode (multi-group path).
+def _process_local(local: _CompiledNode, cmd, addr, resp, now) -> None:
+    """One local tenure on a _CompiledNode (multi-group path).
 
     The single-group runner inlines this same sequence for speed; the
     two stay in lock-step via the shared bit-identity suite.
     """
-    last = local.last_finish
-    start = now if now > last else last
-    finish = start + local.service
-    local.ft.append(finish)
-    local.last_finish = finish
-    local.accepted += 1
-    depth = len(local.ft)
-    if depth > local.high_water:
-        local.high_water = depth
-
+    local.local_n += 1
+    local.local_t = now
     accv = local.accv
     base_cid, extra_cid, op, hit_cid, miss_cid, fetches = _CMD_TAB[cmd]
     accv[base_cid] += 1
@@ -969,8 +1005,13 @@ def _process_local(local: _CompiledNode, cpu, cmd, addr, resp, now) -> None:
                 meta = local.meta
                 meta[set_index] = local.touch_meta(way, meta[set_index])
         if op == _LOCAL_WRITE and (state == _SHARED or state == _OWNED):
+            local.snoop_wr += 1
+            local.snoop_t = now
             for peer in local.peers:
-                _remote_compiled(peer, _REMOTE_WRITE, addr, now)
+                peer_set = (addr >> peer.off_bits) & peer.set_mask
+                peer_way = peer.ways[peer_set].get(addr >> peer.tag_shift, -1)
+                if peer_way >= 0:
+                    _snoop_hit(peer, _REMOTE_WRITE, peer_set, peer_way)
         if fetches:
             accv[_SAT_HIT_CID[resp]] += 1
         return
@@ -980,17 +1021,25 @@ def _process_local(local: _CompiledNode, cpu, cmd, addr, resp, now) -> None:
         accv[_CID_INCLUSION] += 1
         fill = local.fill_write
     elif op == _LOCAL_WRITE:
+        local.snoop_wr += 1
+        local.snoop_t = now
         for peer in local.peers:
-            _remote_compiled(peer, _REMOTE_WRITE, addr, now)
+            peer_set = (addr >> peer.off_bits) & peer.set_mask
+            peer_way = peer.ways[peer_set].get(addr >> peer.tag_shift, -1)
+            if peer_way >= 0:
+                _snoop_hit(peer, _REMOTE_WRITE, peer_set, peer_way)
         fill = local.fill_write
     else:
+        local.snoop_rd += 1
+        local.snoop_t = now
         shared_elsewhere = False
         for peer in local.peers:
-            held, dirty = _remote_compiled(peer, _REMOTE_READ, addr, now)
-            if held:
+            peer_set = (addr >> peer.off_bits) & peer.set_mask
+            peer_way = peer.ways[peer_set].get(addr >> peer.tag_shift, -1)
+            if peer_way >= 0:
                 shared_elsewhere = True
-            if dirty:
-                accv[_CID_INTERVENTION] += 1
+                if _snoop_hit(peer, _REMOTE_READ, peer_set, peer_way):
+                    accv[_CID_INTERVENTION] += 1
         fill = local.fill_read_shared if shared_elsewhere else local.fill_read_alone
     victim_state = _install_inline(local, set_index, tag, fill)
     accv[_FILL_CID[fill]] += 1
@@ -1080,49 +1129,47 @@ def _python_runner(firmware):
 def _multi_group_run(compiled_groups, all_nodes):
     def run(cpus, cmds, addrs, resps, nows) -> int:
         for fused in all_nodes:
-            fused.load()
-        retries = 0
+            fused.begin()
+        groups = [
+            (local_table, controllers, [0, 0, _NEVER])
+            for local_table, controllers in compiled_groups
+        ]
         for cpu, cmd, addr, resp, now in zip(
             cpus.tolist(), cmds.tolist(), addrs.tolist(),
             resps.tolist(), nows.tolist(),
         ):
-            refused = False
-            for local_table, _controllers in compiled_groups:
+            for local_table, controllers, unmapped in groups:
                 local = local_table[cpu]
                 if local is not None:
-                    ft = local.ft
-                    while ft and ft[0] <= now:
-                        ft.popleft()
-                    if len(ft) >= local.capacity:
-                        local.rejected += 1
-                        refused = True
-            if refused:
-                retries += 1
-                continue
-            for local_table, controllers in compiled_groups:
-                local = local_table[cpu]
-                if local is None:
-                    if cmd == _READ:
-                        op = _REMOTE_READ
-                    elif cmd == _CASTOUT and cpu <= _MAX_PROCESSOR_ID:
-                        continue
-                    else:
-                        op = _REMOTE_WRITE
-                    for fused in controllers:
-                        _remote_compiled(fused, op, addr, now)
+                    _process_local(local, cmd, addr, resp, now)
                     continue
-                _process_local(local, cpu, cmd, addr, resp, now)
-        for fused in all_nodes:
-            fused.store()
-        return retries
+                if cmd == _READ:
+                    op = _REMOTE_READ
+                    unmapped[0] += 1
+                elif cmd == _CASTOUT and cpu <= _MAX_PROCESSOR_ID:
+                    continue
+                else:
+                    op = _REMOTE_WRITE
+                    unmapped[1] += 1
+                unmapped[2] = now
+                for fused in controllers:
+                    fused_set = (addr >> fused.off_bits) & fused.set_mask
+                    fused_way = fused.ways[fused_set].get(
+                        addr >> fused.tag_shift, -1
+                    )
+                    if fused_way >= 0:
+                        _snoop_hit(fused, op, fused_set, fused_way)
+        for _local_table, controllers, unmapped in groups:
+            _settle_group(controllers, unmapped)
+        return 0
 
     return run
 
 
 def _single_group_run(group, all_nodes):
     """The single-coherence-group fast path (the common machine shape):
-    admission pre-check collapses to one buffer, routing to one table
-    lookup, and the whole local tenure is inlined."""
+    routing collapses to one table lookup and the whole local tenure,
+    peer probes included, is inlined."""
     local_table, controllers = group
     cmd_tab = _CMD_TAB
     hit_state_cid = _HIT_STATE_CID
@@ -1130,50 +1177,42 @@ def _single_group_run(group, all_nodes):
     dirty_of = _DIRTY_OF
     sat_hit_cid = _SAT_HIT_CID
     sat_miss_cid = _SAT_MISS_CID
-    remote = _remote_compiled
+    snoop_hit = _snoop_hit
     invalidate = _invalidate
     install = _install_inline
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
         for fused in all_nodes:
-            fused.load()
-        retries = 0
+            fused.begin()
+        u_reads = u_writes = 0
+        u_time = _NEVER
         for cpu, cmd, addr, resp, now in zip(
             cpus.tolist(), cmds.tolist(), addrs.tolist(),
             resps.tolist(), nows.tolist(),
         ):
             local = local_table[cpu]
             if local is None:
-                # Unmapped master: no local buffer, so no admission
-                # pre-check — probe the group's controllers directly.
+                # Unmapped master: probe the group's controllers directly.
                 if cmd == _READ:
                     op = _REMOTE_READ
+                    u_reads += 1
                 elif cmd == _CASTOUT and cpu <= _MAX_PROCESSOR_ID:
                     continue
                 else:
                     op = _REMOTE_WRITE
+                    u_writes += 1
+                u_time = now
                 for fused in controllers:
-                    remote(fused, op, addr, now)
+                    fused_set = (addr >> fused.off_bits) & fused.set_mask
+                    fused_way = fused.ways[fused_set].get(
+                        addr >> fused.tag_shift, -1
+                    )
+                    if fused_way >= 0:
+                        snoop_hit(fused, op, fused_set, fused_way)
                 continue
 
-            ft = local.ft
-            while ft and ft[0] <= now:
-                ft.popleft()
-            if len(ft) >= local.capacity:
-                local.rejected += 1
-                retries += 1
-                continue
-
-            last = local.last_finish
-            start = now if now > last else last
-            finish = start + local.service
-            ft.append(finish)
-            local.last_finish = finish
-            local.accepted += 1
-            depth = len(ft)
-            if depth > local.high_water:
-                local.high_water = depth
-
+            local.local_n += 1
+            local.local_t = now
             accv = local.accv
             base_cid, extra_cid, op, hit_cid, miss_cid, fetches = cmd_tab[cmd]
             accv[base_cid] += 1
@@ -1206,8 +1245,15 @@ def _single_group_run(group, all_nodes):
                         meta = local.meta
                         meta[set_index] = local.touch_meta(way, meta[set_index])
                 if op == _LOCAL_WRITE and (state == _SHARED or state == _OWNED):
+                    local.snoop_wr += 1
+                    local.snoop_t = now
                     for peer in local.peers:
-                        remote(peer, _REMOTE_WRITE, addr, now)
+                        peer_set = (addr >> peer.off_bits) & peer.set_mask
+                        peer_way = peer.ways[peer_set].get(
+                            addr >> peer.tag_shift, -1
+                        )
+                        if peer_way >= 0:
+                            snoop_hit(peer, _REMOTE_WRITE, peer_set, peer_way)
                 if fetches:
                     accv[sat_hit_cid[resp]] += 1
                 continue
@@ -1217,17 +1263,29 @@ def _single_group_run(group, all_nodes):
                 accv[_CID_INCLUSION] += 1
                 fill = local.fill_write
             elif op == _LOCAL_WRITE:
+                local.snoop_wr += 1
+                local.snoop_t = now
                 for peer in local.peers:
-                    remote(peer, _REMOTE_WRITE, addr, now)
+                    peer_set = (addr >> peer.off_bits) & peer.set_mask
+                    peer_way = peer.ways[peer_set].get(
+                        addr >> peer.tag_shift, -1
+                    )
+                    if peer_way >= 0:
+                        snoop_hit(peer, _REMOTE_WRITE, peer_set, peer_way)
                 fill = local.fill_write
             else:
+                local.snoop_rd += 1
+                local.snoop_t = now
                 shared_elsewhere = False
                 for peer in local.peers:
-                    held, dirty = remote(peer, _REMOTE_READ, addr, now)
-                    if held:
+                    peer_set = (addr >> peer.off_bits) & peer.set_mask
+                    peer_way = peer.ways[peer_set].get(
+                        addr >> peer.tag_shift, -1
+                    )
+                    if peer_way >= 0:
                         shared_elsewhere = True
-                    if dirty:
-                        accv[_CID_INTERVENTION] += 1
+                        if snoop_hit(peer, _REMOTE_READ, peer_set, peer_way):
+                            accv[_CID_INTERVENTION] += 1
                 fill = (
                     local.fill_read_shared
                     if shared_elsewhere
@@ -1242,9 +1300,8 @@ def _single_group_run(group, all_nodes):
                     accv[_CID_EVICT_CLEAN] += 1
             if fetches:
                 accv[sat_miss_cid[resp]] += 1
-        for fused in all_nodes:
-            fused.store()
-        return retries
+        _settle_group(controllers, (u_reads, u_writes, u_time))
+        return 0
 
     return run
 
@@ -1254,17 +1311,44 @@ def _single_group_run(group, all_nodes):
 # ---------------------------------------------------------------------------
 
 
+def _buffers_decoupled(board) -> bool:
+    """Whether the closed-form buffer settlement is exact for this call.
+
+    Two conditions.  The static one is the prover's
+    ``NO_GLOBAL_ORDER_COUPLING``: every service time is at most the bus
+    tenure, so a finish time never outlives the next tenure and queue
+    depth never exceeds one.  The dynamic one is the occupancy guard: no
+    queued finish time may lie beyond the call's first tenure, which a
+    fault injector's burst (``TransactionBuffer.inject_occupancy``) or a
+    restored checkpoint can otherwise leave behind.
+    """
+    if not prove_capabilities(board).grants(
+        Capability.NO_GLOBAL_ORDER_COUPLING
+    ):
+        return False
+    # Finish times are appended in ascending order and _last_finish is
+    # the latest, so it bounds every queued one.
+    first_tenure = board.now_cycle + board.cycles_per_tenure
+    return all(
+        node.buffer._last_finish <= first_tenure
+        for node in getattr(board.firmware, "nodes", ())
+    )
+
+
 def replay_words_compiled(board, words: np.ndarray) -> int:
     """Replay packed records through the compiled engine; returns the count.
 
     Precondition (proven statically by the engine registry): the board
     grants ``EXACT_FLOAT_CLOCK``, ``INERT_BACKGROUND_TICK``,
-    ``DETERMINISTIC_REPLACEMENT`` and ``DENSE_PROTOCOL_STATE``.  A board
-    that slips past the prover (direct calls) falls back to the batched
-    engine rather than corrupting state.
+    ``DETERMINISTIC_REPLACEMENT``, ``DENSE_PROTOCOL_STATE`` and
+    ``NO_GLOBAL_ORDER_COUPLING``.  A board that slips past the prover
+    (direct calls), or whose buffers hold a backlog beyond the first
+    tenure, falls back to the batched engine rather than corrupting state.
     """
     if int(words.shape[0]) == 0:
         return 0
+    if not _buffers_decoupled(board):
+        return replay_words_batched(board, words)
     firmware = board.firmware
     if HAVE_NUMBA or _FORCE_FLAT_KERNEL:
         img = lower_image(firmware)

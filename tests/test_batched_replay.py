@@ -13,6 +13,8 @@ accounting parity of the fused admission pre-check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,34 @@ class TestCompiledBitIdentity:
             engine="compiled",
         )
 
+    def test_injected_burst_falls_back_identically(self):
+        # A fault injector's burst leaves finish times queued beyond the
+        # next tenure, which the closed-form buffer settlement cannot
+        # express; the occupancy guard must hand the call to batched.
+        from repro.memories.compiled import _buffers_decoupled
+
+        words = full_mix_words(2000, seed=45)
+        machine = machine_for("split")
+
+        def make_board():
+            board = board_for_machine(machine, seed=3)
+            board.batched_replay = False
+            board.replay_words(full_mix_words(500, seed=21))
+            board.batched_replay = True
+            injected = board.firmware.nodes[1].buffer.inject_occupancy(
+                board.now_cycle, 40
+            )
+            assert injected == 40
+            assert not _buffers_decoupled(board)
+            return board
+
+        _scalar, fast = assert_paths_identical(
+            make_board, words, engine="compiled"
+        )
+        assert fast.statistics()["node1.buffer.high_water"] > 1
+        # Once the backlog has drained the closed form applies again.
+        assert _buffers_decoupled(fast)
+
     def test_default_routing_selects_compiled(self):
         from repro.engines import select_board_engine
 
@@ -252,12 +282,116 @@ class TestCompiledBitIdentity:
         )
 
 
+class TestOrderCouplingBoundary:
+    """Soundness witness for ``no_global_order_coupling``.
+
+    The compiled engine settles buffers in closed form (depth at most
+    one), which is exact whenever no service time exceeds the bus tenure.
+    At the boundary the capability is granted and compiled stays
+    bit-identical; one ulp past it the capability is denied, and scalar
+    replay really does queue two operations, which the closed form
+    could never report.
+
+    Rounding can absorb that ulp (at the default 10-cycle tenure every
+    ``t + service`` rounds back onto the next tenure), so the witness
+    runs at 30% utilization, a 20/3-cycle tenure, where the first two
+    tenures already overlap.
+    """
+
+    UTILIZATION = 0.3
+
+    def retime(self, board, service):
+        for node in board.firmware.nodes:
+            stats = node.buffer.stats
+            node.buffer = TransactionBuffer(service_cycles=service)
+            node.buffer.stats = stats
+        return board
+
+    def back_to_back(self):
+        # Two admitted reads from cpu 0: one node, one tenure apart.
+        return encode_arrays(
+            np.zeros(2, dtype=np.uint64),
+            np.zeros(2, dtype=np.uint64),
+            np.array([0, 1 << 12], dtype=np.uint64),
+        )
+
+    def test_service_equal_to_tenure_is_granted(self):
+        from repro.engines import select_board_engine
+        from repro.engines.capabilities import Capability, prove_capabilities
+
+        machine = machine_for("split")
+
+        def make_board():
+            board = board_for_machine(
+                machine, seed=3, assumed_utilization=self.UTILIZATION
+            )
+            return self.retime(board, board.cycles_per_tenure)
+
+        board = make_board()
+        assert prove_capabilities(board).grants(
+            Capability.NO_GLOBAL_ORDER_COUPLING
+        )
+        assert select_board_engine(board).name == "compiled"
+        words = np.concatenate(
+            [self.back_to_back(), full_mix_words(2000, seed=79)]
+        )
+        scalar, _fast = assert_paths_identical(
+            make_board, words, engine="compiled"
+        )
+        assert scalar.statistics()["node0.buffer.high_water"] == 1
+
+    def test_one_ulp_slower_is_denied_and_diverges(self):
+        from repro.engines import decide, select_board_engine
+        from repro.engines.capabilities import Capability
+        from repro.memories.batch import replay_with_runner
+        from repro.memories.compiled import _python_runner
+
+        machine = machine_for("split")
+
+        def make_board():
+            board = board_for_machine(
+                machine, seed=3, assumed_utilization=self.UTILIZATION
+            )
+            service = math.nextafter(board.cycles_per_tenure, math.inf)
+            return self.retime(board, service)
+
+        board = make_board()
+        decision = decide("compiled", board=board)
+        assert decision.missing == {Capability.NO_GLOBAL_ORDER_COUPLING}
+        assert "exceeds the bus tenure" in decision.reason()
+        assert select_board_engine(board).name == "batched"
+
+        words = self.back_to_back()
+        scalar, _fast = assert_paths_identical(make_board, words)
+        assert scalar.firmware.nodes[0].buffer.stats.high_water == 2
+        # The divergence is real: the closed form, forced past the
+        # guard, reports depth one.
+        forced = make_board()
+        replay_with_runner(forced, words, _python_runner(forced.firmware))
+        assert forced.firmware.nodes[0].buffer.stats.high_water == 1
+        assert forced.checkpoint() != scalar.checkpoint()
+
+
 class TestTelemetryChunking:
     @pytest.mark.parametrize("engine", ["batched", "compiled"])
-    @pytest.mark.parametrize("cadence", [1, 7, 64, 1024])
-    def test_transaction_cadence_identical(self, cadence, engine):
-        words = full_mix_words(2000, seed=17)
-        machine = machine_for("split")
+    @pytest.mark.parametrize(
+        ("cadence", "kind", "max_cpu"),
+        [
+            (1, "split", N_CPUS),
+            (7, "split", N_CPUS),
+            (64, "split", N_CPUS),
+            (1024, "split", N_CPUS),
+            # CPU ids past the machine's: unmapped processors (8..15)
+            # snoop every controller and I/O bridges (16..19) DMA, so the
+            # compiled engine settles unmapped-master tallies per chunk.
+            (37, "split", 20),
+            (37, "multi", 20),
+        ],
+        ids=["1", "7", "64", "1024", "37-split-unmapped", "37-multi-unmapped"],
+    )
+    def test_transaction_cadence_identical(self, cadence, kind, max_cpu, engine):
+        words = full_mix_words(2000, seed=17, max_cpu=max_cpu)
+        machine = machine_for(kind)
 
         def make_board(sink):
             board = board_for_machine(machine, seed=2)

@@ -308,6 +308,10 @@ ENGINE_CORPUS: List[Tuple[str, str, str, object]] = [
      "ecc", "compiled", "dense_protocol_state"),
     ("ECC patrol scrubber still blocks batching",
      "ecc", "batched", "inert_background_tick"),
+    ("buffers slower than the bus tenure break the closed form",
+     "slow-buffer", "compiled", "no_global_order_coupling"),
+    ("batched keeps replaying slow-buffer boards",
+     "slow-buffer", "batched", None),
 ]
 
 
@@ -323,6 +327,10 @@ def _engine_board(feature: str):
     machine = split_smp_machine(config, n_cpus=8, procs_per_node=2)
     if feature == "ecc":
         return board_for_machine(machine, ecc=True, scrub_interval=500.0)
+    if feature == "slow-buffer":
+        # At 90% utilization a tenure is 2.2 cycles, shorter than the
+        # 4.8-cycle directory service: queues can grow past depth one.
+        return board_for_machine(machine, assumed_utilization=0.9)
     board = board_for_machine(machine)
     if feature == "sdram":
         from repro.memories.sdram import SdramModel
