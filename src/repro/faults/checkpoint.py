@@ -83,7 +83,10 @@ def save_checkpoint(
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
         with open(tmp, "w") as handle:
-            json.dump(payload, handle)
+            # One ``dumps`` pass runs the C encoder; the streaming
+            # ``json.dump`` falls back to the pure-Python one.  The
+            # bytes are identical either way.
+            handle.write(json.dumps(payload))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -113,7 +116,9 @@ def load_checkpoint_payload(path: Union[str, Path]) -> dict:
     try:
         with open(path) as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # UnicodeDecodeError: binary garbage (bit rot) is as corrupt as
+        # malformed JSON, so callers fall back a generation either way.
         raise TraceFormatError(f"{path}: not a checkpoint file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise TraceFormatError(f"{path}: not a MemorIES checkpoint file")

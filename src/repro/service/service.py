@@ -137,6 +137,11 @@ class Session:
         #: cursor rewinds) replaces the redone stretch instead of
         #: double-counting it.
         self.counter_samples: Dict[int, dict] = {}
+        #: Totals and sample count folded out of ``counter_samples`` by
+        #: :meth:`retire`, plus the latency histograms it kept.
+        self._retired_totals: Dict[str, int] = {}
+        self._retired_samples = 0
+        self._retired_histograms: List[Histogram] = []
         self.window: dict = {}
         self.ingest_bytes = 0
         self.ingest: Optional[IngestBuffer] = None
@@ -154,11 +159,38 @@ class Session:
 
     def counter_totals(self) -> Dict[str, int]:
         """Accumulated board counters from the heartbeat delta stream."""
-        totals: Dict[str, int] = {}
+        totals = dict(self._retired_totals)
         for deltas in list(self.counter_samples.values()):
             for name, delta in deltas.items():
                 totals[name] = totals.get(name, 0) + int(delta)
         return totals
+
+    @property
+    def sample_count(self) -> int:
+        """Heartbeat samples the counter totals rest on."""
+        return self._retired_samples + len(self.counter_samples)
+
+    def latency_histograms(self) -> List[Histogram]:
+        """The supervisor's checkpoint-carried latency histograms."""
+        supervisor = self._supervisor
+        if supervisor is None:
+            return self._retired_histograms
+        return list(supervisor.histograms.values())
+
+    def retire(self) -> None:
+        """Keep only what the read APIs serve once the session is over.
+
+        The metrics page needs the counter totals, the sample count and
+        the latency histograms; the HTTP view needs ``result``.  The
+        supervisor (journal records, a copy of the result) and the
+        per-sample delta map are dropped, so a long-lived service does
+        not grow by one run's bookkeeping per finished session.
+        """
+        self._retired_histograms = self.latency_histograms()
+        self._retired_totals = self.counter_totals()
+        self._retired_samples = self.sample_count
+        self.counter_samples = {}
+        self._supervisor = None
 
     def note_heartbeat_deltas(self, seq: int, deltas: dict) -> None:
         """Fold one heartbeat's deltas in, rewinding redone samples."""
@@ -902,8 +934,9 @@ class EmulationService:
 
         Called from every terminal transition (and suspension).  Emits
         the session's root span record — the parent every supervisor and
-        worker span of this trace resolves to — and journals the
-        session's resource usage under its tenant.
+        worker span of this trace resolves to — journals the session's
+        resource usage under its tenant, and retires the session's
+        run-time state (see :meth:`Session.retire`).
         """
         if session._finalized:
             return
@@ -911,6 +944,7 @@ class EmulationService:
         self._account_session(session)
         if self._sink is not None:
             self._sink.emit(self._session_span(session))
+        session.retire()
 
     def _account_session(self, session: Session) -> None:
         """Aggregate one closing session's usage under its tenant.
@@ -980,15 +1014,12 @@ class EmulationService:
             label=session.id,
             cycle=session.cycle,
             transactions=session.transactions,
-            samples=len(session.counter_samples),
+            samples=session.sample_count,
             window=session.window or None,
         )
-        supervisor = session._supervisor
-        if supervisor is not None:
-            page += histogram_exposition(
-                list(supervisor.histograms.values()), label=session.id
-            )
-        return page
+        return page + histogram_exposition(
+            session.latency_histograms(), label=session.id
+        )
 
     # ------------------------------------------------------------------ #
     # Watchdog (wall deadlines)

@@ -34,6 +34,12 @@ walking every source file under a root (default ``src/repro``) with
     shared by every key) and in ``[instance] * n`` where ``instance``
     was built once from a class constructor.  Use a comprehension —
     ``[make_thing() for _ in range(n)]`` — instead.
+``streaming-json-dump`` (RP106)
+    No ``json.dump(obj, handle)`` without ``indent=``: the streaming encoder always runs CPython's pure-Python
+    ``JSONEncoder``, while ``handle.write(json.dumps(obj))`` runs the C
+    encoder and writes the same bytes (a checkpoint encoded about seven
+    times faster).  Indented output is pure Python either way, so
+    ``indent=`` calls stay quiet.
 
 The determinism rules (DT2xx — unsorted serialization, wall-clock
 escapes, unseeded entropy, ``hash()`` order dependence, unordered float
@@ -114,6 +120,7 @@ ALL_CHECKS: Tuple[str, ...] = (
     "exception-hierarchy",
     "mutable-default",
     "call-replication",
+    "streaming-json-dump",
     "unsorted-serialization",
     "wallclock-escape",
     "unseeded-entropy",
@@ -411,6 +418,7 @@ def _lint_file(tree: ast.AST, ctx: FileLint, derived: Set[str]) -> None:
         elif isinstance(node, ast.Call):
             _lint_time_call(node, ctx)
             _lint_fromkeys(node, ctx)
+            _lint_json_dump(node, ctx)
         elif isinstance(node, ast.BinOp):
             _lint_replication(node, ctx)
         elif isinstance(node, ast.Raise):
@@ -448,6 +456,34 @@ def _lint_time_call(node: ast.Call, ctx: FileLint) -> None:
             "must come from bus cycles, not the host wall clock",
             node.lineno,
         )
+
+
+def _lint_json_dump(node: ast.Call, ctx: FileLint) -> None:
+    """Flag ``json.dump(...)`` with no ``indent=`` (or ``indent=None``)."""
+    func = node.func
+    is_json_dump = (
+        isinstance(func, ast.Attribute)
+        and func.attr == "dump"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "json"
+    )
+    if not is_json_dump:
+        return
+    for keyword in node.keywords:
+        if keyword.arg is None:  # **options: the indent is unknowable
+            return
+        if keyword.arg == "indent" and not (
+            isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is None
+        ):
+            return
+    ctx.error(
+        "streaming-json-dump",
+        "json.dump() without indent= runs the pure-Python encoder; "
+        "write handle.write(json.dumps(obj)) for the C encoder and the "
+        "same bytes",
+        node.lineno,
+    )
 
 
 def _lint_raise(node: ast.Raise, ctx: FileLint, derived: Set[str]) -> None:

@@ -49,6 +49,9 @@ RULES: Dict[str, RuleInfo] = {
         RuleInfo("RP105", "call-replication",
                  "sequence replication aliases one object across slots "
                  "([f()] * n, dict.fromkeys(keys, mutable), [instance] * n)"),
+        RuleInfo("RP106", "streaming-json-dump",
+                 "json.dump() without indent=: the streaming encoder is "
+                 "pure Python; write json.dumps() for the C encoder"),
         # -------------------------------------------------------------- #
         # Determinism analyzer (this PR)
         # -------------------------------------------------------------- #

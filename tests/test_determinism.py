@@ -242,6 +242,29 @@ class TestSuppressions:
 # Profiles
 # ---------------------------------------------------------------------- #
 
+class TestStreamingJsonDump:
+    @pytest.mark.parametrize("call", [
+        "json.dump(payload, handle)",
+        "json.dump(payload, handle, indent=None)",
+        "json.dump(payload, handle, sort_keys=True)",
+    ])
+    def test_unindented_dump_fires(self, tmp_path, call):
+        source = f"import json\n\ndef save(payload, handle):\n    {call}\n"
+        assert fired_rules(lint_source(tmp_path, source)) == {"RP106"}
+
+    @pytest.mark.parametrize("call", [
+        "handle.write(json.dumps(payload))",
+        "json.dump(payload, handle, indent=2)",
+        "json.dump(payload, handle, **options)",
+    ])
+    def test_one_shot_or_indented_stays_quiet(self, tmp_path, call):
+        source = (
+            "import json\n\n"
+            f"def save(payload, handle, options):\n    {call}\n"
+        )
+        assert lint_source(tmp_path, source).ok
+
+
 class TestProfiles:
     def test_unknown_profile_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown lint profile"):

@@ -504,6 +504,52 @@ class TestServiceSessions:
             spec, words, tmp_path / "ref"
         )
 
+    def test_finished_sessions_release_their_supervisor(
+        self, tmp_path, monkeypatch
+    ):
+        """A finished session keeps its result, counter totals and
+        histograms, not its supervisor; its pages render unchanged."""
+        from repro.service.service import Session
+
+        rendered = {}
+        retire = Session.retire
+
+        def recording_retire(session):
+            def render():
+                return (service.session_metrics_page(session.id),
+                        session.view().to_dict())
+
+            before = render()
+            retire(session)
+            rendered[session.id] = (before, render())
+
+        monkeypatch.setattr(Session, "retire", recording_retire)
+
+        async def scenario():
+            await service.start()
+            sessions = [
+                service.submit(request(seed=index, label=f"done-{index}"))
+                for index in range(3)
+            ]
+            await asyncio.gather(*(wait_done(s) for s in sessions))
+            await service.stop()
+            return sessions
+
+        service = EmulationService(
+            tmp_path / "svc", ServiceConfig(max_workers=2)
+        )
+        sessions = asyncio.run(scenario())
+        for session in sessions:
+            assert session.state == SessionState.COMPLETED
+            assert session._supervisor is None
+            assert session.counter_samples == {}
+            assert session.result is not None and session.result.digest
+            before, after = rendered[session.id]
+            assert after == before
+            page = before[0]
+            assert "checkpoint_write" in page
+            assert f'memories_samples_total{{label="{session.id}"}} 0' not in page
+
 
 # ---------------------------------------------------------------------- #
 # The HTTP/WebSocket front end, end to end over real sockets

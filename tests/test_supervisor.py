@@ -262,6 +262,23 @@ class TestCheckpointIntegrity:
         newest.write_bytes(newest.read_bytes()[:60])
         assert find_latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000001.json"
 
+    def test_find_latest_skips_binary_garbage(self, tmp_path):
+        board = self._board()
+        for name in ("ckpt-00000000.json", "ckpt-00000001.json"):
+            save_checkpoint(board, tmp_path / name)
+        newest = tmp_path / "ckpt-00000001.json"
+        newest.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(TraceFormatError):
+            load_checkpoint_payload(newest)
+        assert find_latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000000.json"
+
+    def test_file_layout_matches_streaming_encoder(self, tmp_path):
+        # The layout the garbled-CRC fixture edits: default-separator JSON
+        # with the header keys first, exactly as json.dump wrote it.
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._board(), path)
+        assert path.read_text() == json.dumps(load_checkpoint_payload(path))
+
     def test_find_latest_on_empty_or_all_corrupt(self, tmp_path):
         assert find_latest_checkpoint(tmp_path) is None
         (tmp_path / "ckpt-00000000.json").write_text("not json at all")

@@ -144,6 +144,13 @@ LINT_CORPUS: List[Tuple[str, ...]] = [
         "RP105",
     ),
     (
+        "streaming json.dump in library code",
+        "import json\n\n"
+        "def save(payload, handle):\n"
+        "    json.dump(payload, handle)\n",
+        "RP106",
+    ),
+    (
         "set iteration in a serialization routine",
         "def write_rows(stream, items):\n"
         "    seen = set(items)\n"
@@ -236,6 +243,13 @@ LINT_CORPUS: List[Tuple[str, ...]] = [
 #: untouched — the deterministic spelling of each defect above, plus an
 #: inline suppression.  These prove the rules stay quiet on correct code.
 CLEAN_CORPUS: List[Tuple[str, ...]] = [
+    (
+        "one-shot json.dumps and an indented report dump",
+        "import json\n\n"
+        "def save(payload, handle, report, out):\n"
+        "    handle.write(json.dumps(payload))\n"
+        "    json.dump(report, out, indent=2)\n",
+    ),
     (
         "sorted set iteration in a serialization routine",
         "def write_rows(stream, items):\n"
