@@ -8,16 +8,33 @@ RNG and the board clock — as JSON; :func:`restore_checkpoint` loads it
 into an identically-programmed board, after which continued emulation
 produces statistics identical to an uninterrupted run.
 
+File layout (version 3).  One JSON document whose first bytes are a fixed
+header, ``{"format": "memories-checkpoint", "version": 3, "crc": N, ``,
+followed by the body keys ``state``, then optional ``extra`` and
+``machine``.  Each node's tag/state directory inside ``state`` is four
+packed little-endian integer arrays — per-set way counts, flat tags, flat
+states and per-set replacement words — each stored as base64 ``data``
+next to the element ``width`` (1, 2, 4 or 8 bytes) chosen from its
+contents (see :func:`repro.memories.cache_model.pack_directory`).  The
+body is encoded once; ``N`` is the CRC32 of exactly the bytes after the
+header, so no canonical re-encode runs on save or on load.
+
+Versions 1 (no CRC) and 2 (CRC32 over a canonical sorted-key re-encode
+of the body, directories as per-set JSON lists) still load; their
+directories are repacked at this file layer, so the board only ever
+restores the packed form.
+
 Crash safety (the contract :mod:`repro.supervisor` builds on):
 
 * **Atomic**: the file is written to a same-directory temp name, fsynced,
-  and ``os.replace``'d into place — a crash mid-write leaves either the
-  previous checkpoint or none, never a half-written one.
-* **Self-validating**: version-2 files embed a CRC32 over the canonical
-  encoding of their body; :func:`load_checkpoint` recomputes it, so a
-  truncated or bit-rotted file raises
-  :class:`~repro.common.errors.TraceFormatError` instead of half-restoring
-  a board.
+  and ``os.replace``'d into place, and the directory is fsynced — a crash
+  mid-write leaves either the previous checkpoint or none, never a
+  half-written one.  :meth:`CheckpointRotation.prune` removes temp files
+  a killed writer left behind.
+* **Self-validating**: :func:`load_checkpoint` checks the CRC over the raw
+  bytes before anything is decoded, so a truncated or bit-rotted file
+  raises :class:`~repro.common.errors.TraceFormatError` instead of
+  half-restoring a board.
 * **Programming-checked**: the checkpoint records the target machine's
   :meth:`~repro.target.mapping.TargetMachine.fingerprint`;
   :func:`restore_checkpoint` refuses a board programmed differently.
@@ -31,21 +48,37 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.common.errors import ConfigurationError, TraceFormatError
+from repro.common.errors import (
+    ConfigurationError,
+    EmulationError,
+    TraceFormatError,
+)
 from repro.memories.board import MemoriesBoard
+from repro.memories.cache_model import pack_directory
 
 #: Format tag of checkpoint files.
 CHECKPOINT_FORMAT = "memories-checkpoint"
-#: Current checkpoint file revision (2 adds the CRC32 body digest, the
-#: machine fingerprint and the optional ``extra`` sidecar; v1 still loads).
-CHECKPOINT_VERSION = 2
+#: Current checkpoint file revision (3 packs the directories and takes the
+#: CRC over the stored bytes; 2 added the CRC, the machine fingerprint and
+#: the ``extra`` sidecar; 1 and 2 still load).
+CHECKPOINT_VERSION = 3
+
+#: Everything of a v3 file before the CRC digits; the CRC covers every
+#: byte after the digits' trailing ", ".
+_HEADER_PREFIX = (
+    f'{{"format": "{CHECKPOINT_FORMAT}", '
+    f'"version": {CHECKPOINT_VERSION}, "crc": '
+)
+_HEADER_RE = re.compile(re.escape(_HEADER_PREFIX.encode("ascii")) + rb"(\d{1,10}), ")
 
 
 def _canonical(body: dict) -> bytes:
+    """The version-2 CRC input: a sorted-key compact re-encode."""
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -74,19 +107,14 @@ def save_checkpoint(
     fingerprint = _board_fingerprint(board)
     if fingerprint is not None:
         body["machine"] = fingerprint
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "crc": zlib.crc32(_canonical(body)) & 0xFFFFFFFF,
-        **body,
-    }
+    # One C-encoder pass.  Dropping the body's opening brace leaves the
+    # bytes that follow the header; the CRC covers exactly those.
+    stored = json.dumps(body).encode("utf-8")[1:]
+    header = f"{_HEADER_PREFIX}{zlib.crc32(stored)}, ".encode("ascii")
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        with open(tmp, "w") as handle:
-            # One ``dumps`` pass runs the C encoder; the streaming
-            # ``json.dump`` falls back to the pure-Python one.  The
-            # bytes are identical either way.
-            handle.write(json.dumps(payload))
+        with open(tmp, "wb") as handle:
+            handle.write(header + stored)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -102,11 +130,30 @@ def save_checkpoint(
         os.close(dir_fd)
 
 
+def _pack_legacy_directories(path: Path, version: int, state: dict) -> None:
+    """Repack a v1/v2 state's list-form node directories in place."""
+    firmware = state.get("firmware")
+    if not isinstance(firmware, dict):
+        return
+    try:
+        for node in firmware["nodes"]:
+            directory = node["directory"]
+            node["directory"] = pack_directory(
+                directory["tags"], directory["states"], directory["meta"]
+            )
+    except (KeyError, TypeError, ValueError, OverflowError,
+            EmulationError) as exc:
+        raise TraceFormatError(
+            f"{path}: malformed version-{version} directory: {exc}"
+        ) from exc
+
+
 def load_checkpoint_payload(path: Union[str, Path]) -> dict:
     """Read and fully validate a checkpoint file; returns the payload dict.
 
-    The payload carries ``state`` (the board state), and optionally
-    ``extra`` (caller sidecar) and ``machine`` (programming fingerprint).
+    The payload carries ``state`` (the board state, directories packed),
+    and optionally ``extra`` (caller sidecar) and ``machine`` (programming
+    fingerprint).
 
     Raises:
         TraceFormatError: on unreadable JSON, a foreign file, an
@@ -114,20 +161,33 @@ def load_checkpoint_payload(path: Union[str, Path]) -> dict:
     """
     path = Path(path)
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: not a checkpoint file: {exc}") from exc
+    header = _HEADER_RE.match(raw)
+    if header is not None and zlib.crc32(raw[header.end():]) != int(header[1]):
+        raise TraceFormatError(
+            f"{path}: CRC mismatch — checkpoint file is corrupt"
+        )
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         # UnicodeDecodeError: binary garbage (bit rot) is as corrupt as
         # malformed JSON, so callers fall back a generation either way.
         raise TraceFormatError(f"{path}: not a checkpoint file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise TraceFormatError(f"{path}: not a MemorIES checkpoint file")
     version = payload.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise TraceFormatError(
             f"{path}: unsupported checkpoint version {version!r}"
         )
-    if version >= 2:
+    if version == CHECKPOINT_VERSION and header is None:
+        # A v3 body is only trusted through the header that frames its CRC.
+        raise TraceFormatError(
+            f"{path}: CRC mismatch — checkpoint header is corrupt"
+        )
+    if version == 2:
         recorded = payload.get("crc")
         body = {
             key: value
@@ -143,6 +203,8 @@ def load_checkpoint_payload(path: Union[str, Path]) -> dict:
     state = payload.get("state")
     if not isinstance(state, dict):
         raise TraceFormatError(f"{path}: checkpoint carries no board state")
+    if version < CHECKPOINT_VERSION:
+        _pack_legacy_directories(path, version, state)
     return payload
 
 
@@ -248,10 +310,19 @@ class CheckpointRotation:
         return path
 
     def prune(self) -> None:
-        """Drop the oldest generations beyond the retention count."""
+        """Drop the oldest generations beyond the retention count.
+
+        Also removes the temp files of writers killed before their
+        ``os.replace`` (``ckpt-*.json.tmp.<pid>``); this process's own
+        temp name is left alone.
+        """
         generations = sorted(self.directory.glob("ckpt-*.json"))
         for stale in generations[: max(0, len(generations) - self.keep)]:
             stale.unlink(missing_ok=True)
+        own = f".tmp.{os.getpid()}"
+        for orphan in self.directory.glob("ckpt-*.json.tmp.*"):
+            if not orphan.name.endswith(own):
+                orphan.unlink(missing_ok=True)
 
     def latest(self) -> Optional[Tuple[int, Path]]:
         """(segment, path) of the newest valid generation, or None."""

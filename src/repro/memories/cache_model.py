@@ -13,7 +13,11 @@ table transitions between them.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+import base64
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.addr import AddressMap
 from repro.common.errors import EmulationError
@@ -23,6 +27,9 @@ from repro.memories.replacement import ReplacementPolicy, make_policy
 
 #: Physical address width bounding the stored tag (the 50-bit trace field).
 _TAG_ADDRESS_BITS = 50
+
+#: Element widths (bytes) a packed checkpoint array may use.
+_PACK_WIDTHS = (1, 2, 4, 8)
 
 
 class TagStateDirectory:
@@ -228,35 +235,112 @@ class TagStateDirectory:
     # ------------------------------------------------------------------ #
 
     def state_dict(self) -> dict:
-        """Full mutable contents (tags, states, replacement metadata).
+        """Full mutable contents, packed (see :func:`pack_directory`).
 
         For an ECC-protected subclass the stored state integers already
         carry the packed check bits, so this captures them for free.
         """
-        return {
-            "tags": [list(tags) for tags in self._tags],
-            "states": [list(states) for states in self._states],
-            "meta": list(self._meta),
-        }
+        return pack_directory(self._tags, self._states, self._meta)
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore checkpointed contents into a same-geometry directory.
+        """Restore packed contents into a same-geometry directory.
 
         Raises:
             EmulationError: when the checkpoint's set count does not match
-                this directory's geometry.
+                this directory's geometry, or its arrays are malformed.
         """
-        tags = state["tags"]
-        states = state["states"]
-        meta = state["meta"]
-        if len(tags) != self.config.num_sets or len(states) != len(tags):
+        tags, states, meta = unpack_directory(state)
+        if len(tags) != self.config.num_sets or len(meta) != len(tags):
             raise EmulationError(
                 f"checkpoint has {len(tags)} sets; directory has "
                 f"{self.config.num_sets}"
             )
-        self._tags = [[int(t) for t in row] for row in tags]
-        self._states = [[int(s) for s in row] for row in states]
-        self._meta = [int(m) for m in meta]
-        self._ways = [{} for _ in range(len(self._tags))]
-        for set_index in range(len(self._tags)):
-            self._rebuild_way_map(set_index)
+        self._tags = tags
+        self._states = states
+        self._meta = meta
+        # Bulk _rebuild_way_map: zipping the reversed row keeps the first
+        # occurrence of a (corrupted) duplicate tag.
+        self._ways = [
+            dict(zip(reversed(row), range(len(row) - 1, -1, -1)))
+            for row in tags
+        ]
+
+
+def _pack_ints(values: Iterable[int], count: int) -> dict:
+    """``count`` non-negative ints as one little-endian array, base64'd.
+
+    The element width is the narrowest of 1/2/4/8 bytes that holds the
+    largest value, and is recorded next to the data.
+    """
+    array = np.fromiter(values, dtype=np.uint64, count=count)
+    top = int(array.max()) if count else 0
+    width = next(w for w in _PACK_WIDTHS if top >> (8 * w) == 0)
+    data = array.astype(f"<u{width}").tobytes()
+    return {"width": width, "data": base64.b64encode(data).decode("ascii")}
+
+
+def _unpack_ints(field: dict) -> List[int]:
+    """Inverse of :func:`_pack_ints`."""
+    try:
+        width = field["width"]
+        raw = base64.b64decode(field["data"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EmulationError(f"malformed packed directory array: {exc}") from exc
+    if width not in _PACK_WIDTHS or len(raw) % width:
+        raise EmulationError(
+            f"packed directory array of {len(raw)} bytes at width {width!r}"
+        )
+    return np.frombuffer(raw, dtype=f"<u{width}").tolist()
+
+
+def pack_directory(
+    tags: Sequence[Sequence[int]],
+    states: Sequence[Sequence[int]],
+    meta: Sequence[int],
+) -> dict:
+    """Checkpoint form of a directory: four packed integer arrays.
+
+    ``ways`` holds each set's resident-line count, ``tags`` and ``states``
+    the sets' rows laid end to end, and ``meta`` one replacement word per
+    set.  Each array is a ``{"width", "data"}`` pair (see
+    :func:`_pack_ints`), so the dict is JSON-ready and compares equal
+    exactly when the directory contents do.
+
+    Raises:
+        EmulationError: when a set's tag and state rows differ in length.
+    """
+    counts = list(map(len, tags))
+    if counts != list(map(len, states)):
+        raise EmulationError("directory tag/state rows diverged")
+    total = sum(counts)
+    return {
+        "ways": _pack_ints(counts, len(counts)),
+        "tags": _pack_ints(chain.from_iterable(tags), total),
+        "states": _pack_ints(chain.from_iterable(states), total),
+        "meta": _pack_ints(meta, len(meta)),
+    }
+
+
+def unpack_directory(
+    packed: dict,
+) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """Per-set (tags, states) rows and meta words of a packed directory.
+
+    Raises:
+        EmulationError: when the arrays are malformed or disagree in length.
+    """
+    try:
+        fields = [packed[key] for key in ("ways", "tags", "states", "meta")]
+    except (KeyError, TypeError) as exc:
+        raise EmulationError(f"not a packed directory: {exc}") from exc
+    counts, flat_tags, flat_states, meta = map(_unpack_ints, fields)
+    if sum(counts) != len(flat_tags) or len(flat_states) != len(flat_tags):
+        raise EmulationError(
+            f"packed directory holds {len(flat_tags)} tags and "
+            f"{len(flat_states)} states for {sum(counts)} resident lines"
+        )
+    ends = list(accumulate(counts))
+    spans = list(zip([0, *ends[:-1]], ends))
+    tags = [flat_tags[start:end] for start, end in spans]
+    states = [flat_states[start:end] for start, end in spans]
+    return tags, states, meta

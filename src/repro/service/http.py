@@ -305,10 +305,7 @@ class ServiceServer:
                      "state": session.state.value},
                     409,
                 )
-            view = session.view().to_dict()
-            if session.result is not None:
-                view["result"] = session.result.to_dict()
-            return self._json(view)
+            return self._json(service.session_result(session_id))
         if method == "POST" and tail == "ingest":
             staged = await self._http_ingest(reader, session_id, headers)
             return self._json({"session": session_id, "records": staged}, 202)

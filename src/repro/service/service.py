@@ -33,10 +33,12 @@ The robustness machinery is the architecture, not an afterthought:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 import heapq
 import threading
 import time
+from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
@@ -94,13 +96,19 @@ def _reap_stager_error(task: "asyncio.Task") -> None:
 
 
 class Session:
-    """One admitted session: request, lifecycle state, and run directory."""
+    """One admitted session: request, lifecycle state, and run directory.
+
+    ``counter_names`` is the service's table of counter-name tuples:
+    :meth:`retire` keeps one tuple per distinct counter set there, shared
+    by every session on the same programming.
+    """
 
     def __init__(
         self,
         session_id: str,
         request: SessionRequest,
         run_dir: Path,
+        counter_names: Dict[Tuple[str, ...], Tuple[str, ...]],
         adopted: bool = False,
     ) -> None:
         self.id = session_id
@@ -113,6 +121,9 @@ class Session:
         self.error = ""
         self.attempts = 0
         self.restarts = 0
+        #: The run's outcome.  :meth:`retire` keeps only its digest,
+        #: flags and restart count; :meth:`result_dict` serves the full
+        #: record from the run journal.
         self.result: Optional[SupervisedRunResult] = None
         self.admitted_at = time.perf_counter()
         self.cycle = 0.0
@@ -137,9 +148,12 @@ class Session:
         #: cursor rewinds) replaces the redone stretch instead of
         #: double-counting it.
         self.counter_samples: Dict[int, dict] = {}
-        #: Totals and sample count folded out of ``counter_samples`` by
+        #: Totals (names shared across sessions, values as an int array)
+        #: and sample count folded out of ``counter_samples`` by
         #: :meth:`retire`, plus the latency histograms it kept.
-        self._retired_totals: Dict[str, int] = {}
+        self._counter_names = counter_names
+        self._retired_names: Tuple[str, ...] = ()
+        self._retired_values = array("q")
         self._retired_samples = 0
         self._retired_histograms: List[Histogram] = []
         self.window: dict = {}
@@ -147,9 +161,10 @@ class Session:
         self.ingest: Optional[IngestBuffer] = None
         self.stager: Optional[asyncio.Task] = None
         self.subscribers: List[asyncio.Queue] = []
-        self._abort = threading.Event()
+        self._abort: Optional[threading.Event] = threading.Event()
         self._abort_reason = ""
         self._finalized = False
+        self._retired = False
         self._supervisor: Optional[RunSupervisor] = None
 
     @property
@@ -159,7 +174,7 @@ class Session:
 
     def counter_totals(self) -> Dict[str, int]:
         """Accumulated board counters from the heartbeat delta stream."""
-        totals = dict(self._retired_totals)
+        totals = dict(zip(self._retired_names, self._retired_values))
         for deltas in list(self.counter_samples.values()):
             for name, delta in deltas.items():
                 totals[name] = totals.get(name, 0) + int(delta)
@@ -181,16 +196,42 @@ class Session:
         """Keep only what the read APIs serve once the session is over.
 
         The metrics page needs the counter totals, the sample count and
-        the latency histograms; the HTTP view needs ``result``.  The
-        supervisor (journal records, a copy of the result) and the
-        per-sample delta map are dropped, so a long-lived service does
-        not grow by one run's bookkeeping per finished session.
+        the latency histograms; the HTTP view needs the digest and
+        flags of ``result``.  The supervisor (journal records, a copy of
+        the result), the per-sample delta map and the result's
+        statistics are dropped — :meth:`result_dict` reads the latter
+        back from the run journal — so a long-lived service does not
+        grow by one run's bookkeeping per finished session.
         """
         self._retired_histograms = self.latency_histograms()
-        self._retired_totals = self.counter_totals()
+        totals = self.counter_totals()
+        names = tuple(totals)
+        self._retired_names = self._counter_names.setdefault(names, names)
+        self._retired_values = array("q", totals.values())
         self._retired_samples = self.sample_count
         self.counter_samples = {}
         self._supervisor = None
+        # A retired session never runs again, so nothing waits on it.
+        self._abort = None
+        if self.result is not None:
+            self.result = dataclasses.replace(
+                self.result, statistics={}, miss_ratios={}, fault_counts={}
+            )
+        self._retired = True
+
+    def result_dict(self) -> Optional[dict]:
+        """The terminal result as ``/sessions/{id}/result`` serves it.
+
+        Once retired, the session reads it back from its run journal's
+        ``run_complete`` record: the same ``to_dict`` the supervisor made
+        durable, so the page renders byte-identically.
+        """
+        if self.result is None:
+            return None
+        if not self._retired:
+            return self.result.to_dict()
+        journal = RunJournal(self.run_dir / RunSupervisor.JOURNAL_NAME)
+        return journal.last("run_complete")["result"]
 
     def note_heartbeat_deltas(self, seq: int, deltas: dict) -> None:
         """Fold one heartbeat's deltas in, rewinding redone samples."""
@@ -241,7 +282,8 @@ class Session:
         supervisor = self._supervisor
         if supervisor is not None:
             supervisor.abort_reason = reason
-        self._abort.set()
+        if self._abort is not None:
+            self._abort.set()
 
 
 class EmulationService:
@@ -269,6 +311,8 @@ class EmulationService:
         self.admission = AdmissionController(self.config)
         self.sessions: Dict[str, Session] = {}
         self.history: Dict[str, dict] = {}
+        #: Counter-name tuples shared by retired sessions (see Session).
+        self._counter_names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.metrics: Dict[str, int] = {
             "admitted": 0,
             "adopted": 0,
@@ -363,7 +407,10 @@ class EmulationService:
                 continue
             request = SessionRequest.from_dict(record["request"])
             run_dir = self.root / "runs" / session_id
-            session = Session(session_id, request, run_dir, adopted=True)
+            session = Session(
+                session_id, request, run_dir, self._counter_names,
+                adopted=True,
+            )
             staged = (
                 request.trace["kind"] != "stream"
                 or (run_dir / RunSupervisor.JOURNAL_NAME).exists()
@@ -474,7 +521,7 @@ class EmulationService:
         self._seq += 1
         run_dir = self.root / "runs" / session_id
         run_dir.mkdir(parents=True, exist_ok=True)
-        session = Session(session_id, request, run_dir)
+        session = Session(session_id, request, run_dir, self._counter_names)
         if request.trace["kind"] == "stream":
             buffer = IngestBuffer(self.config.ingest_buffer_records)
             buffer.on_wait = self.histograms["ingest_stall"].observe
@@ -1020,6 +1067,19 @@ class EmulationService:
         return page + histogram_exposition(
             session.latency_histograms(), label=session.id
         )
+
+    def session_result(self, session_id: str) -> dict:
+        """The ``/sessions/{id}/result`` body: the view plus the result.
+
+        Raises:
+            ValidationError: the session is unknown.
+        """
+        session = self.get_session(session_id)
+        page = session.view().to_dict()
+        result = session.result_dict()
+        if result is not None:
+            page["result"] = result
+        return page
 
     # ------------------------------------------------------------------ #
     # Watchdog (wall deadlines)

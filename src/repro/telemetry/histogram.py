@@ -73,6 +73,10 @@ class Histogram:
             always appended implicitly.
     """
 
+    # Slots: a service keeps a finished session's histograms for as long
+    # as it runs, so their per-instance cost is paid per session.
+    __slots__ = ("name", "domain", "bounds", "counts", "sum", "count")
+
     def __init__(
         self,
         name: str,
@@ -108,7 +112,11 @@ class Histogram:
             raise ValidationError("histogram needs at least one bound")
         self.name = name
         self.domain = domain
-        self.bounds: Tuple[float, ...] = tuple(checked)
+        default = _DOMAIN_BOUNDS[domain]
+        # The domain's default layout is shared, not copied per instance.
+        self.bounds: Tuple[float, ...] = (
+            default if tuple(checked) == default else tuple(checked)
+        )
         #: Per-bucket observation counts; the final slot is ``+Inf``.
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.sum = 0.0

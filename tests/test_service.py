@@ -8,6 +8,7 @@ run must resume on the next server *bit-identically*, never from zero.
 """
 
 import asyncio
+import json
 import time
 
 import numpy as np
@@ -549,6 +550,57 @@ class TestServiceSessions:
             page = before[0]
             assert "checkpoint_write" in page
             assert f'memories_samples_total{{label="{session.id}"}} 0' not in page
+
+
+    def test_retired_pages_render_byte_identically(
+        self, tmp_path, monkeypatch
+    ):
+        """Retirement drops the result's statistics (the result page reads
+        them back from the run journal) and keeps counter totals as an
+        int array against names shared across sessions; the metrics and
+        result pages render the same bytes before and after."""
+        from repro.service.service import Session
+
+        rendered = {}
+        retire = Session.retire
+
+        def recording_retire(session):
+            def render():
+                result = service.session_result(session.id)
+                return (
+                    service.session_metrics_page(session.id).encode("utf-8"),
+                    json.dumps(result, sort_keys=True).encode("utf-8"),
+                )
+
+            before = render()
+            retire(session)
+            rendered[session.id] = (before, render())
+
+        monkeypatch.setattr(Session, "retire", recording_retire)
+
+        async def scenario():
+            await service.start()
+            sessions = [
+                service.submit(request(seed=index, label=f"page-{index}"))
+                for index in range(2)
+            ]
+            await asyncio.gather(*(wait_done(s) for s in sessions))
+            await service.stop()
+            return sessions
+
+        service = EmulationService(
+            tmp_path / "svc", ServiceConfig(max_workers=2)
+        )
+        sessions = asyncio.run(scenario())
+        for session in sessions:
+            assert session.state == SessionState.COMPLETED
+            (metrics_before, result_before), after = rendered[session.id]
+            assert after == (metrics_before, result_before)
+            assert json.loads(result_before)["result"]["statistics"]
+            assert session.result.statistics == {}
+            assert session.result.digest
+        first, second = sessions
+        assert first._retired_names is second._retired_names
 
 
 # ---------------------------------------------------------------------- #

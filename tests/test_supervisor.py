@@ -197,7 +197,7 @@ class TestCheckpointIntegrity:
         save_checkpoint(board, path)
         payload = json.loads(path.read_text())
         assert payload["format"] == "memories-checkpoint"
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert isinstance(payload["crc"], int)
         assert "machine" in payload
 
@@ -272,12 +272,29 @@ class TestCheckpointIntegrity:
             load_checkpoint_payload(newest)
         assert find_latest_checkpoint(tmp_path) == tmp_path / "ckpt-00000000.json"
 
-    def test_file_layout_matches_streaming_encoder(self, tmp_path):
-        # The layout the garbled-CRC fixture edits: default-separator JSON
-        # with the header keys first, exactly as json.dump wrote it.
+    def test_file_layout_is_v3_header_then_crc_covered_body(self, tmp_path):
+        # The v3 layout: a fixed header ending in the CRC, then the body
+        # as json.dumps wrote it (opening brace dropped); the CRC covers
+        # exactly those body bytes.  The garbled-CRC fixture above edits
+        # this layout.
         path = tmp_path / "ckpt.json"
         save_checkpoint(self._board(), path)
-        assert path.read_text() == json.dumps(load_checkpoint_payload(path))
+        raw = path.read_bytes()
+        payload = load_checkpoint_payload(path)
+        body = {k: payload[k] for k in ("state", "machine")}
+        stored = json.dumps(body).encode("utf-8")[1:]
+        header = (
+            '{"format": "memories-checkpoint", "version": 3, '
+            f'"crc": {zlib.crc32(stored)}, '
+        ).encode("ascii")
+        assert raw == header + stored
+        assert raw.decode("utf-8") == json.dumps(payload)
+        directory = payload["state"]["firmware"]["nodes"][0]["directory"]
+        assert sorted(directory) == ["meta", "states", "tags", "ways"]
+        assert all(
+            set(field) == {"width", "data"} and field["width"] in (1, 2, 4, 8)
+            for field in directory.values()
+        )
 
     def test_find_latest_on_empty_or_all_corrupt(self, tmp_path):
         assert find_latest_checkpoint(tmp_path) is None

@@ -14,7 +14,11 @@ recovery guarantees the subsystem is built around:
    commit with a zero restart budget, then resume via a fresh
    ``RunSupervisor.open()``: still bit-identical, with the journal
    carrying the full restart history.
-4. **Degraded completion** — a trace segment with a flipped payload byte
+4. **Version-2 checkpoint resume** — the same kill, but the newest
+   checkpoint is rewritten in the version-2 layout (list directories,
+   canonical-encoding CRC) before the resume; the run still finishes
+   bit-identically, so older checkpoints keep working.
+5. **Degraded completion** — a trace segment with a flipped payload byte
    is quarantined, and a node whose ECC self-check reports uncorrectable
    directory damage is taken offline; both runs *complete*, with the
    degradation journaled and accounted in the statistics.
@@ -25,20 +29,25 @@ Exit status is non-zero on any violation.
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from _smoke import SmokeChecks, synthetic_words
 
+from repro.faults import find_latest_checkpoint, load_checkpoint_payload
+from repro.memories.cache_model import unpack_directory
 from repro.memories.config import CacheNodeConfig
 from repro.supervisor import (
     ChaosPlan,
     RunSupervisor,
     SupervisedRunSpec,
     SupervisorError,
+    statistics_digest,
 )
 from repro.target.configs import single_node_machine
 
@@ -73,6 +82,33 @@ def _corrupt_segment(run_dir: Path, segment: int) -> None:
     path.write_bytes(data)
 
 
+def _rewrite_as_v2(path: Path) -> None:
+    """Rewrite a checkpoint in the version-2 layout."""
+    payload = load_checkpoint_payload(path)
+    for node in payload["state"]["firmware"]["nodes"]:
+        tags, states, meta = unpack_directory(node["directory"])
+        node["directory"] = {"tags": tags, "states": states, "meta": meta}
+    body = {
+        key: value for key, value in payload.items()
+        if key not in ("format", "version", "crc")
+    }
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    crc = zlib.crc32(canonical.encode("utf-8"))
+    path.write_text(json.dumps(
+        {"format": "memories-checkpoint", "version": 2, "crc": crc, **body}
+    ))
+
+
+def _killed_at_commit(spec: SupervisedRunSpec, words, run_dir: Path) -> bool:
+    """Run until the commit-boundary kill exhausts the restart budget."""
+    supervisor = RunSupervisor.create(spec, words, run_dir)
+    try:
+        supervisor.run(chaos=ChaosPlan(kill_at_commit=1))
+    except SupervisorError:
+        return True
+    return False
+
+
 def main() -> int:
     smoke = SmokeChecks("chaos")
     words = synthetic_words(RECORDS, SEED)
@@ -98,12 +134,7 @@ def main() -> int:
         )
 
         strict = _spec(max_restarts=0)
-        supervisor = RunSupervisor.create(strict, words, tmp / "commitkill")
-        budget_hit = False
-        try:
-            supervisor.run(chaos=ChaosPlan(kill_at_commit=1))
-        except SupervisorError:
-            budget_hit = True
+        budget_hit = _killed_at_commit(strict, words, tmp / "commitkill")
         resumed = RunSupervisor.open(tmp / "commitkill")
         result = resumed.run()
         status = resumed.status()
@@ -114,6 +145,31 @@ def main() -> int:
             and status["complete"]
             and status["restarts"] == 1,
             f"budget_hit={budget_hit} restarts={status['restarts']}",
+        )
+
+        budget_hit = _killed_at_commit(strict, words, tmp / "v2resume")
+        newest = find_latest_checkpoint(tmp / "v2resume" / "checkpoints")
+        if newest is not None:
+            _rewrite_as_v2(newest)
+        result = RunSupervisor.open(tmp / "v2resume").run()
+        # The resumed worker must have started from the rewritten file,
+        # not fallen back past it.
+        events = (tmp / "v2resume" / RunSupervisor.EVENTS_NAME).read_text()
+        starts = [
+            record.get("checkpoint")
+            for record in map(json.loads, events.splitlines())
+            if record.get("event") == "worker_started"
+        ]
+        smoke.check(
+            "resume from a version-2 rewrite of the newest checkpoint "
+            "identical to bare replay",
+            budget_hit
+            and newest is not None
+            and json.loads(newest.read_text())["version"] == 2
+            and starts[-1] == str(newest)
+            and "checkpoint_digest_mismatch" not in events
+            and result.digest == statistics_digest(bare),
+            f"budget_hit={budget_hit} newest={newest} starts={starts}",
         )
 
         supervisor = RunSupervisor.create(spec, words, tmp / "quarantine")
