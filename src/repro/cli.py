@@ -1285,10 +1285,7 @@ def bench_main(argv: List[str]) -> int:
             f"digest {entry['statistics_digest'][:16]}…"
         )
     print(f"batched speedup over scalar: {report['batched_speedup']:.2f}x")
-    print(
-        f"compiled speedup over scalar: {report['compiled_speedup']:.2f}x"
-        f" ({'numba' if report['numba'] else 'pure-python fallback'})"
-    )
+    print(f"compiled speedup over scalar: {report['compiled_speedup']:.2f}x")
     if ns.out:
         Path(ns.out).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -39,20 +39,16 @@ discharged in the engine's module docstring and test suite):
     The shard index field fits inside **every** node's set-index field,
     so no cache set is split across workers.  Only provable against a
     concrete :class:`ShardSpec`.
-``DETERMINISTIC_REPLACEMENT``
-    Every victim choice is a pure function of the set's own dense
-    replacement metadata (LRU order, FIFO order, PLRU tree bits), so a
-    compiled kernel can re-derive it from flat arrays.  Denied by the
-    ``random`` policy — victims come from one board-wide RNG stream whose
-    draw order only the object-graph paths reproduce — and by custom
-    policy classes with no compiled lowering.
 ``DENSE_PROTOCOL_STATE``
-    The whole protocol state of every node lowers to dense integer
-    arrays: plain (unprotected) tag/state directories, constant
-    transaction-buffer service times, and precomputed coherence-group
-    routing.  Denied by ECC-protected directories (states carry packed
-    check bits and demand-verification), by the SDRAM timing model
-    (address-dependent service pricing), and by firmware images without
+    Every node's protocol state is something the cache-protocol runner's
+    inlined object path (:mod:`repro.memories.compiled`) transcribes
+    exactly: plain (unprotected) tag/state directories, constant
+    transaction-buffer service times, a stock replacement policy class
+    (LRU, FIFO, PLRU, or ``random`` through the policy's own RNG), and
+    precomputed coherence-group routing.  Denied by ECC-protected
+    directories (states carry packed check bits and demand-verification),
+    by the SDRAM timing model (address-dependent service pricing), by
+    custom replacement policy classes, and by firmware images without
     the stock group routing.
 """
 
@@ -72,7 +68,6 @@ class Capability(enum.Enum):
     PER_SET_INDEPENDENCE = "per_set_independence"
     NO_GLOBAL_ORDER_COUPLING = "no_global_order_coupling"
     SHARD_DECOMPOSABLE_SETS = "shard_decomposable_sets"
-    DETERMINISTIC_REPLACEMENT = "deterministic_replacement"
     DENSE_PROTOCOL_STATE = "dense_protocol_state"
 
     def __str__(self) -> str:  # readable in f-strings and reports
@@ -180,37 +175,23 @@ def prove_capabilities(
         deny(Capability.SHARD_DECOMPOSABLE_SETS, reason)
         deny(
             Capability.DENSE_PROTOCOL_STATE,
-            "firmware exposes no cache nodes to lower into flat arrays",
+            "firmware exposes no cache nodes for the protocol runner",
         )
 
-    # DETERMINISTIC_REPLACEMENT — every victim choice must be a pure
-    # function of the set's own dense metadata so a compiled kernel can
-    # re-derive it without the policy object graph.
-    from repro.memories.replacement import FifoPolicy, LruPolicy, PlruPolicy
+    # DENSE_PROTOCOL_STATE — directories, buffers, replacement and
+    # routing must all be ones the runner's inlined object path covers.
+    from repro.memories.replacement import (
+        FifoPolicy,
+        LruPolicy,
+        PlruPolicy,
+        RandomPolicy,
+    )
 
-    for node in nodes:
-        policy = getattr(node.directory, "policy", None)
-        if node.config.replacement == "random":
-            deny(
-                Capability.DETERMINISTIC_REPLACEMENT,
-                "compiled kernels cannot reproduce 'random' replacement: "
-                "victim draws come from one board-wide RNG stream whose "
-                "order only the object-graph replay preserves",
-            )
-        elif type(policy) not in (LruPolicy, FifoPolicy, PlruPolicy):
-            deny(
-                Capability.DETERMINISTIC_REPLACEMENT,
-                f"node{node.index} replacement policy "
-                f"{type(policy).__name__} has no compiled lowering",
-            )
-
-    # DENSE_PROTOCOL_STATE — directories, buffers and routing must all
-    # lower to dense integer arrays.
     if nodes and getattr(board.firmware, "_groups", None) is None:
         deny(
             Capability.DENSE_PROTOCOL_STATE,
             "firmware image does not expose precomputed coherence-group "
-            "routing (_groups); its dispatch cannot be lowered",
+            "routing (_groups) for the protocol runner to dispatch on",
         )
     for node in nodes:
         if node.ecc:
@@ -218,14 +199,21 @@ def prove_capabilities(
                 Capability.DENSE_PROTOCOL_STATE,
                 f"node{node.index} directory is ECC-protected: stored "
                 "states carry packed check bits and probes demand-verify "
-                "lines, which flat tag/state arrays cannot express",
+                "lines, which the runner's plain tag/state path omits",
             )
         if node.sdram is not None:
             deny(
                 Capability.DENSE_PROTOCOL_STATE,
                 f"node{node.index} prices directory operations through "
                 "the SDRAM timing model: service times are "
-                "address-dependent, not the constant the kernel inlines",
+                "address-dependent, not the constant the runner inlines",
+            )
+        policy = getattr(node.directory, "policy", None)
+        if type(policy) not in (LruPolicy, FifoPolicy, PlruPolicy, RandomPolicy):
+            deny(
+                Capability.DENSE_PROTOCOL_STATE,
+                f"node{node.index} replacement policy class "
+                f"{type(policy).__name__} has no inlined transcription",
             )
 
     # PER_SET_INDEPENDENCE — no feature may couple decisions across sets.

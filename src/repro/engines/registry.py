@@ -261,14 +261,13 @@ register_engine(
     EngineSpec(
         name="compiled",
         description=(
-            "block protocol kernels over flat state arrays "
-            "(repro.memories.compiled; numba-accelerated when present)"
+            "cache-protocol runner with closed-form buffer settlement "
+            "(repro.memories.compiled)"
         ),
         requires=frozenset(
             {
                 Capability.EXACT_FLOAT_CLOCK,
                 Capability.INERT_BACKGROUND_TICK,
-                Capability.DETERMINISTIC_REPLACEMENT,
                 Capability.DENSE_PROTOCOL_STATE,
                 Capability.NO_GLOBAL_ORDER_COUPLING,
             }

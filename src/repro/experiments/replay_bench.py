@@ -122,11 +122,8 @@ def run_replay_benchmark(
     ``seconds`` (best of ``repeats``), every raw sample in
     ``seconds_all``, the ``statistics_digest`` of each run, ``identical``
     (all digests equal), ``batched_speedup`` / ``compiled_speedup`` over
-    scalar, and whether ``numba`` backed the compiled engine — the
-    numbers ``BENCH_replay.json`` records.
+    scalar — the numbers ``BENCH_replay.json`` records.
     """
-    from repro.memories.compiled import HAVE_NUMBA
-
     if machine is None:
         machine = bench_machine()
     if trace is None:
@@ -158,7 +155,6 @@ def run_replay_benchmark(
         "machine": machine.name,
         "shards": shards,
         "repeats": max(repeats, 1),
-        "numba": HAVE_NUMBA,
         "engines": {
             name: {
                 "seconds": seconds,

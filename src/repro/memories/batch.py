@@ -1,4 +1,4 @@
-"""The batched replay engine: vectorised pre-decode, fused protocol loop.
+"""The batched replay engine: vectorised pre-decode, per-tenure admission.
 
 The real board is a hardware pipeline — address filter FPGA, global events
 counter FPGA, node controller FPGAs — that keeps up with a 100 MHz bus.
@@ -15,10 +15,19 @@ datapath": :func:`replay_words_batched` replays a packed trace chunk with
 * a bit-exact clock carried as one ``cumsum`` (sequential accumulation,
   so every intermediate ``now`` equals the scalar path's repeated
   addition), and
-* a Python loop that runs protocol transitions **only for admitted
-  tenures** — fused (directory, buffers and counters inlined) for the
-  stock cache-emulation firmware, or generic (``firmware.process`` per
-  admitted tenure) for any other image.
+* a runner that plays protocol transitions **only for admitted
+  tenures**.
+
+That chunk loop, :func:`replay_with_runner`, is shared with the compiled
+engine (:mod:`repro.memories.compiled`); the engines differ only in the
+runner they hand it.  For the stock cache-emulation firmware the batched
+engine uses the shared cache-protocol runner in per-tenure admission
+mode: every node-controller buffer offer is replayed in tenure order,
+refusals and retries included, so it stays exact for any buffer timing
+— boards whose buffers are slower than the bus tenure, and backlogs a
+fault injector left behind.  Any other image (SDRAM-priced or ECC
+nodes, custom replacement classes, tracer and other firmware) runs the
+generic runner, ``firmware.process`` per admitted tenure.
 
 Bit-identity with :meth:`MemoriesBoard._replay_words_scalar` is the
 contract, enforced by the property suite in ``tests/test_batched_replay``:
@@ -29,26 +38,15 @@ path would show it.  Whenever an active feature breaks one of those
 arguments (a live ECC patrol scrubber that must tick between tenures),
 the engine registry (:mod:`repro.engines`) proves the capability missing
 and routes the board to the scalar loop instead — the decision is made
-statically, before replay, not inside this module.  (An SDRAM timing
-model or an unknown replacement policy merely demotes the *fused* runner
-to the generic one; both stay bit-exact.)
+statically, before replay, not inside this module.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
 
 import numpy as np
 
 from repro.bus.trace import decode_arrays
 from repro.bus.transaction import BusCommand, SnoopResponse
-from repro.memories.protocol_table import CacheOp, LineState
-from repro.memories.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    PlruPolicy,
-    RandomPolicy,
-)
 
 _IO_READ = int(BusCommand.IO_READ)
 _IO_WRITE = int(BusCommand.IO_WRITE)
@@ -56,378 +54,18 @@ _INTERRUPT = int(BusCommand.INTERRUPT)
 _SYNC = int(BusCommand.SYNC)
 _RETRY = int(SnoopResponse.RETRY)
 
-_READ = int(BusCommand.READ)
-_CASTOUT = int(BusCommand.CASTOUT)
-_LOCAL_WRITE = int(CacheOp.LOCAL_WRITE)
-_LOCAL_CASTOUT = int(CacheOp.LOCAL_CASTOUT)
-_REMOTE_READ = int(CacheOp.REMOTE_READ)
-_REMOTE_WRITE = int(CacheOp.REMOTE_WRITE)
-_SHARED = int(LineState.SHARED)
-_OWNED = int(LineState.OWNED)
-_N_STATES = max(int(state) for state in LineState) + 1
-_N_OPS = max(int(op) for op in CacheOp) + 1
-
 #: Enum lookup tables for the generic runner (index by raw field value).
 _COMMANDS = [BusCommand(i) for i in range(max(int(c) for c in BusCommand) + 1)]
 _RESPONSES = [SnoopResponse(i) for i in range(max(int(r) for r in SnoopResponse) + 1)]
-
-#: Per local command (raw int 0..3): primary counter, secondary counter,
-#: CacheOp, hit counter, miss counter, fetches-data flag — the constants
-#: NodeController.process_local derives per tenure.
-_LOCAL_CMD = [
-    ("local.read", None, int(CacheOp.LOCAL_READ), "hit.read", "miss.read", True),
-    ("local.write", None, _LOCAL_WRITE, "hit.write", "miss.write", True),
-    ("local.write", "local.upgrade", _LOCAL_WRITE, "hit.write", "miss.write", False),
-    ("local.castout", None, _LOCAL_CASTOUT, "hit.castout", "miss.castout", False),
-]
-
-_HIT_STATE_KEY = [f"hit_state.{LineState(i).name}" for i in range(_N_STATES)]
-_FILL_KEY = [f"fill.{LineState(i).name}" for i in range(_N_STATES)]
-_DIRTY_OF = [LineState(i).is_dirty for i in range(_N_STATES)]
-
-#: Figure 12 satisfaction counters by snoop-response int, for hits/misses.
-_SAT_HIT = ["satisfied.l3", "satisfied.shr_int", "satisfied.mod_int", None]
-_SAT_MISS = ["satisfied.memory", "satisfied.shr_int", "satisfied.mod_int", None]
-
-#: Bus IDs above this are I/O bridges (board.py's _MAX_PROCESSOR_ID).
-_MAX_PROCESSOR_ID = 15
-
-
-class _FusedNode:
-    """Flattened hot-path view of one NodeController.
-
-    Holds direct references to the controller's mutable structures (the
-    finish-time deque, the directory's tag/state/way-map lists) plus local
-    copies of scalar buffer statistics and a counter accumulator.  The
-    scalars are loaded at chunk start and stored back at chunk end — safe
-    because within a fused chunk *only* this engine touches them, and the
-    board only reads them between chunks (telemetry boundaries).
-    """
-
-    __slots__ = (
-        "buffer", "ft", "capacity", "service", "last_finish",
-        "accepted", "rejected", "high_water",
-        "tags", "states", "ways", "meta",
-        "off_bits", "set_mask", "tag_shift",
-        "trans", "fill_write", "fill_read_shared", "fill_read_alone",
-        "install", "is_lru", "touch_meta",
-        "acc", "counters", "peers",
-    )
-
-    def __init__(self, node) -> None:
-        buffer = node.buffer
-        self.buffer = buffer
-        self.ft = buffer._finish_times
-        self.capacity = buffer.capacity
-        self.service = buffer.service_cycles
-        directory = node.directory
-        self.tags = directory._tags
-        self.states = directory._states
-        self.ways = directory._ways
-        self.meta = directory._meta
-        amap = directory.amap
-        self.off_bits = amap.offset_bits
-        self.set_mask = amap.num_sets - 1
-        self.tag_shift = amap.offset_bits + amap.index_bits
-        # Dense (op, state) -> (next_state, invalidates, is_hit) table.
-        table: List[List[Optional[tuple]]] = [
-            [None] * _N_STATES for _ in range(_N_OPS)
-        ]
-        for (op, state), transition in node._table.items():
-            table[op][state] = (
-                int(transition.next_state),
-                transition.next_state is LineState.INVALID,
-                transition.is_hit,
-            )
-        self.trans = table
-        fill = node._fill
-        self.fill_write = int(fill.write)
-        self.fill_read_shared = int(fill.read_shared)
-        self.fill_read_alone = int(fill.read_alone)
-        self.install = directory.install
-        policy = directory.policy
-        self.is_lru = type(policy) is LruPolicy
-        self.touch_meta = (
-            policy._update_on_access if type(policy) is PlruPolicy else None
-        )
-        self.acc: dict = {}
-        self.counters = node.counters
-        self.peers: tuple = ()
-
-    def load(self) -> None:
-        """Snapshot the buffer scalars for the coming chunk."""
-        buffer = self.buffer
-        self.ft = buffer._finish_times
-        self.last_finish = buffer._last_finish
-        stats = buffer.stats
-        self.accepted = stats.accepted
-        self.rejected = stats.rejected
-        self.high_water = stats.high_water
-
-    def store(self) -> None:
-        """Write buffer scalars back and flush accumulated counters."""
-        buffer = self.buffer
-        buffer._last_finish = self.last_finish
-        stats = buffer.stats
-        stats.accepted = self.accepted
-        stats.rejected = self.rejected
-        stats.high_water = self.high_water
-        counters = self.counters
-        for name, value in self.acc.items():
-            counters.increment(name, value)
-        self.acc.clear()
-
-
-def _remote(fused: _FusedNode, op: int, address: int, now: float):
-    """Inlined NodeController.process_remote on a fused node view."""
-    acc = fused.acc
-    if op == _REMOTE_READ:
-        acc["remote.read"] = acc.get("remote.read", 0) + 1
-    else:
-        acc["remote.write"] = acc.get("remote.write", 0) + 1
-    ft = fused.ft
-    while ft and ft[0] <= now:
-        ft.popleft()
-    if len(ft) >= fused.capacity:
-        fused.rejected += 1
-        return False, False
-    last = fused.last_finish
-    start = now if now > last else last
-    finish = start + fused.service
-    ft.append(finish)
-    fused.last_finish = finish
-    fused.accepted += 1
-    depth = len(ft)
-    if depth > fused.high_water:
-        fused.high_water = depth
-    set_index = (address >> fused.off_bits) & fused.set_mask
-    tag = address >> fused.tag_shift
-    way = fused.ways[set_index].get(tag, -1)
-    if way < 0:
-        return False, False
-    states_in_set = fused.states[set_index]
-    state = states_in_set[way]
-    next_state, invalidates, is_hit = fused.trans[op][state]
-    supplied_dirty = is_hit and _DIRTY_OF[state]
-    if supplied_dirty:
-        acc["remote.supplied_dirty"] = acc.get("remote.supplied_dirty", 0) + 1
-    if invalidates:
-        _invalidate(fused, set_index, way)
-        acc["remote.invalidated"] = acc.get("remote.invalidated", 0) + 1
-    else:
-        states_in_set[way] = next_state
-    return True, supplied_dirty
-
-
-def _invalidate(fused: _FusedNode, set_index: int, way: int) -> None:
-    """Inlined TagStateDirectory.invalidate (same way-map maintenance)."""
-    tags_in_set = fused.tags[set_index]
-    tag = tags_in_set.pop(way)
-    fused.states[set_index].pop(way)
-    ways = fused.ways[set_index]
-    if ways.get(tag) == way:
-        del ways[tag]
-    for position in range(way, len(tags_in_set)):
-        ways[tags_in_set[position]] = position
-
-
-def _fused_runner(firmware):
-    """Build a fused admitted-tenure runner, or None when ineligible.
-
-    Eligible when every in-service node uses the constant-service
-    transaction buffer (no SDRAM timing model), an unprotected directory
-    (no ECC), and a known replacement policy.  The runner replays admitted
-    tenures in order with the full NodeController/TagStateDirectory hot
-    path inlined; cold paths (install on a miss, PLRU metadata) stay as
-    method calls so policy behaviour — including the random policy's RNG
-    draw order — is untouched.
-    """
-    groups = getattr(firmware, "_groups", None)
-    if groups is None:
-        return None
-    known = (LruPolicy, FifoPolicy, RandomPolicy, PlruPolicy)
-    fused_of = {}
-    for local_by_cpu, _peers_of, controllers in groups:
-        for node in controllers:
-            if node.sdram is not None or node.ecc:
-                return None
-            if type(node.directory.policy) not in known:
-                return None
-            if id(node) not in fused_of:
-                fused_of[id(node)] = _FusedNode(node)
-    fused_groups = []
-    all_fused = list(fused_of.values())
-    for local_by_cpu, peers_of, controllers in groups:
-        for node in controllers:
-            fused_of[id(node)].peers = tuple(
-                fused_of[id(peer)] for peer in peers_of[node.index]
-            )
-        fused_groups.append(
-            (
-                {cpu: fused_of[id(node)] for cpu, node in local_by_cpu.items()},
-                tuple(fused_of[id(node)] for node in controllers),
-            )
-        )
-
-    local_cmd = _LOCAL_CMD
-    hit_state_key = _HIT_STATE_KEY
-    fill_key = _FILL_KEY
-    dirty_of = _DIRTY_OF
-    sat_hit = _SAT_HIT
-    sat_miss = _SAT_MISS
-
-    def run(cpus, cmds, addrs, resps, nows) -> int:
-        cpu_list = cpus.tolist()
-        cmd_list = cmds.tolist()
-        addr_list = addrs.tolist()
-        resp_list = resps.tolist()
-        now_list = nows.tolist()
-        for fused in all_fused:
-            fused.load()
-        retries = 0
-        for cpu, cmd, addr, resp, now in zip(
-            cpu_list, cmd_list, addr_list, resp_list, now_list
-        ):
-            # Admission pre-check across every group before any state
-            # changes (a refused tenure must be side-effect free).
-            rejected = False
-            for local_of, _controllers in fused_groups:
-                local = local_of.get(cpu)
-                if local is not None:
-                    ft = local.ft
-                    while ft and ft[0] <= now:
-                        ft.popleft()
-                    if len(ft) >= local.capacity:
-                        local.rejected += 1
-                        rejected = True
-            if rejected:
-                retries += 1
-                continue
-
-            for local_of, controllers in fused_groups:
-                local = local_of.get(cpu)
-                if local is None:
-                    # Unmapped master (see CacheEmulationFirmware.process).
-                    if cmd == _READ:
-                        op = _REMOTE_READ
-                    elif cmd == _CASTOUT and cpu <= _MAX_PROCESSOR_ID:
-                        continue
-                    else:
-                        op = _REMOTE_WRITE
-                    for fused in controllers:
-                        _remote(fused, op, addr, now)
-                    continue
-
-                # Inlined NodeController.process_local.  The buffer offer
-                # cannot fail here: the pre-check drained this queue at the
-                # same `now` and found room, and nothing has been enqueued
-                # since.
-                last = local.last_finish
-                start = now if now > last else last
-                finish = start + local.service
-                local.ft.append(finish)
-                local.last_finish = finish
-                local.accepted += 1
-                depth = len(local.ft)
-                if depth > local.high_water:
-                    local.high_water = depth
-
-                acc = local.acc
-                base_key, extra_key, op, hit_key, miss_key, fetches = (
-                    local_cmd[cmd]
-                )
-                acc[base_key] = acc.get(base_key, 0) + 1
-                if extra_key is not None:
-                    acc[extra_key] = acc.get(extra_key, 0) + 1
-
-                set_index = (addr >> local.off_bits) & local.set_mask
-                tag = addr >> local.tag_shift
-                way = local.ways[set_index].get(tag, -1)
-
-                if way >= 0:
-                    states_in_set = local.states[set_index]
-                    state = states_in_set[way]
-                    next_state, invalidates, _is_hit = local.trans[op][state]
-                    acc[hit_key] = acc.get(hit_key, 0) + 1
-                    state_key = hit_state_key[state]
-                    acc[state_key] = acc.get(state_key, 0) + 1
-                    if invalidates:
-                        _invalidate(local, set_index, way)
-                    else:
-                        states_in_set[way] = next_state
-                        if local.is_lru:
-                            if way:
-                                tags_in_set = local.tags[set_index]
-                                tags_in_set.insert(0, tags_in_set.pop(way))
-                                states_in_set.insert(0, states_in_set.pop(way))
-                                ways = local.ways[set_index]
-                                for position in range(way + 1):
-                                    ways[tags_in_set[position]] = position
-                        elif local.touch_meta is not None:
-                            meta = local.meta
-                            meta[set_index] = local.touch_meta(
-                                way, meta[set_index]
-                            )
-                    if op == _LOCAL_WRITE and (
-                        state == _SHARED or state == _OWNED
-                    ):
-                        for peer in local.peers:
-                            _remote(peer, _REMOTE_WRITE, addr, now)
-                    if fetches:
-                        sat_key = sat_hit[resp]
-                        acc[sat_key] = acc.get(sat_key, 0) + 1
-                    continue
-
-                # Miss path.
-                acc[miss_key] = acc.get(miss_key, 0) + 1
-                if op == _LOCAL_CASTOUT:
-                    acc["inclusion.castout_miss"] = (
-                        acc.get("inclusion.castout_miss", 0) + 1
-                    )
-                    fill = local.fill_write
-                elif op == _LOCAL_WRITE:
-                    for peer in local.peers:
-                        _remote(peer, _REMOTE_WRITE, addr, now)
-                    fill = local.fill_write
-                else:  # LOCAL_READ
-                    shared_elsewhere = False
-                    for peer in local.peers:
-                        held, dirty = _remote(peer, _REMOTE_READ, addr, now)
-                        if held:
-                            shared_elsewhere = True
-                        if dirty:
-                            acc["intervention.from_peer"] = (
-                                acc.get("intervention.from_peer", 0) + 1
-                            )
-                    fill = (
-                        local.fill_read_shared
-                        if shared_elsewhere
-                        else local.fill_read_alone
-                    )
-                evicted = local.install(set_index, tag, fill)
-                key = fill_key[fill]
-                acc[key] = acc.get(key, 0) + 1
-                if evicted is not None:
-                    if dirty_of[evicted[1]]:
-                        acc["evict.dirty"] = acc.get("evict.dirty", 0) + 1
-                    else:
-                        acc["evict.clean"] = acc.get("evict.clean", 0) + 1
-                if fetches:
-                    sat_key = sat_miss[resp]
-                    acc[sat_key] = acc.get(sat_key, 0) + 1
-        for fused in all_fused:
-            fused.store()
-        return retries
-
-    return run
 
 
 def _generic_runner(firmware):
     """Admitted-tenure runner calling ``firmware.process`` per tenure.
 
-    Used for firmware images without the fused fast path (tracer, hot-spot
-    profiler, NUMA directory, remote-cache, SDRAM-priced or custom-policy
-    cache nodes): the vectorised pre-pass still removes filtered tenures,
+    Used for firmware images the cache-protocol runner does not take
+    (tracer, hot-spot profiler, NUMA directory, remote-cache, and cache
+    nodes that are SDRAM-priced, ECC-protected or use a custom policy
+    class): the vectorised pre-pass still removes filtered tenures,
     filter/global bookkeeping and the clock from the Python loop.
     """
     process = firmware.process
@@ -457,9 +95,12 @@ def replay_words_batched(board, words: np.ndarray) -> int:
     board here after the capability prover establishes that, so this
     function carries no refusal logic of its own.
     """
+    # The compiled module imports this one, so the runner is fetched here.
+    from repro.memories.compiled import _protocol_runner
+
     if int(words.shape[0]) == 0:
         return 0
-    runner = _fused_runner(board.firmware)
+    runner = _protocol_runner(board.firmware, closed_form=False)
     if runner is None:
         runner = _generic_runner(board.firmware)
     return replay_with_runner(board, words, runner)
@@ -472,10 +113,13 @@ def replay_with_runner(board, words: np.ndarray, runner, flush=None) -> int:
     vectorised admit-mask pre-pass, bulk filter/global/clock updates per
     chunk, chunk boundaries aligned with the sampler countdown.  ``runner``
     receives the admitted tenures of one chunk as numpy arrays
-    ``(cpus, cmds, addrs, resps, nows)`` and returns the retry count;
-    ``flush``, when given, is called before every ``on_countdown`` so an
-    engine that accumulates state outside the board objects (the compiled
-    kernel's flat arrays) can make ``board.statistics()`` current first.
+    ``(cpus, cmds, addrs, resps, nows)`` and returns the retry count.
+
+    ``flush``, when given, is called before every ``on_countdown``.  No
+    engine passes one: both flush their counters at chunk end.  It stays
+    because it is part of this function's call interface: benchmark
+    wrappers stand in for ``replay_with_runner`` and forward ``flush``
+    by keyword to time it as the telemetry flush.
     """
     count = int(words.shape[0])
     if count == 0:

@@ -8,7 +8,7 @@ clock, sampler cursor) to come out equal, across firmware shapes,
 replacement policies, telemetry cadences and degraded starting states;
 a property-based sweep drives randomized mixes through the same
 comparison, and a saturated-buffer sweep pins the rejected-tenure
-accounting parity of the fused admission pre-check.
+accounting parity of the cache-protocol runner's admission mode.
 """
 
 from __future__ import annotations
@@ -35,18 +35,6 @@ from repro.target.configs import (
 from repro.telemetry import CounterSampler, MemorySink
 
 N_CPUS = 8
-
-
-@pytest.fixture
-def force_flat_kernel():
-    """Run the compiled engine's flat kernel interpreted (no numba)."""
-    import repro.memories.compiled as compiled
-
-    compiled._FORCE_FLAT_KERNEL = True
-    try:
-        yield
-    finally:
-        compiled._FORCE_FLAT_KERNEL = False
 
 
 def full_mix_words(
@@ -167,11 +155,38 @@ class TestBatchedBitIdentity:
         assert_paths_identical(make_board, words)
 
 
+    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
+    def test_duplicate_tags_map_to_first_occurrence(self, engine, replacement):
+        """Tag flips can leave two resident lines with one tag; installs
+        must keep the scalar way map (first occurrence wins)."""
+        words = full_mix_words(2500, seed=5, address_space=1 << 20)
+        machine = machine_for("split", replacement)
+
+        def make_board():
+            board = board_for_machine(machine, seed=9)
+            board.batched_replay = False
+            board.replay_words(full_mix_words(3000, seed=21, address_space=1 << 20))
+            for node in board.firmware.nodes:
+                directory = node.directory
+                for set_index, tags in enumerate(directory._tags):
+                    if len(tags) < 2:
+                        continue
+                    diff = tags[0] ^ tags[1]
+                    for bit in range(diff.bit_length()):
+                        if diff >> bit & 1:
+                            directory.inject_bit_flip(set_index, 1, bit)
+            board.batched_replay = True
+            return board
+
+        assert_paths_identical(make_board, words, engine=engine)
+
+
 class TestCompiledBitIdentity:
-    """The compiled engine (python fallback and flat kernel) vs scalar."""
+    """The compiled engine (closed-form buffer settlement) vs scalar."""
 
     @pytest.mark.parametrize("kind", ["single", "split", "multi"])
-    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
     def test_every_machine_and_policy(self, kind, replacement):
         words = full_mix_words(4000, seed=7)
         machine = machine_for(kind, replacement)
@@ -180,67 +195,19 @@ class TestCompiledBitIdentity:
             engine="compiled",
         )
 
-    @pytest.mark.parametrize("kind", ["single", "split", "multi"])
-    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
-    def test_flat_kernel_every_machine_and_policy(
-        self, kind, replacement, force_flat_kernel
-    ):
-        # Interpreted run of the numba-compatible kernel: proves the flat
-        # lowering itself (arrays, ring buffers, transcribed policies),
-        # not just the object-path fallback.
-        words = full_mix_words(1200, seed=7)
-        machine = machine_for(kind, replacement)
-        assert_paths_identical(
-            lambda: board_for_machine(machine, seed=3), words,
-            engine="compiled",
-        )
-
-    def test_flat_kernel_chunked_with_telemetry(self, force_flat_kernel):
-        # Telemetry boundaries force mid-call counter/buffer-stat flushes
-        # out of the flat arrays; sampler records must match scalar.
-        words = full_mix_words(900, seed=41)
-        machine = machine_for("split")
-        sinks = []
-
-        def make_board():
-            sink = MemorySink()
-            sinks.append(sink)
-            board = board_for_machine(machine, seed=2)
-            board.attach_telemetry(
-                CounterSampler(sink, every_transactions=37)
-            )
-            return board
-
-        assert_paths_identical(make_board, words, chunks=4, engine="compiled")
-        scalar_sink, compiled_sink = sinks
-        assert scalar_sink.records == compiled_sink.records
-        assert len(compiled_sink.records) > 0
-
-    def test_degraded_state_round_trips_flat_arrays(self, force_flat_kernel):
-        # Partially-filled sets, an offline node and pre-seeded buffers
-        # must survive the load -> kernel -> store round trip.
-        words = full_mix_words(1000, seed=13)
-        machine = machine_for("split")
-
-        def make_board():
-            board = board_for_machine(machine, seed=9)
-            board.batched_replay = False
-            board.replay_words(full_mix_words(800, seed=21))
-            board.firmware.offline_node(1)
-            board.batched_replay = True
-            return board
-
-        assert_paths_identical(make_board, words, engine="compiled")
-
     def test_random_policy_falls_back_identically(self):
-        # Direct calls with an ineligible board must route to the batched
-        # engine rather than corrupt state (the registry would never
-        # select compiled here — DETERMINISTIC_REPLACEMENT is denied).
-        words = full_mix_words(1500, seed=43)
+        # Random victims fall back to the policy object's own install,
+        # so the board-wide RNG is drawn in the scalar order and random
+        # boards route to compiled like every other stock policy.
+        from repro.engines import select_board_engine
+
         machine = machine_for("split", "random")
+        assert select_board_engine(board_for_machine(machine)).name == (
+            "compiled"
+        )
+        words = full_mix_words(1500, seed=43)
         assert_paths_identical(
-            lambda: board_for_machine(machine, seed=3), words,
-            engine="compiled",
+            lambda: board_for_machine(machine, seed=3), words
         )
 
     def test_injected_burst_falls_back_identically(self):
@@ -344,7 +311,7 @@ class TestOrderCouplingBoundary:
         from repro.engines import decide, select_board_engine
         from repro.engines.capabilities import Capability
         from repro.memories.batch import replay_with_runner
-        from repro.memories.compiled import _python_runner
+        from repro.memories.compiled import _protocol_runner
 
         machine = machine_for("split")
 
@@ -367,7 +334,9 @@ class TestOrderCouplingBoundary:
         # The divergence is real: the closed form, forced past the
         # guard, reports depth one.
         forced = make_board()
-        replay_with_runner(forced, words, _python_runner(forced.firmware))
+        replay_with_runner(
+            forced, words, _protocol_runner(forced.firmware, closed_form=True)
+        )
         assert forced.firmware.nodes[0].buffer.stats.high_water == 1
         assert forced.checkpoint() != scalar.checkpoint()
 
@@ -467,7 +436,7 @@ class TestEngineSelection:
         )
 
     def test_sdram_node_uses_generic_runner(self):
-        """SDRAM-priced buffers exclude the fused loop, not batching."""
+        """SDRAM-priced buffers exclude the protocol runner, not batching."""
         from repro.memories.sdram import SdramModel
 
         words = full_mix_words(1200, seed=31)
@@ -479,6 +448,23 @@ class TestEngineSelection:
             return board
 
         assert_paths_identical(make_board, words)
+
+    def test_stock_cache_firmware_bypasses_process(self, monkeypatch):
+        """Stock cache firmware replays on the protocol runner's admission
+        mode, never through ``firmware.process`` per tenure."""
+        machine = machine_for("split")
+        words = full_mix_words(1500, seed=83)
+        scalar = board_for_machine(machine, seed=2)
+        scalar.batched_replay = False
+        scalar.replay_words(words)
+        fast = board_for_machine(machine, seed=2)
+
+        def refuse(*_args):
+            raise AssertionError("firmware.process ran per tenure")
+
+        monkeypatch.setattr(fast.firmware, "process", refuse)
+        assert replay_words_batched(fast, words) == len(words)
+        assert fast.checkpoint() == scalar.checkpoint()
 
     def test_tracer_firmware_generic_runner(self):
         from repro.memories.firmware.tracer import TraceCollectorFirmware
@@ -538,7 +524,7 @@ class TestZeroCountdownRegression:
 class TestRejectedParity:
     """Rejected-tenure accounting parity under saturated buffers.
 
-    The fused admission pre-check drains every group's local queue and
+    The runner's admission pre-check drains every group's local queue and
     increments ``rejected`` only on the full ones; scalar
     ``CacheEmulationFirmware.process`` must account identically, proven
     here with deliberately tiny capacities and service times far above
@@ -576,18 +562,42 @@ class TestRejectedParity:
         assert rejected > 0, "saturation did not produce refusals"
         assert scalar.retries_posted > 0
 
+    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    def test_refused_snoop_skips_probe(self, engine):
+        """A snoop that its target's full buffer refuses is dropped
+        before the probe: the target's copy of the line stays as it was."""
+        machine = machine_for("split")
+        words = full_mix_words(2000, seed=97, address_space=1 << 16)
+
+        def make_board():
+            board = board_for_machine(machine, seed=2)
+            board.batched_replay = False
+            board.replay_words(
+                full_mix_words(2000, seed=101, address_space=1 << 16)
+            )
+            board.batched_replay = True
+            slow = board.firmware.nodes[1]
+            stats = slow.buffer.stats
+            slow.buffer = TransactionBuffer(capacity=1, service_cycles=5e4)
+            slow.buffer.stats = stats
+            return board
+
+        scalar, _fast = assert_paths_identical(make_board, words, engine=engine)
+        assert scalar.statistics()["node1.buffer.rejected"] > 0
+
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
         capacity=st.integers(1, 3),
         service=st.sampled_from([100.0, 3e3, 5e4]),
         engine=st.sampled_from(["batched", "compiled"]),
+        replacement=st.sampled_from(["lru", "fifo", "plru", "random"]),
     )
     def test_rejected_accounting_property(
-        self, seed, capacity, service, engine
+        self, seed, capacity, service, engine, replacement
     ):
         words = full_mix_words(700, seed=seed)
-        machine = machine_for("multi")
+        machine = machine_for("multi", replacement)
 
         def make_board():
             return self.saturate(
@@ -597,18 +607,6 @@ class TestRejectedParity:
             )
 
         assert_paths_identical(make_board, words, engine=engine)
-
-    def test_saturated_flat_kernel(self, force_flat_kernel):
-        words = full_mix_words(800, seed=61)
-        machine = machine_for("multi")
-
-        def make_board():
-            return self.saturate(
-                board_for_machine(machine, seed=2), capacity=1, service=5e4
-            )
-
-        assert_paths_identical(make_board, words, engine="compiled")
-
 
 class TestEdgeChunks:
     """Chunk-shape edges: all-filtered chunks, chunk size 1, boundaries

@@ -103,17 +103,10 @@ class TestCapabilityProver:
             "per_set_independence",
             "no_global_order_coupling",
             "shard_decomposable_sets",
-            "deterministic_replacement",
             "dense_protocol_state",
         }
 
-    def test_random_replacement_denies_deterministic_replacement(self):
-        board = board_for_machine(machine_for("split", "random"))
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.DETERMINISTIC_REPLACEMENT)
-        assert any("random" in reason for reason in reasons)
-
-    def test_unknown_policy_denies_deterministic_replacement(self):
+    def test_unknown_policy_denies_dense_protocol_state(self):
         board = default_board()
 
         class WeirdPolicy:
@@ -121,7 +114,7 @@ class TestCapabilityProver:
 
         board.firmware.nodes[0].directory.policy = WeirdPolicy()
         proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.DETERMINISTIC_REPLACEMENT)
+        reasons = proof.reasons(Capability.DENSE_PROTOCOL_STATE)
         assert any("WeirdPolicy" in reason for reason in reasons)
 
     def test_ecc_denies_dense_protocol_state(self):
@@ -229,11 +222,16 @@ class TestDecisions:
         assert any("SDRAM" in f.message for f in decision.report.errors)
 
     def test_compiled_rejection_names_replacement(self):
-        decision = decide(
-            "compiled", machine=machine_for("split", "random")
-        )
+        board = default_board()
+
+        class WeirdPolicy:
+            pass
+
+        board.firmware.nodes[1].directory.policy = WeirdPolicy()
+        decision = decide("compiled", board=board)
         assert not decision.eligible
-        assert Capability.DETERMINISTIC_REPLACEMENT in decision.missing
+        assert Capability.DENSE_PROTOCOL_STATE in decision.missing
+        assert any("WeirdPolicy" in f.message for f in decision.report.errors)
 
     def test_decide_all_covers_every_engine(self):
         decisions = decide_all(board=default_board(), shards=2)
@@ -255,9 +253,9 @@ class TestSelectBoardEngine:
     def test_prefers_compiled_when_eligible(self):
         assert select_board_engine(default_board()).name == "compiled"
 
-    def test_random_replacement_demotes_to_batched(self):
+    def test_random_replacement_selects_compiled(self):
         board = board_for_machine(machine_for("split", "random"))
-        assert select_board_engine(board).name == "batched"
+        assert select_board_engine(board).name == "compiled"
 
     def test_sdram_node_demotes_to_batched(self):
         board = default_board()

@@ -8,10 +8,8 @@ bit-identical board statistics** — plus throughput floors:
 * batched merely has to beat scalar (> 1x) to prove the fast path
   engaged; the strict >= 3x bar lives in
   ``benchmarks/bench_replay_throughput.py``;
-* compiled is gated at >= 10x scalar when numba backs the kernel, and
-  at >= the batched speedup when running on the pure-Python fallback
-  (the compiled engine must never be a regression over the engine it
-  outranks).
+* compiled is gated at >= the batched speedup (the compiled engine
+  must never be a regression over the engine it outranks).
 
 Timings are best-of-``REPEATS`` with every raw sample recorded in
 ``BENCH_replay.json`` (a single-shot number once drifted the recorded
@@ -63,19 +61,12 @@ def main() -> int:
         report["batched_speedup"] > 1.0,
         f"{report['batched_speedup']:.2f}x",
     )
-    if report["numba"]:
-        smoke.check(
-            "compiled kernels >= 10x scalar (numba present)",
-            report["compiled_speedup"] >= 10.0,
-            f"{report['compiled_speedup']:.2f}x",
-        )
-    else:
-        smoke.check(
-            "compiled fallback >= batched speedup (no numba)",
-            report["compiled_speedup"] >= report["batched_speedup"],
-            f"compiled {report['compiled_speedup']:.2f}x vs "
-            f"batched {report['batched_speedup']:.2f}x",
-        )
+    smoke.check(
+        "compiled >= batched speedup",
+        report["compiled_speedup"] >= report["batched_speedup"],
+        f"compiled {report['compiled_speedup']:.2f}x vs "
+        f"batched {report['batched_speedup']:.2f}x",
+    )
     out = Path(__file__).resolve().parent.parent / "BENCH_replay.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

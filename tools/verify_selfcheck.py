@@ -312,13 +312,15 @@ CLEAN_CORPUS: List[Tuple[str, ...]] = [
 #: (description, board feature, engine, capability expected missing —
 #: None means the engine must be eligible).
 ENGINE_CORPUS: List[Tuple[str, str, str, object]] = [
-    ("stock split board runs the compiled kernels",
+    ("stock split board runs the compiled runner",
      "stock", "compiled", None),
-    ("random replacement has no compiled lowering",
-     "random", "compiled", "deterministic_replacement"),
-    ("SDRAM-priced buffers cannot be flattened",
+    ("random replacement runs compiled through the policy's own RNG",
+     "random", "compiled", None),
+    ("a custom replacement policy class has no inlined transcription",
+     "custom-policy", "compiled", "dense_protocol_state"),
+    ("SDRAM-priced buffers have no inlined transcription",
      "sdram", "compiled", "dense_protocol_state"),
-    ("ECC-protected directories cannot be flattened",
+    ("ECC-protected directories have no inlined transcription",
      "ecc", "compiled", "dense_protocol_state"),
     ("ECC patrol scrubber still blocks batching",
      "ecc", "batched", "inert_background_tick"),
@@ -350,6 +352,13 @@ def _engine_board(feature: str):
         from repro.memories.sdram import SdramModel
 
         board.firmware.nodes[0].sdram = SdramModel()
+    if feature == "custom-policy":
+        from repro.memories.replacement import LruPolicy
+
+        class CustomLru(LruPolicy):
+            """An LRU subclass: behaviour the runner cannot vouch for."""
+
+        board.firmware.nodes[0].directory.policy = CustomLru()
     return board
 
 
