@@ -24,6 +24,8 @@ discharged in the engine's module docstring and test suite):
     own cache set.  Denied by ``random`` replacement (victims come from
     one board-wide RNG stream whose draw order is global) and by the
     SDRAM timing model (service times depend on global access order).
+    Sharded replay splits sets across workers on it; the compiled
+    engine's set-lockstep form steps all sets of a chunk at once on it.
 ``NO_GLOBAL_ORDER_COUPLING``
     Every transaction buffer's service time is at most the bus tenure.
     Float addition is monotone, so a finish time ``t + service`` is at
@@ -221,14 +223,14 @@ def prove_capabilities(
         if node.config.replacement == "random":
             deny(
                 Capability.PER_SET_INDEPENDENCE,
-                "sharded replay cannot reproduce 'random' replacement: "
-                "victim draws come from one board-wide RNG stream",
+                "'random' replacement couples the sets: victim draws come "
+                "from one board-wide RNG stream in global order",
             )
         if node.sdram is not None:
             deny(
                 Capability.PER_SET_INDEPENDENCE,
-                "sharded replay does not support the SDRAM timing model: "
-                "per-operation service times depend on global access order",
+                "the SDRAM timing model couples the sets: per-operation "
+                "service times depend on global access order",
             )
 
     # NO_GLOBAL_ORDER_COUPLING — every buffer drains within one tenure.

@@ -37,11 +37,11 @@ The runner serves two transaction-buffer regimes.  The engine picks one
 Bit-identity with the scalar loop, per structure:
 
 * **Clock and chunking** come from the shared chunk loop, unchanged.
-* **Directory** mutations apply in tenure order to the scalar
-  directory's own lists.  LRU move-to-front, FIFO insert-front /
-  evict-back and the PLRU tree bits are transcribed from
-  :mod:`repro.memories.replacement` (:func:`_install_inline`), the
-  way-map upkeep from
+* **Directory** mutations apply in tenure order (within each set, in
+  the lockstep form) to the scalar directory's own lists.  LRU
+  move-to-front, FIFO insert-front / evict-back and the PLRU tree bits
+  are transcribed from :mod:`repro.memories.replacement`
+  (:func:`_install_inline`), the way-map upkeep from
   :class:`~repro.memories.cache_model.TagStateDirectory`.  ``random``
   victims go through ``directory.install`` itself; installs happen in
   tenure order, so the board-wide RNG is drawn in the scalar order.
@@ -50,11 +50,23 @@ Bit-identity with the scalar loop, per structure:
   end, before any observer (``on_countdown`` → ``board.statistics()``)
   can look.
 
-The transition logic exists in three forms: the scalar
+The transition logic exists in four forms: the scalar
 ``NodeController``, :func:`_process_local` (multi-group closed form and
-admission mode) and the inlined single-group closed-form loop
-(:func:`_single_group_run`), the common machine shape.  The bit-identity
+admission mode), the inlined single-group closed-form loop
+(:func:`_single_group_run`), the common machine shape, and that loop's
+set-lockstep form (:mod:`repro.memories.lockstep`).  The bit-identity
 suite in ``tests/test_batched_replay.py`` holds them in lock-step.
+
+The lockstep form replays a deep chunk of a single group set by set,
+all sets at once.  It is sound when the board grants
+``per_set_independence`` and every node of the group maps an address to
+the same set: a tenure then reads and writes one set on every node and
+nothing else, so each set's history depends only on its own tenures,
+in their order.  Counters are sums and the closed-form tallies are
+counts and maxima of rising tenure times, so neither depends on the
+interleaving of sets.  Per chunk, :func:`_single_group_run` takes the
+lanes when the chunk has enough admitted tenures per touched set, and
+the loop otherwise.
 """
 
 from __future__ import annotations
@@ -176,6 +188,11 @@ _POLICY_CODE = {
 }
 
 _NEVER = float("-inf")
+
+#: A single-group chunk with at least this many admitted tenures per
+#: touched set replays in set lockstep (:mod:`repro.memories.lockstep`);
+#: docs/architecture.md has the measured crossover.
+LOCKSTEP_MIN_DEPTH = 6
 
 
 class _CompiledNode:
@@ -565,7 +582,7 @@ def _install_inline(local: _CompiledNode, set_index, tag, fill) -> int:
     return victim_state
 
 
-def _protocol_runner(firmware, closed_form: bool):
+def _protocol_runner(firmware, closed_form: bool, set_lanes: bool = False):
     """Build the cache-protocol runner, or None when ineligible.
 
     Eligible when every in-service node uses the constant-service
@@ -604,7 +621,7 @@ def _protocol_runner(firmware, closed_form: bool):
     if not closed_form:
         return _admission_run(compiled_groups, all_nodes)
     if len(compiled_groups) == 1:
-        return _single_group_run(compiled_groups[0], all_nodes)
+        return _single_group_run(compiled_groups[0], all_nodes, set_lanes)
     return _multi_group_run(compiled_groups, all_nodes)
 
 
@@ -710,11 +727,29 @@ def _multi_group_run(compiled_groups, all_nodes):
     return run
 
 
-def _single_group_run(group, all_nodes):
-    """The single-coherence-group fast path (the common machine shape):
-    routing collapses to one table lookup and the whole local tenure,
-    peer probes included, is inlined."""
+def _deep_chunk_sets(node: _CompiledNode, addrs: np.ndarray):
+    """The chooser between the loop and set lockstep: the set index of
+    each address when the chunk has at least :data:`LOCKSTEP_MIN_DEPTH`
+    admitted tenures per touched set, else None."""
+    sets = ((addrs >> np.uint64(node.off_bits))
+            & np.uint64(node.set_mask)).astype(np.intp)
+    touched = np.count_nonzero(np.bincount(sets, minlength=node.set_mask + 1))
+    return sets if sets.shape[0] >= LOCKSTEP_MIN_DEPTH * touched else None
+
+
+def _single_group_run(group, all_nodes, set_lanes: bool):
+    """The single-coherence-group fast path (the common machine shape).
+
+    Each chunk runs either on the loop below, where routing collapses to
+    one table lookup and the whole local tenure, peer probes included, is
+    inlined, or, when ``set_lanes`` holds (the board grants
+    ``per_set_independence``), the group has a lockstep form and the
+    chunk is deep, on :mod:`repro.memories.lockstep`.
+    """
     local_table, controllers = group
+    first = controllers[0]
+    lanes = None
+    planned = False
     cmd_tab = _CMD_TAB
     hit_state_cid = _HIT_STATE_CID
     fill_cid = _FILL_CID
@@ -725,9 +760,9 @@ def _single_group_run(group, all_nodes):
     invalidate = _invalidate
     install = _install_inline
 
-    def run(cpus, cmds, addrs, resps, nows) -> int:
-        for node in all_nodes:
-            node.begin()
+    def loop(cpus, cmds, addrs, resps, nows):
+        """Replay admitted tenures one by one; returns the unmapped-master
+        tallies ``(reads, writes, last time)``."""
         u_reads = u_writes = 0
         u_time = _NEVER
         for cpu, cmd, addr, resp, now in zip(
@@ -844,7 +879,26 @@ def _single_group_run(group, all_nodes):
                     accv[_CID_EVICT_CLEAN] += 1
             if fetches:
                 accv[sat_miss_cid[resp]] += 1
-        _settle_group(controllers, (u_reads, u_writes, u_time))
+        return u_reads, u_writes, u_time
+
+    def run(cpus, cmds, addrs, resps, nows) -> int:
+        nonlocal lanes, planned
+        for node in all_nodes:
+            node.begin()
+        sets = _deep_chunk_sets(first, addrs) if set_lanes else None
+        if sets is not None and not planned:
+            # Imported at the first deep chunk (it imports this module's
+            # constants), so that a process replaying only shallow chunks,
+            # such as a forked service worker, never loads it.
+            from repro.memories import lockstep
+
+            lanes = lockstep.plan(local_table, controllers)
+            planned = True
+        if sets is not None and lanes is not None:
+            unmapped = lanes.run(sets, cpus, cmds, addrs, resps, nows, loop)
+        else:
+            unmapped = loop(cpus, cmds, addrs, resps, nows)
+        _settle_group(controllers, unmapped)
         return 0
 
     return run
@@ -855,7 +909,7 @@ def _single_group_run(group, all_nodes):
 # ---------------------------------------------------------------------------
 
 
-def _buffers_decoupled(board) -> bool:
+def _buffers_decoupled(board, proof=None) -> bool:
     """Whether the closed-form buffer settlement is exact for this call.
 
     Two conditions.  The static one is the prover's
@@ -866,9 +920,9 @@ def _buffers_decoupled(board) -> bool:
     fault injector's burst (``TransactionBuffer.inject_occupancy``) or a
     restored checkpoint can otherwise leave behind.
     """
-    if not prove_capabilities(board).grants(
-        Capability.NO_GLOBAL_ORDER_COUPLING
-    ):
+    if proof is None:
+        proof = prove_capabilities(board)
+    if not proof.grants(Capability.NO_GLOBAL_ORDER_COUPLING):
         return False
     # Finish times are appended in ascending order and _last_finish is
     # the latest, so it bounds every queued one.
@@ -891,9 +945,13 @@ def replay_words_compiled(board, words: np.ndarray) -> int:
     """
     if int(words.shape[0]) == 0:
         return 0
-    if not _buffers_decoupled(board):
+    proof = prove_capabilities(board)
+    if not _buffers_decoupled(board, proof):
         return replay_words_batched(board, words)
-    runner = _protocol_runner(board.firmware, closed_form=True)
+    runner = _protocol_runner(
+        board.firmware, closed_form=True,
+        set_lanes=proof.grants(Capability.PER_SET_INDEPENDENCE),
+    )
     if runner is None:
         return replay_words_batched(board, words)
     return replay_with_runner(board, words, runner)

@@ -8,7 +8,9 @@ clock, sampler cursor) to come out equal, across firmware shapes,
 replacement policies, telemetry cadences and degraded starting states;
 a property-based sweep drives randomized mixes through the same
 comparison, and a saturated-buffer sweep pins the rejected-tenure
-accounting parity of the cache-protocol runner's admission mode.
+accounting parity of the cache-protocol runner's admission mode.  The
+set-lockstep form of the closed-form runner is forced onto every chunk
+and held to the same standard, and its chooser's routing is pinned.
 """
 
 from __future__ import annotations
@@ -339,6 +341,283 @@ class TestOrderCouplingBoundary:
         )
         assert forced.firmware.nodes[0].buffer.stats.high_water == 1
         assert forced.checkpoint() != scalar.checkpoint()
+
+
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """Counts the chunks replayed on the set lanes."""
+    from repro.memories import lockstep
+
+    calls = []
+    run = lockstep.SetLanes.run
+
+    def counted(self, *args):
+        calls.append(args[0].shape[0])
+        return run(self, *args)
+
+    monkeypatch.setattr(lockstep.SetLanes, "run", counted)
+    return calls
+
+
+@pytest.fixture
+def forced_lockstep(monkeypatch, lockstep_calls):
+    """Every chunk of a group with a lockstep form runs on the lanes."""
+    monkeypatch.setattr(
+        "repro.memories.compiled.LOCKSTEP_MIN_DEPTH", 0
+    )
+    return lockstep_calls
+
+
+def replay_forced_lanes(board, words):
+    """The closed-form runner with set lanes, past the engine's guards."""
+    from repro.memories.batch import replay_with_runner
+    from repro.memories.compiled import _protocol_runner
+
+    runner = _protocol_runner(board.firmware, closed_form=True, set_lanes=True)
+    return replay_with_runner(board, words, runner)
+
+
+def assert_lanes_identical(make_board, words, chunks=3):
+    """Scalar against the forced set lanes, chunk by chunk; a last part
+    replays on the batched engine, whose probes read the way maps the
+    lanes wrote back."""
+    scalar = make_board()
+    scalar.batched_replay = False
+    lanes = make_board()
+    *parts, tail = np.array_split(words, chunks + 1)
+    for part in parts:
+        scalar.replay_words(part)
+        replay_forced_lanes(lanes, part)
+    scalar.replay_words(tail)
+    replay_words_batched(lanes, tail)
+    assert scalar.statistics() == lanes.statistics()
+    assert scalar.now_cycle == lanes.now_cycle
+    assert scalar.checkpoint() == lanes.checkpoint()
+    return scalar, lanes
+
+
+class TestSetLockstep:
+    """The set-lockstep form of the single-group closed-form runner
+    (:mod:`repro.memories.lockstep`), forced onto every chunk, against
+    scalar down to the checkpoint."""
+
+    @pytest.mark.parametrize("kind", ["single", "split"])
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
+    def test_every_machine_and_policy(self, forced_lockstep, kind,
+                                      replacement):
+        # CPU ids past the machine's: unmapped processors (8..15) snoop
+        # every node and their castouts touch nothing; I/O bridges
+        # (16..19) snoop with castouts too.
+        words = full_mix_words(4000, seed=7, max_cpu=20)
+        machine = machine_for(kind, replacement)
+        assert_lanes_identical(
+            lambda: board_for_machine(machine, seed=3), words
+        )
+        assert len(forced_lockstep) == 3
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
+    def test_flipped_duplicate_tags(self, forced_lockstep, replacement):
+        """Sets holding a duplicated tag replay on the loop, the rest on
+        the lanes, and together they match scalar."""
+        words = full_mix_words(2500, seed=5, address_space=1 << 20)
+        machine = machine_for("split", replacement)
+
+        def make_board():
+            board = board_for_machine(machine, seed=9)
+            board.batched_replay = False
+            board.replay_words(
+                full_mix_words(3000, seed=21, address_space=1 << 20)
+            )
+            for node in board.firmware.nodes:
+                directory = node.directory
+                for set_index, tags in enumerate(directory._tags):
+                    if len(tags) >= 2 and set_index % 3 == 0:
+                        diff = tags[0] ^ tags[1]
+                        for bit in range(diff.bit_length()):
+                            if diff >> bit & 1:
+                                directory.inject_bit_flip(set_index, 1, bit)
+            board.batched_replay = True
+            return board
+
+        assert_lanes_identical(make_board, words)
+        assert forced_lockstep
+
+    def test_duplicate_tag_follows_the_way_map(self, forced_lockstep):
+        """An LRU hit behind two copies of a tag leaves the way map on the
+        later copy; a probe must then find that copy, as scalar does, not
+        the first match in the list."""
+        machine = machine_for("split")
+        line = lambda tag: tag << 15  # set 0 of the 256-set nodes
+
+        def records(*pairs):
+            n = len(pairs)
+            return encode_arrays(
+                np.zeros(n, dtype=np.uint64),
+                np.array([cmd for cmd, _tag in pairs], dtype=np.uint64),
+                np.array([line(tag) for _cmd, tag in pairs], dtype=np.uint64),
+            )
+
+        def make_board():
+            board = board_for_machine(machine, seed=3)
+            board.batched_replay = False
+            # Reads fill tags 1..4, a write makes tag 3 dirty and MRU.
+            board.replay_words(records((0, 1), (0, 2), (0, 3), (0, 4), (1, 3)))
+            directory = board.firmware.nodes[0].directory
+            assert directory._tags[0] == [3, 4, 2, 1]
+            for bit in range(3):  # 4 -> 3: two copies, first one dirty
+                directory.inject_bit_flip(0, 1, bit)
+            board.batched_replay = True
+            return board
+
+        # Read tag 1 (way 3): the way map now names the second copy of 3.
+        _scalar, lanes = assert_lanes_identical(
+            make_board, records((0, 1), (1, 3), (0, 3)), chunks=2
+        )
+        assert forced_lockstep
+        assert lanes.statistics()["node0.hit_state.EXCLUSIVE"] >= 1
+
+    def test_unmapped_masters_on_a_degraded_board(self, forced_lockstep):
+        words = full_mix_words(3000, seed=13, max_cpu=20)
+        machine = machine_for("split")
+
+        def make_board():
+            board = board_for_machine(machine, seed=9)
+            board.batched_replay = False
+            board.replay_words(full_mix_words(800, seed=21))
+            board.firmware.offline_node(1)
+            board.batched_replay = True
+            return board
+
+        assert_lanes_identical(make_board, words)
+        assert forced_lockstep
+
+    def test_injected_burst_hits_the_occupancy_guard(self, forced_lockstep):
+        words = full_mix_words(2000, seed=45)
+        machine = machine_for("split")
+
+        def make_board():
+            board = board_for_machine(machine, seed=3)
+            board.firmware.nodes[1].buffer.inject_occupancy(
+                board.now_cycle, 40
+            )
+            return board
+
+        assert_paths_identical(make_board, words, chunks=4, engine="compiled")
+        # The first call drains the burst on batched; the lanes take the
+        # rest once the closed form applies again.
+        assert len(forced_lockstep) == 3
+
+    def test_deep_telemetry_cadence_jsonl_identical(self, lockstep_calls):
+        import io
+
+        from repro.telemetry import JsonlSink
+
+        words = full_mix_words(110_000, seed=17, max_cpu=12)
+        machine = machine_for("split", "plru")
+        streams = []
+
+        def replay(engine):
+            stream = io.StringIO()
+            streams.append(stream)
+            board = board_for_machine(machine, seed=2)
+            board.attach_telemetry(CounterSampler(
+                JsonlSink(stream, deterministic=True),
+                every_transactions=50_000,
+            ))
+            ENGINES[engine].replay(board, words)
+            board.telemetry.finish(board)
+            return board
+
+        scalar = replay("scalar")
+        fast = replay("compiled")
+        assert streams[0].getvalue() == streams[1].getvalue()
+        assert streams[0].getvalue().count("\n") >= 3
+        assert scalar.checkpoint() == fast.checkpoint()
+        # Two full windows and the tail, each deep enough for the lanes.
+        assert len(lockstep_calls) == 3
+
+
+class TestLockstepChooser:
+    """Which chunks take the set lanes: deep ones, on groups that have a
+    lockstep form."""
+
+    @staticmethod
+    def split4():
+        config = CacheNodeConfig(size=1 << 20, assoc=4, line_size=128)
+        return split_smp_machine(config, N_CPUS, 2)
+
+    def test_deep_chunk_takes_lanes_shallow_segment_the_loop(
+        self, lockstep_calls, monkeypatch
+    ):
+        machine = self.split4()
+        words = full_mix_words(200_000, seed=3, address_space=4 << 20)
+        segment = full_mix_words(5_000, seed=4, address_space=4 << 20)
+        lanes = board_for_machine(machine, seed=1)
+        lanes.replay_words(words)
+        assert len(lockstep_calls) == 1
+        lanes.replay_words(segment)  # a warm 5k-record segment
+        assert len(lockstep_calls) == 1
+        # The loop alone reaches the same state.
+        monkeypatch.setattr(
+            "repro.memories.compiled.LOCKSTEP_MIN_DEPTH", float("inf")
+        )
+        loop = board_for_machine(machine, seed=1)
+        loop.replay_words(words)
+        loop.replay_words(segment)
+        assert len(lockstep_calls) == 1
+        assert loop.checkpoint() == lanes.checkpoint()
+
+    def test_random_has_no_lanes(self, forced_lockstep):
+        from repro.engines.capabilities import Capability, prove_capabilities
+
+        machine = machine_for("split", "random")
+        board = board_for_machine(machine)
+        denials = prove_capabilities(board).denials
+        assert Capability.PER_SET_INDEPENDENCE in denials
+        words = full_mix_words(3000, seed=43)
+        assert_paths_identical(
+            lambda: board_for_machine(machine, seed=3), words,
+            engine="compiled",
+        )
+        assert not forced_lockstep
+
+    def test_mixed_geometry_group_has_no_lanes(self, forced_lockstep):
+        from repro.target.mapping import TargetMachine, TargetNodeSpec
+
+        big = CacheNodeConfig(size=128 * 1024, assoc=4, line_size=128,
+                              procs_per_node=4)
+        small = CacheNodeConfig(size=64 * 1024, assoc=2, line_size=64,
+                                procs_per_node=4)
+        machine = TargetMachine(nodes=(
+            TargetNodeSpec(config=big, cpus=(0, 1, 2, 3), group=0),
+            TargetNodeSpec(config=small, cpus=(4, 5, 6, 7), group=0),
+        ))
+        words = full_mix_words(3000, seed=61)
+        assert_paths_identical(
+            lambda: board_for_machine(machine, seed=3), words,
+            engine="compiled",
+        )
+        assert not forced_lockstep
+
+    def test_plru_bits_outside_the_tables_replay_on_the_loop(
+        self, forced_lockstep
+    ):
+        words = full_mix_words(3000, seed=67)
+        machine = machine_for("split", "plru")
+
+        def make_board():
+            board = board_for_machine(machine, seed=3)
+            board.batched_replay = False
+            board.replay_words(full_mix_words(1000, seed=21))
+            for node in board.firmware.nodes:
+                meta = node.directory._meta
+                for set_index in range(0, len(meta), 2):
+                    meta[set_index] |= 1 << 9
+            board.batched_replay = True
+            return board
+
+        assert_paths_identical(make_board, words, engine="compiled")
+        assert forced_lockstep
 
 
 class TestTelemetryChunking:
