@@ -40,6 +40,9 @@ from repro.engines.capabilities import (
     ShardSpec,
     prove_capabilities,
 )
+# Bound as modules and looked up at call time: compiled imports this
+# package's capabilities, so it may still be initialising here.
+from repro.memories import batch, compiled
 from repro.verify.findings import Report
 
 
@@ -219,14 +222,10 @@ def _replay_scalar(board, words) -> int:
 
 
 def _replay_batched(board, words) -> int:
-    from repro.memories import batch
-
     return batch.replay_words_batched(board, words)
 
 
 def _replay_compiled(board, words) -> int:
-    from repro.memories import compiled
-
     return compiled.replay_words_compiled(board, words)
 
 

@@ -106,10 +106,11 @@ class TagStateDirectory:
         if new_way != way:
             if new_way == 0:
                 # Promotion to MRU rotates positions 0..way one step; no
-                # entry beyond the hit way moves.
+                # entry beyond the hit way moves.  Back to front, so a
+                # (corrupted) duplicate tag keeps its first occurrence.
                 tags = self._tags[set_index]
                 ways = self._ways[set_index]
-                for position in range(way + 1):
+                for position in range(way, -1, -1):
                     ways[tags[position]] = position
             else:
                 self._rebuild_way_map(set_index)
@@ -144,8 +145,13 @@ class TagStateDirectory:
         ways = self._ways[set_index]
         if ways.get(tag) == way:
             del ways[tag]
-        for position in range(way, len(tags)):
-            ways[tags[position]] = position
+        # Lines from `way` on moved down one.  Back to front, and an entry
+        # naming an earlier copy stays, so a (corrupted) duplicate tag
+        # keeps its first occurrence, as _rebuild_way_map would.
+        for position in range(len(tags) - 1, way - 1, -1):
+            moved = tags[position]
+            if ways.get(moved, way) >= way:
+                ways[moved] = position
         return state
 
     # ------------------------------------------------------------------ #

@@ -42,20 +42,22 @@ Bit-identity with the scalar loop, per structure:
   move-to-front, FIFO insert-front / evict-back and the PLRU tree bits
   are transcribed from :mod:`repro.memories.replacement`
   (:func:`_install_inline`), the way-map upkeep from
-  :class:`~repro.memories.cache_model.TagStateDirectory`.  ``random``
-  victims go through ``directory.install`` itself; installs happen in
-  tenure order, so the board-wide RNG is drawn in the scalar order.
+  :class:`~repro.memories.cache_model.TagStateDirectory`.
+  Invalidations and ``random`` victims go through
+  ``directory.invalidate`` and ``directory.install`` themselves; installs
+  happen in tenure order, so the board-wide RNG is drawn in the scalar
+  order.
 * **Counters** accumulate as a commutative reordering of the increments
   within one chunk and are flushed into the real counter banks at chunk
   end, before any observer (``on_countdown`` → ``board.statistics()``)
   can look.
 
-The transition logic exists in four forms: the scalar
-``NodeController``, :func:`_process_local` (multi-group closed form and
-admission mode), the inlined single-group closed-form loop
-(:func:`_single_group_run`), the common machine shape, and that loop's
-set-lockstep form (:mod:`repro.memories.lockstep`).  The bit-identity
-suite in ``tests/test_batched_replay.py`` holds them in lock-step.
+The transition logic exists in three forms: the scalar
+``NodeController``, :func:`_process_local`, which every fast runner
+calls once per local tenure whatever the group shape and buffer regime,
+and its set-lockstep form (:mod:`repro.memories.lockstep`).  The
+bit-identity suite in ``tests/test_batched_replay.py`` holds them in
+lock-step.
 
 The lockstep form replays a deep chunk of a single group set by set,
 all sets at once.  It is sound when the board grants
@@ -64,7 +66,7 @@ the same set: a tenure then reads and writes one set on every node and
 nothing else, so each set's history depends only on its own tenures,
 in their order.  Counters are sums and the closed-form tallies are
 counts and maxima of rising tenure times, so neither depends on the
-interleaving of sets.  Per chunk, :func:`_single_group_run` takes the
+interleaving of sets.  Per chunk, :func:`_closed_form_run` takes the
 lanes when the chunk has enough admitted tenures per touched set, and
 the loop otherwise.
 """
@@ -223,8 +225,8 @@ class _CompiledNode:
         "tags", "states", "ways", "meta",
         "off_bits", "set_mask", "tag_shift",
         "trans", "fill_write", "fill_read_shared", "fill_read_alone",
-        "install", "policy_code", "assoc", "is_lru", "touch_meta",
-        "victim_way", "accv", "counters", "peers",
+        "install", "invalidate", "policy_code", "assoc", "is_lru",
+        "touch_meta", "victim_way", "accv", "counters", "peers",
         "local_n", "local_t", "snoop_rd", "snoop_wr", "snoop_t",
     )
 
@@ -257,6 +259,7 @@ class _CompiledNode:
         self.fill_read_shared = int(fill.read_shared)
         self.fill_read_alone = int(fill.read_alone)
         self.install = directory.install
+        self.invalidate = directory.invalidate
         policy = directory.policy
         self.policy_code = _POLICY_CODE[type(policy)]
         self.assoc = node.config.assoc
@@ -379,18 +382,6 @@ def _settle_group(controllers, unmapped) -> None:
         node.settle(reads, writes, last)
 
 
-def _invalidate(node: _CompiledNode, set_index: int, way: int) -> None:
-    """Inlined TagStateDirectory.invalidate (same way-map maintenance)."""
-    tags_in_set = node.tags[set_index]
-    tag = tags_in_set.pop(way)
-    node.states[set_index].pop(way)
-    ways = node.ways[set_index]
-    if ways.get(tag) == way:
-        del ways[tag]
-    for position in range(way, len(tags_in_set)):
-        ways[tags_in_set[position]] = position
-
-
 def _snoop_hit(peer: _CompiledNode, op: int, set_index: int, way: int) -> bool:
     """The directory half of NodeController.process_remote, on a probe
     that found the line; returns whether the peer supplied dirty data."""
@@ -402,7 +393,7 @@ def _snoop_hit(peer: _CompiledNode, op: int, set_index: int, way: int) -> bool:
     if supplied_dirty:
         accv[_CID_SUPPLIED_DIRTY] += 1
     if invalidates:
-        _invalidate(peer, set_index, way)
+        peer.invalidate(set_index, way)
         accv[_CID_INVALIDATED] += 1
     else:
         states_in_set[way] = next_state
@@ -465,8 +456,6 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
     buffer regime (:func:`_broadcast_offered` or
     :func:`_broadcast_tallied`).  A node without peers skips the call:
     nothing would be snooped, and no settlement reads its snoop tallies.
-    The single-group closed-form loop inlines this same sequence for
-    speed.
     """
     accv = local.accv
     base_cid, extra_cid, op, hit_cid, miss_cid, fetches = _CMD_TAB[cmd]
@@ -486,7 +475,7 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
         accv[hit_cid] += 1
         accv[_HIT_STATE_CID[state]] += 1
         if invalidates:
-            _invalidate(local, set_index, way)
+            local.invalidate(set_index, way)
         else:
             states_in_set[way] = next_state
             if local.is_lru:
@@ -494,7 +483,8 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
                     tags_in_set = local.tags[set_index]
                     tags_in_set.insert(0, tags_in_set.pop(way))
                     states_in_set.insert(0, states_in_set.pop(way))
-                    for position in range(way + 1):
+                    # Back to front: a duplicate keeps its first occurrence.
+                    for position in range(way, -1, -1):
                         ways[tags_in_set[position]] = position
             elif local.touch_meta is not None:
                 meta = local.meta
@@ -620,9 +610,7 @@ def _protocol_runner(firmware, closed_form: bool, set_lanes: bool = False):
         )
     if not closed_form:
         return _admission_run(compiled_groups, all_nodes)
-    if len(compiled_groups) == 1:
-        return _single_group_run(compiled_groups[0], all_nodes, set_lanes)
-    return _multi_group_run(compiled_groups, all_nodes)
+    return _closed_form_run(compiled_groups, all_nodes, set_lanes)
 
 
 def _admission_run(compiled_groups, all_nodes):
@@ -679,16 +667,35 @@ def _admission_run(compiled_groups, all_nodes):
     return run
 
 
-def _multi_group_run(compiled_groups, all_nodes):
-    """Closed form over several coherence groups (one local tenure per
-    group that maps the cpu)."""
+def _deep_chunk_sets(node: _CompiledNode, addrs: np.ndarray):
+    """The chooser between the loop and set lockstep: the set index of
+    each address when the chunk has at least :data:`LOCKSTEP_MIN_DEPTH`
+    admitted tenures per touched set, else None."""
+    sets = ((addrs >> np.uint64(node.off_bits))
+            & np.uint64(node.set_mask)).astype(np.intp)
+    touched = np.count_nonzero(np.bincount(sets, minlength=node.set_mask + 1))
+    return sets if sets.shape[0] >= LOCKSTEP_MIN_DEPTH * touched else None
 
+
+def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool):
+    """Closed form: one local tenure per coherence group that maps the
+    cpu, and a probe of every controller of a group that does not.
+
+    A chunk of a single group may instead replay on
+    :mod:`repro.memories.lockstep`, when ``set_lanes`` holds (the board
+    grants ``per_set_independence``), the group has a lockstep form and
+    the chunk is deep; the loop then replays the sets the lanes cannot.
+    """
     process_local = _process_local
     broadcast = _broadcast_tallied
+    snoop_hit = _snoop_hit
+    lanes = None
+    # Only a single group has lanes; cleared once it turns out to have none.
+    deep_sets = set_lanes and len(compiled_groups) == 1
 
-    def run(cpus, cmds, addrs, resps, nows) -> int:
-        for node in all_nodes:
-            node.begin()
+    def loop(cpus, cmds, addrs, resps, nows):
+        """Replay admitted tenures one by one; returns each group's
+        unmapped-master tallies ``[reads, writes, last time]``."""
         groups = [
             (local_table, controllers, [0, 0, _NEVER])
             for local_table, controllers in compiled_groups
@@ -704,6 +711,7 @@ def _multi_group_run(compiled_groups, all_nodes):
                     local.local_t = now
                     process_local(local, cmd, addr, resp, now, broadcast)
                     continue
+                # Unmapped master: probe the group's controllers directly.
                 if cmd == _READ:
                     op = _REMOTE_READ
                     unmapped[0] += 1
@@ -719,186 +727,36 @@ def _multi_group_run(compiled_groups, all_nodes):
                         addr >> node.tag_shift, -1
                     )
                     if node_way >= 0:
-                        _snoop_hit(node, op, node_set, node_way)
-        for _local_table, controllers, unmapped in groups:
-            _settle_group(controllers, unmapped)
-        return 0
-
-    return run
-
-
-def _deep_chunk_sets(node: _CompiledNode, addrs: np.ndarray):
-    """The chooser between the loop and set lockstep: the set index of
-    each address when the chunk has at least :data:`LOCKSTEP_MIN_DEPTH`
-    admitted tenures per touched set, else None."""
-    sets = ((addrs >> np.uint64(node.off_bits))
-            & np.uint64(node.set_mask)).astype(np.intp)
-    touched = np.count_nonzero(np.bincount(sets, minlength=node.set_mask + 1))
-    return sets if sets.shape[0] >= LOCKSTEP_MIN_DEPTH * touched else None
-
-
-def _single_group_run(group, all_nodes, set_lanes: bool):
-    """The single-coherence-group fast path (the common machine shape).
-
-    Each chunk runs either on the loop below, where routing collapses to
-    one table lookup and the whole local tenure, peer probes included, is
-    inlined, or, when ``set_lanes`` holds (the board grants
-    ``per_set_independence``), the group has a lockstep form and the
-    chunk is deep, on :mod:`repro.memories.lockstep`.
-    """
-    local_table, controllers = group
-    first = controllers[0]
-    lanes = None
-    planned = False
-    cmd_tab = _CMD_TAB
-    hit_state_cid = _HIT_STATE_CID
-    fill_cid = _FILL_CID
-    dirty_of = _DIRTY_OF
-    sat_hit_cid = _SAT_HIT_CID
-    sat_miss_cid = _SAT_MISS_CID
-    snoop_hit = _snoop_hit
-    invalidate = _invalidate
-    install = _install_inline
-
-    def loop(cpus, cmds, addrs, resps, nows):
-        """Replay admitted tenures one by one; returns the unmapped-master
-        tallies ``(reads, writes, last time)``."""
-        u_reads = u_writes = 0
-        u_time = _NEVER
-        for cpu, cmd, addr, resp, now in zip(
-            cpus.tolist(), cmds.tolist(), addrs.tolist(),
-            resps.tolist(), nows.tolist(),
-        ):
-            local = local_table[cpu]
-            if local is None:
-                # Unmapped master: probe the group's controllers directly.
-                if cmd == _READ:
-                    op = _REMOTE_READ
-                    u_reads += 1
-                elif cmd == _CASTOUT and cpu <= _MAX_PROCESSOR_ID:
-                    continue
-                else:
-                    op = _REMOTE_WRITE
-                    u_writes += 1
-                u_time = now
-                for node in controllers:
-                    node_set = (addr >> node.off_bits) & node.set_mask
-                    node_way = node.ways[node_set].get(
-                        addr >> node.tag_shift, -1
-                    )
-                    if node_way >= 0:
                         snoop_hit(node, op, node_set, node_way)
-                continue
-
-            local.local_n += 1
-            local.local_t = now
-            accv = local.accv
-            base_cid, extra_cid, op, hit_cid, miss_cid, fetches = cmd_tab[cmd]
-            accv[base_cid] += 1
-            if extra_cid >= 0:
-                accv[extra_cid] += 1
-
-            set_index = (addr >> local.off_bits) & local.set_mask
-            tag = addr >> local.tag_shift
-            ways = local.ways[set_index]
-            way = ways.get(tag, -1)
-
-            if way >= 0:
-                states_in_set = local.states[set_index]
-                state = states_in_set[way]
-                next_state, invalidates, _is_hit = local.trans[op][state]
-                accv[hit_cid] += 1
-                accv[hit_state_cid[state]] += 1
-                if invalidates:
-                    invalidate(local, set_index, way)
-                else:
-                    states_in_set[way] = next_state
-                    if local.is_lru:
-                        if way:
-                            tags_in_set = local.tags[set_index]
-                            tags_in_set.insert(0, tags_in_set.pop(way))
-                            states_in_set.insert(0, states_in_set.pop(way))
-                            for position in range(way + 1):
-                                ways[tags_in_set[position]] = position
-                    elif local.touch_meta is not None:
-                        meta = local.meta
-                        meta[set_index] = local.touch_meta(way, meta[set_index])
-                if op == _LOCAL_WRITE and (state == _SHARED or state == _OWNED):
-                    local.snoop_wr += 1
-                    local.snoop_t = now
-                    for peer in local.peers:
-                        peer_set = (addr >> peer.off_bits) & peer.set_mask
-                        peer_way = peer.ways[peer_set].get(
-                            addr >> peer.tag_shift, -1
-                        )
-                        if peer_way >= 0:
-                            snoop_hit(peer, _REMOTE_WRITE, peer_set, peer_way)
-                if fetches:
-                    accv[sat_hit_cid[resp]] += 1
-                continue
-
-            accv[miss_cid] += 1
-            if op == _LOCAL_CASTOUT:
-                accv[_CID_INCLUSION] += 1
-                fill = local.fill_write
-            elif op == _LOCAL_WRITE:
-                local.snoop_wr += 1
-                local.snoop_t = now
-                for peer in local.peers:
-                    peer_set = (addr >> peer.off_bits) & peer.set_mask
-                    peer_way = peer.ways[peer_set].get(
-                        addr >> peer.tag_shift, -1
-                    )
-                    if peer_way >= 0:
-                        snoop_hit(peer, _REMOTE_WRITE, peer_set, peer_way)
-                fill = local.fill_write
-            else:
-                local.snoop_rd += 1
-                local.snoop_t = now
-                shared_elsewhere = False
-                for peer in local.peers:
-                    peer_set = (addr >> peer.off_bits) & peer.set_mask
-                    peer_way = peer.ways[peer_set].get(
-                        addr >> peer.tag_shift, -1
-                    )
-                    if peer_way >= 0:
-                        shared_elsewhere = True
-                        if snoop_hit(peer, _REMOTE_READ, peer_set, peer_way):
-                            accv[_CID_INTERVENTION] += 1
-                fill = (
-                    local.fill_read_shared
-                    if shared_elsewhere
-                    else local.fill_read_alone
-                )
-            victim_state = install(local, set_index, tag, fill)
-            accv[fill_cid[fill]] += 1
-            if victim_state >= 0:
-                if dirty_of[victim_state]:
-                    accv[_CID_EVICT_DIRTY] += 1
-                else:
-                    accv[_CID_EVICT_CLEAN] += 1
-            if fetches:
-                accv[sat_miss_cid[resp]] += 1
-        return u_reads, u_writes, u_time
+        return [unmapped for _local_table, _controllers, unmapped in groups]
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
-        nonlocal lanes, planned
+        nonlocal lanes, deep_sets
         for node in all_nodes:
             node.begin()
-        sets = _deep_chunk_sets(first, addrs) if set_lanes else None
-        if sets is not None and not planned:
+        sets = (
+            _deep_chunk_sets(compiled_groups[0][1][0], addrs)
+            if deep_sets else None
+        )
+        if sets is not None and lanes is None:
             # Imported at the first deep chunk (it imports this module's
             # constants), so that a process replaying only shallow chunks,
             # such as a forked service worker, never loads it.
             from repro.memories import lockstep
 
-            lanes = lockstep.plan(local_table, controllers)
-            planned = True
+            lanes = lockstep.plan(*compiled_groups[0])
+            deep_sets = lanes is not None
         if sets is not None and lanes is not None:
-            unmapped = lanes.run(sets, cpus, cmds, addrs, resps, nows, loop)
+            tallies = [lanes.run(
+                sets, cpus, cmds, addrs, resps, nows,
+                lambda *chunk: loop(*chunk)[0],
+            )]
         else:
-            unmapped = loop(cpus, cmds, addrs, resps, nows)
-        _settle_group(controllers, unmapped)
+            tallies = loop(cpus, cmds, addrs, resps, nows)
+        for (_local_table, controllers), unmapped in zip(
+            compiled_groups, tallies
+        ):
+            _settle_group(controllers, unmapped)
         return 0
 
     return run

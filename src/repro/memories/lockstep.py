@@ -1,7 +1,7 @@
 """Set-lockstep replay: every cache set of a deep chunk stepped at once.
 
-The closed-form single-group runner
-(:func:`repro.memories.compiled._single_group_run`) replays admitted
+The closed-form runner
+(:func:`repro.memories.compiled._closed_form_run`) replays admitted
 tenures one interpreter iteration at a time.  When every node of the
 coherence group maps an address to the same set, a tenure reads and
 writes that one set on every node and nothing else: its local probe,
@@ -35,10 +35,10 @@ all sets together, as numpy lanes:
 
 Sets the lanes cannot represent exactly replay on the loop instead, in
 their own order; they share no state with the lanes.  These are sets
-whose way map is out of step with its list (a flipped tag that
-duplicates another leaves one: the map then follows its own history,
-not the first match), that hold a state outside the protocol's complete
-transition rows, or whose PLRU bits lie outside the tables.  Groups with
+whose way map has fewer entries than the set has lines (a flipped tag
+that duplicates another leaves one: the map names only the first copy),
+that hold a state outside the protocol's complete transition rows, or
+whose PLRU bits lie outside the tables.  Groups with
 mixed set mappings or associativities, or with ``random`` replacement,
 have no lanes at all (:func:`plan`).
 

@@ -41,7 +41,12 @@ from typing import Optional
 
 from repro.bus.trace import TraceReader
 from repro.common.errors import ReproError, TraceFormatError
+# The registry imports the replay engines, so a process that imports the
+# supervisor holds them before it forks: workers inherit them instead of
+# importing (and, without bytecode caching, compiling) them per session.
+from repro.engines.registry import select_board_engine
 from repro.faults.checkpoint import CheckpointRotation, restore_checkpoint
+from repro.memories.board import board_for_machine
 from repro.supervisor.spec import (
     ChaosPlan,
     SupervisedRunSpec,
@@ -118,9 +123,6 @@ def shard_worker_main(task: dict) -> dict:
     :meth:`~repro.memories.board.MemoriesBoard.replay_words`), so a
     worker can never run an engine the configuration does not grant.
     """
-    from repro.engines.registry import select_board_engine
-    from repro.memories.board import board_for_machine
-
     board = board_for_machine(
         task["machine"],
         seed=task["seed"],

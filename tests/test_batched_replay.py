@@ -187,9 +187,20 @@ class TestBatchedBitIdentity:
 class TestCompiledBitIdentity:
     """The compiled engine (closed-form buffer settlement) vs scalar."""
 
-    @pytest.mark.parametrize("kind", ["single", "split", "multi"])
+    @pytest.mark.parametrize("kind, loop_only", [
+        pytest.param(kind, loop_only, id=kind + ("-loop" if loop_only else ""))
+        for loop_only in (False, True)
+        for kind in ("single", "split", "multi")
+    ])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
-    def test_every_machine_and_policy(self, kind, replacement):
+    def test_every_machine_and_policy(self, kind, loop_only, replacement,
+                                      monkeypatch):
+        if loop_only:
+            # No chunk is deep enough for the set lanes: every one
+            # replays on the closed-form loop.
+            monkeypatch.setattr(
+                "repro.memories.compiled.LOCKSTEP_MIN_DEPTH", math.inf
+            )
         words = full_mix_words(4000, seed=7)
         machine = machine_for(kind, replacement)
         assert_paths_identical(
@@ -443,9 +454,9 @@ class TestSetLockstep:
         assert forced_lockstep
 
     def test_duplicate_tag_follows_the_way_map(self, forced_lockstep):
-        """An LRU hit behind two copies of a tag leaves the way map on the
-        later copy; a probe must then find that copy, as scalar does, not
-        the first match in the list."""
+        """An LRU hit behind two copies of a tag moves both; the way map
+        must stay on the first copy, as scalar's does, so a later probe
+        finds the same line on every path."""
         machine = machine_for("split")
         line = lambda tag: tag << 15  # set 0 of the 256-set nodes
 
@@ -469,7 +480,7 @@ class TestSetLockstep:
             board.batched_replay = True
             return board
 
-        # Read tag 1 (way 3): the way map now names the second copy of 3.
+        # Read tag 1 (way 3): both copies of 3 move, the map keeps the first.
         _scalar, lanes = assert_lanes_identical(
             make_board, records((0, 1), (1, 3), (0, 3)), chunks=2
         )

@@ -276,6 +276,53 @@ class TestWayMapCoherence:
         for i in range(10):
             assert fresh.probe(i * 128) == directory.probe(i * 128)
 
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
+    def test_duplicate_tags_keep_first_occurrence(self, replacement):
+        """Sets holding a (corrupted) duplicate tag: after every touch,
+        invalidate and install the map equals the one a rebuild makes,
+        first occurrence winning, as a checkpoint restore rebuilds it."""
+        seeds = [[5, 5, 7, 9], [7, 5, 5, 9], [5, 7, 5, 9], [7, 9, 5, 5],
+                 [5, 7, 9, 5], [5, 5, 5, 7], [5, 5]]
+
+        def seeded(tags):
+            directory = make_directory(size=8 * 128, assoc=4,
+                                       replacement=replacement)
+            directory._tags[0] = list(tags)
+            directory._states[0] = [1] * len(tags)
+            directory._rebuild_way_map(0)
+            return directory
+
+        def assert_rebuilt(directory, action):
+            ways = dict(directory._ways[0])
+            directory._rebuild_way_map(0)
+            assert ways == directory._ways[0], (action, directory._tags[0])
+
+        for tags in seeds:
+            for way in range(len(tags)):
+                directory = seeded(tags)
+                directory.touch(0, way)
+                assert_rebuilt(directory, ("touch", tags, way))
+                directory = seeded(tags)
+                directory.invalidate(0, way)
+                assert_rebuilt(directory, ("invalidate", tags, way))
+            directory = seeded(tags)
+            directory.install(0, 11, 1)
+            assert_rebuilt(directory, ("install", tags))
+            # A run of operations, checked after each one.
+            directory = seeded(tags)
+            for tag in (9, 5, 7, 11, 5, 13):
+                way = directory._ways[0].get(tag, -1)
+                if way < 0:
+                    directory.install(0, tag, 1)
+                    action = "install"
+                elif tag == 5:
+                    directory.invalidate(0, way)
+                    action = "invalidate"
+                else:
+                    directory.touch(0, way)
+                    action = "touch"
+                assert_rebuilt(directory, (action, tags, tag))
+
     def test_check_invariants_detects_stale_map(self):
         from repro.common.errors import EmulationError
 

@@ -256,6 +256,51 @@ class TestCheckpoint:
         resumed.replay_words(words[1000:])
         assert resumed.statistics() == straight.statistics()
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "default"])
+    def test_restore_over_duplicate_tags_continues_identically(self, batched):
+        """A flipped tag duplicating another resident tag: a restore
+        rebuilds the way map with the first copy winning, so the
+        uninterrupted board must keep the first copy through its LRU
+        promotions too, or the two boards probe different copies."""
+        from repro.bus.trace import encode_arrays
+        from repro.supervisor.spec import statistics_digest
+
+        mach = split_smp_machine(CFG, n_cpus=4, procs_per_node=2)
+        read, rwitm = int(BusCommand.READ), int(BusCommand.RWITM)
+
+        def build():
+            board = board_for_machine(mach, seed=3)
+            board.batched_replay = batched
+            return board
+
+        straight = build()
+        directory = straight.firmware.nodes[0].directory
+
+        def records(*pairs):  # (command, tag) in set 0, from cpu 0
+            return encode_arrays(
+                np.zeros(len(pairs), dtype=np.uint64),
+                np.array([cmd for cmd, _tag in pairs], dtype=np.uint64),
+                np.array([directory.amap.rebuild(tag, 0)
+                          for _cmd, tag in pairs], dtype=np.uint64),
+            )
+
+        straight.replay_words(records(
+            (read, 1), (read, 2), (read, 3), (read, 4), (rwitm, 3)
+        ))
+        assert directory._tags[0] == [3, 4, 2, 1]
+        for bit in range(3):  # way 1: 4 -> 3, a clean copy behind a dirty one
+            directory.inject_bit_flip(0, 1, bit)
+        straight.replay_words(records((read, 1)))
+        resumed = build()
+        resumed.restore(straight.checkpoint())
+        tail = records((rwitm, 3), (read, 3))
+        straight.replay_words(tail)
+        resumed.replay_words(tail)
+        assert resumed.checkpoint() == straight.checkpoint()
+        assert statistics_digest(resumed.statistics()) == statistics_digest(
+            straight.statistics()
+        )
+
     def test_checkpoint_is_plain_json(self, tmp_path):
         board = self.build()
         board.replay_words(synthetic_words(100))
