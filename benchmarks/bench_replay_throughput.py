@@ -1,9 +1,9 @@
-"""Benchmark: replay throughput — scalar vs batched vs compiled vs sharded.
+"""Benchmark: replay throughput — scalar vs compiled vs sharded.
 
-The batched replay engine's acceptance bar is a >= 3x records/sec speedup
-over the scalar reference path on the standard benchmark workload; the
-compiled engine must at least match batched.  All four engines must
-land on bit-identical board statistics.  The full report (the same shape
+The compiled replay engine's acceptance bar is a >= 3x records/sec
+speedup over the scalar reference path on the standard benchmark
+workload.  All three engines must land on bit-identical board
+statistics.  The full report (the same shape
 ``tools/bench_smoke.py`` writes to ``BENCH_replay.json``) goes into
 ``benchmark.extra_info``.
 """
@@ -35,8 +35,7 @@ def test_bench_replay_throughput(benchmark):
             f"({entry['seconds'] * 1e3:8.1f} ms, best of {report['repeats']})"
         )
     print(
-        f"batched speedup over scalar: {report['batched_speedup']:.2f}x; "
-        f"compiled: {report['compiled_speedup']:.2f}x; "
+        f"compiled speedup over scalar: {report['compiled_speedup']:.2f}x; "
         f"statistics identical: {report['identical']}"
     )
     out = Path(__file__).resolve().parent.parent / "BENCH_replay.json"
@@ -46,7 +45,6 @@ def test_bench_replay_throughput(benchmark):
         {
             "records": report["records"],
             "identical": report["identical"],
-            "batched_speedup": report["batched_speedup"],
             "compiled_speedup": report["compiled_speedup"],
             **{
                 f"{name}_records_per_second": entry["records_per_second"]
@@ -55,10 +53,6 @@ def test_bench_replay_throughput(benchmark):
         }
     )
     assert report["identical"], "engines disagree on board statistics"
-    assert report["batched_speedup"] >= 3.0, (
-        f"batched replay only {report['batched_speedup']:.2f}x over scalar"
-    )
-    assert report["compiled_speedup"] >= report["batched_speedup"], (
-        f"compiled fallback ({report['compiled_speedup']:.2f}x) slower "
-        f"than batched ({report['batched_speedup']:.2f}x)"
+    assert report["compiled_speedup"] >= 3.0, (
+        f"compiled replay only {report['compiled_speedup']:.2f}x over scalar"
     )

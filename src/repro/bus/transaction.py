@@ -13,6 +13,12 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
+#: Highest bus ID that denotes a processor; I/O bridges use IDs above
+#: this.  An unmapped processor's castout goes to memory and touches no
+#: emulated cache, while an I/O bridge's castout-style DMA write must
+#: invalidate stale copies.
+MAX_PROCESSOR_ID = 15
+
 
 class BusCommand(enum.IntEnum):
     """Bus command of an address tenure on the 6xx bus.
@@ -98,7 +104,7 @@ class BusTransaction:
             the bus when the transaction is issued; 0 before issue).
         cpu_id: bus ID of the requesting master.  Processors are 0..11 on
             an S7A-class host; I/O bridges use IDs above
-            :data:`repro.host.smp.MAX_PROCESSOR_ID`.
+            :data:`MAX_PROCESSOR_ID`.
         command: the :class:`BusCommand`.
         address: physical byte address of the access.
         snoop_response: combined snoop response, filled in by the bus after

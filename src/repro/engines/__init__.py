@@ -1,7 +1,7 @@
 """Replay engine registry and static capability prover.
 
 The repo replays one captured trace through several engines — the scalar
-reference loop, the vectorised batched engine, the set-interleaved
+reference loop, the vectorised compiled engine, the set-interleaved
 sharded engine — under one contract: **bit-identical statistics**.  Each
 engine's correctness argument only holds for configurations with certain
 properties (no board-wide RNG coupling, inert background machinery,
@@ -21,7 +21,7 @@ replaces them with a single auditable decision:
   so "why was this engine rejected?" is a stored artifact, not a
   debugging session.
 
-Future backends (compiled, GPU — ROADMAP item 2) plug in by registering
+Future backends (GPU — ROADMAP item 2) plug in by registering
 an :class:`~repro.engines.registry.EngineSpec`; they inherit the prover,
 the CLI (``verify engines``) and the selection logic unchanged.
 """

@@ -9,16 +9,11 @@ replays, and every denial carries the concrete reason.
 The capability semantics (each is the precondition of a proof obligation
 discharged in the engine's module docstring and test suite):
 
-``EXACT_FLOAT_CLOCK``
-    The engine advances ``now_cycle`` by IEEE-754 additions in exactly
-    the serial order (the batched engine's ``cumsum`` matches serial
-    accumulation bit for bit).  Granted for every configuration today;
-    declared so future compiled/GPU backends that reassociate the clock
-    sum are forced to say so.
 ``INERT_BACKGROUND_TICK``
     The per-tenure firmware tick is a no-op, so an engine that does not
     interleave ticks between tenures loses nothing.  Denied while any
-    in-service node runs an ECC patrol scrubber.
+    in-service node runs an ECC patrol scrubber.  The compiled engine
+    requires it, so this denial alone routes a board to the scalar loop.
 ``PER_SET_INDEPENDENCE``
     Every hit/miss/victim decision depends only on the history of its
     own cache set.  Denied by ``random`` replacement (victims come from
@@ -35,23 +30,14 @@ discharged in the engine's module docstring and test suite):
     admissions, the queue holds only the last admission's ``t +
     service``, high-water is one, nothing is rejected — so it depends on
     how many admissions a node saw and when the last was, not on their
-    global order.  The compiled engine settles buffers this way per
-    chunk; sharding relies on it to split records across workers.
+    global order.  Where it is granted the compiled engine settles
+    buffers this way per chunk, and where it is denied it replays every
+    buffer offer in tenure order instead; sharding relies on it to split
+    records across workers.
 ``SHARD_DECOMPOSABLE_SETS``
     The shard index field fits inside **every** node's set-index field,
     so no cache set is split across workers.  Only provable against a
     concrete :class:`ShardSpec`.
-``DENSE_PROTOCOL_STATE``
-    Every node's protocol state is something the cache-protocol runner's
-    inlined object path (:mod:`repro.memories.compiled`) transcribes
-    exactly: plain (unprotected) tag/state directories, constant
-    transaction-buffer service times, a stock replacement policy class
-    (LRU, FIFO, PLRU, or ``random`` through the policy's own RNG), and
-    precomputed coherence-group routing.  Denied by ECC-protected
-    directories (states carry packed check bits and demand-verification),
-    by the SDRAM timing model (address-dependent service pricing), by
-    custom replacement policy classes, and by firmware images without
-    the stock group routing.
 """
 
 from __future__ import annotations
@@ -65,12 +51,10 @@ class Capability(enum.Enum):
     """Configuration properties engines can require (values are the
     stable names used in CLI output, findings and docs)."""
 
-    EXACT_FLOAT_CLOCK = "exact_float_clock"
     INERT_BACKGROUND_TICK = "inert_background_tick"
     PER_SET_INDEPENDENCE = "per_set_independence"
     NO_GLOBAL_ORDER_COUPLING = "no_global_order_coupling"
     SHARD_DECOMPOSABLE_SETS = "shard_decomposable_sets"
-    DENSE_PROTOCOL_STATE = "dense_protocol_state"
 
     def __str__(self) -> str:  # readable in f-strings and reports
         return self.value
@@ -144,11 +128,6 @@ def prove_capabilities(
     def deny(capability: Capability, reason: str) -> None:
         denials.setdefault(capability, []).append(reason)
 
-    # EXACT_FLOAT_CLOCK — every current engine reproduces the serial
-    # IEEE-754 accumulation order (cumsum == repeated addition, proven in
-    # tests/test_batched_replay); the capability exists so a future
-    # backend that reassociates the sum must declare the loss.
-
     # INERT_BACKGROUND_TICK — the tick hook must be absent, or present
     # and provably idle.
     if board._firmware_tick is not None:
@@ -175,48 +154,6 @@ def prove_capabilities(
         )
         deny(Capability.PER_SET_INDEPENDENCE, reason)
         deny(Capability.SHARD_DECOMPOSABLE_SETS, reason)
-        deny(
-            Capability.DENSE_PROTOCOL_STATE,
-            "firmware exposes no cache nodes for the protocol runner",
-        )
-
-    # DENSE_PROTOCOL_STATE — directories, buffers, replacement and
-    # routing must all be ones the runner's inlined object path covers.
-    from repro.memories.replacement import (
-        FifoPolicy,
-        LruPolicy,
-        PlruPolicy,
-        RandomPolicy,
-    )
-
-    if nodes and getattr(board.firmware, "_groups", None) is None:
-        deny(
-            Capability.DENSE_PROTOCOL_STATE,
-            "firmware image does not expose precomputed coherence-group "
-            "routing (_groups) for the protocol runner to dispatch on",
-        )
-    for node in nodes:
-        if node.ecc:
-            deny(
-                Capability.DENSE_PROTOCOL_STATE,
-                f"node{node.index} directory is ECC-protected: stored "
-                "states carry packed check bits and probes demand-verify "
-                "lines, which the runner's plain tag/state path omits",
-            )
-        if node.sdram is not None:
-            deny(
-                Capability.DENSE_PROTOCOL_STATE,
-                f"node{node.index} prices directory operations through "
-                "the SDRAM timing model: service times are "
-                "address-dependent, not the constant the runner inlines",
-            )
-        policy = getattr(node.directory, "policy", None)
-        if type(policy) not in (LruPolicy, FifoPolicy, PlruPolicy, RandomPolicy):
-            deny(
-                Capability.DENSE_PROTOCOL_STATE,
-                f"node{node.index} replacement policy class "
-                f"{type(policy).__name__} has no inlined transcription",
-            )
 
     # PER_SET_INDEPENDENCE — no feature may couple decisions across sets.
     for node in nodes:

@@ -10,13 +10,15 @@ reason) and ``EN302`` errors for structurally invalid shard specs.
 Engine scopes:
 
 ``board``
-    In-process engines replaying packed words on one board (scalar,
-    batched, compiled).  :func:`select_board_engine` is the single
-    selection point
-    — :meth:`MemoriesBoard._replay_words
+    In-process engines replaying packed words on one board (scalar and
+    compiled).  :func:`select_board_engine` is the single selection
+    point — :meth:`MemoriesBoard._replay_words
     <repro.memories.board.MemoriesBoard._replay_words>` and the
     supervisor's shard workers route through it, so no replay path
-    carries its own refusal logic.
+    carries its own refusal logic.  Within the compiled engine,
+    :func:`~repro.memories.compiled.replay_words_compiled` picks the
+    runner; that choice never changes a result, so it is not a
+    capability.
 ``trace``
     Whole-trace orchestrations that decompose the input before boards
     exist (sharded).  :func:`repro.experiments.pipeline.validate_sharding`
@@ -40,9 +42,9 @@ from repro.engines.capabilities import (
     ShardSpec,
     prove_capabilities,
 )
-# Bound as modules and looked up at call time: compiled imports this
+# Bound as a module and looked up at call time: compiled imports this
 # package's capabilities, so it may still be initialising here.
-from repro.memories import batch, compiled
+from repro.memories import compiled
 from repro.verify.findings import Report
 
 
@@ -51,7 +53,7 @@ class EngineSpec:
     """One registered replay engine.
 
     Attributes:
-        name: registry key (``scalar``, ``batched``, ``sharded`` ...).
+        name: registry key (``scalar``, ``compiled``, ``sharded`` ...).
         description: one line for ``verify engines`` output.
         requires: capabilities the engine's bit-identity proof needs.
         rank: selection preference among eligible engines (higher wins;
@@ -139,6 +141,22 @@ def _decision(spec: EngineSpec, proof: CapabilityProof) -> EngineDecision:
     return EngineDecision(spec=spec, proof=proof, report=report)
 
 
+def _prove(caller: str, board, machine, shards: Optional[int]):
+    """The proof :func:`decide` and :func:`decide_all` judge against:
+    ``board``, or a board built from ``machine``, with ``shards`` as the
+    :class:`~repro.engines.capabilities.ShardSpec` under proof."""
+    if board is None:
+        if machine is None:
+            raise ConfigurationError(
+                f"{caller}() needs a board or a machine to prove against"
+            )
+        from repro.memories.board import board_for_machine
+
+        board = board_for_machine(machine)
+    spec = ShardSpec(shards) if shards is not None else None
+    return prove_capabilities(board, spec)
+
+
 def decide(
     engine: str,
     board=None,
@@ -156,16 +174,7 @@ def decide(
             f"unknown engine {engine!r}; registered: "
             f"{', '.join(sorted(ENGINES))}"
         )
-    if board is None:
-        if machine is None:
-            raise ConfigurationError(
-                "decide() needs a board or a machine to prove against"
-            )
-        from repro.memories.board import board_for_machine
-
-        board = board_for_machine(machine)
-    spec = ShardSpec(shards) if shards is not None else None
-    proof = prove_capabilities(board, spec)
+    proof = _prove("decide", board, machine, shards)
     return _decision(ENGINES[engine], proof)
 
 
@@ -173,17 +182,8 @@ def decide_all(
     board=None, machine=None, shards: Optional[int] = None
 ) -> List[EngineDecision]:
     """Decisions for every registered engine, in registration order."""
-    if board is None:
-        if machine is None:
-            raise ConfigurationError(
-                "decide_all() needs a board or a machine to prove against"
-            )
-        from repro.memories.board import board_for_machine
-
-        board = board_for_machine(machine)
-    spec = ShardSpec(shards) if shards is not None else None
-    proof = prove_capabilities(board, spec)
-    return [_decision(spec_, proof) for spec_ in ENGINES.values()]
+    proof = _prove("decide_all", board, machine, shards)
+    return [_decision(spec, proof) for spec in ENGINES.values()]
 
 
 def select_board_engine(board) -> EngineSpec:
@@ -221,10 +221,6 @@ def _replay_scalar(board, words) -> int:
     return board._replay_words_scalar(words)
 
 
-def _replay_batched(board, words) -> int:
-    return batch.replay_words_batched(board, words)
-
-
 def _replay_compiled(board, words) -> int:
     return compiled.replay_words_compiled(board, words)
 
@@ -242,35 +238,12 @@ register_engine(
 
 register_engine(
     EngineSpec(
-        name="batched",
-        description="vectorised chunk replay (repro.memories.batch)",
-        requires=frozenset(
-            {
-                Capability.EXACT_FLOAT_CLOCK,
-                Capability.INERT_BACKGROUND_TICK,
-            }
-        ),
-        rank=10,
-        scope="board",
-        replay=_replay_batched,
-    )
-)
-
-register_engine(
-    EngineSpec(
         name="compiled",
         description=(
-            "cache-protocol runner with closed-form buffer settlement "
+            "vectorised chunk replay through the cache-protocol runner "
             "(repro.memories.compiled)"
         ),
-        requires=frozenset(
-            {
-                Capability.EXACT_FLOAT_CLOCK,
-                Capability.INERT_BACKGROUND_TICK,
-                Capability.DENSE_PROTOCOL_STATE,
-                Capability.NO_GLOBAL_ORDER_COUPLING,
-            }
-        ),
+        requires=frozenset({Capability.INERT_BACKGROUND_TICK}),
         rank=15,
         scope="board",
         replay=_replay_compiled,
@@ -286,7 +259,6 @@ register_engine(
         ),
         requires=frozenset(
             {
-                Capability.EXACT_FLOAT_CLOCK,
                 Capability.PER_SET_INDEPENDENCE,
                 Capability.NO_GLOBAL_ORDER_COUPLING,
                 Capability.SHARD_DECOMPOSABLE_SETS,

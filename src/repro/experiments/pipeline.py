@@ -262,7 +262,7 @@ def sharded_replay(
     # Reconstruct the serial clock: the merged counters correspond to a
     # serial replay of every record, whose clock is len(words) repeated
     # additions of cycles_per_tenure (cumsum matches that accumulation
-    # bit for bit; see the batched engine).
+    # bit for bit; see repro.memories.batch).
     count = int(words.shape[0])
     if count:
         import numpy as np

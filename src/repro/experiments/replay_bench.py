@@ -1,4 +1,4 @@
-"""Replay throughput benchmark: scalar vs batched vs compiled vs sharded.
+"""Replay throughput benchmark: scalar vs compiled vs sharded.
 
 The real board's selling point is keeping up with a 100 MHz bus in real
 time; the software model's equivalent currency is **records per second**
@@ -116,13 +116,13 @@ def run_replay_benchmark(
     trace: Optional[BusTrace] = None,
     repeats: int = 1,
 ) -> dict:
-    """Measure scalar, batched, compiled and sharded replay of one trace.
+    """Measure scalar, compiled and sharded replay of one trace.
 
     Returns a JSON-ready report: per-engine ``records_per_second`` and
     ``seconds`` (best of ``repeats``), every raw sample in
     ``seconds_all``, the ``statistics_digest`` of each run, ``identical``
-    (all digests equal), ``batched_speedup`` / ``compiled_speedup`` over
-    scalar — the numbers ``BENCH_replay.json`` records.
+    (all digests equal) and ``compiled_speedup`` over scalar — the
+    numbers ``BENCH_replay.json`` records.
     """
     if machine is None:
         machine = bench_machine()
@@ -132,7 +132,7 @@ def run_replay_benchmark(
 
     seconds_all: dict = {}
     digests: dict = {}
-    for engine in ("scalar", "batched", "compiled"):
+    for engine in ("scalar", "compiled"):
         seconds_all[engine], digests[engine] = _timed_board_engine(
             machine, trace, seed, engine, repeats
         )
@@ -165,9 +165,6 @@ def run_replay_benchmark(
             for name, seconds in best.items()
         },
         "identical": len(set(digests.values())) == 1,
-        "batched_speedup": (
-            best["scalar"] / best["batched"] if best["batched"] else 0.0
-        ),
         "compiled_speedup": (
             best["scalar"] / best["compiled"] if best["compiled"] else 0.0
         ),

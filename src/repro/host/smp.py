@@ -16,15 +16,12 @@ import numpy as np
 
 from repro.bus.bus import Monitor, SystemBus
 from repro.bus.trace import iter_rows
-from repro.bus.transaction import BusCommand, BusTransaction
+from repro.bus.transaction import MAX_PROCESSOR_ID, BusCommand, BusTransaction
 from repro.common.errors import ConfigurationError
 from repro.common.units import GB, MB
 from repro.host.cache import SnoopingCache
 from repro.host.memory import MemoryController
 from repro.host.processor import Processor
-
-#: Highest bus ID that denotes a processor; I/O bridges use IDs above this.
-MAX_PROCESSOR_ID = 15
 
 #: Bus ID of the (single) modeled I/O bridge.
 IO_BRIDGE_ID = 16

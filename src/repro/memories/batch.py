@@ -1,13 +1,13 @@
-"""The batched replay engine: vectorised pre-decode, per-tenure admission.
+"""The chunk loop of the compiled replay engine.
 
 The real board is a hardware pipeline — address filter FPGA, global events
 counter FPGA, node controller FPGAs — that keeps up with a 100 MHz bus.
 The scalar software path re-walks that pipeline object by object for every
-tenure, which is faithful but slow.  This module is the board's "fast
-datapath": :func:`replay_words_batched` replays a packed trace chunk with
+tenure, which is faithful but slow.  :func:`replay_with_runner` is the
+board's "fast datapath": it replays a packed trace in chunks with
 
 * one vectorised pre-pass computing the address-filter admit mask (IO /
-  interrupt / sync / retried tenures) over the whole chunk,
+  interrupt / sync / retried tenures) over the whole trace,
 * bulk filter statistics, filter-buffer occupancy
   (:meth:`~repro.memories.tx_buffer.TransactionBuffer.offer_batch`) and
   global-counter updates
@@ -18,27 +18,19 @@ datapath": :func:`replay_words_batched` replays a packed trace chunk with
 * a runner that plays protocol transitions **only for admitted
   tenures**.
 
-That chunk loop, :func:`replay_with_runner`, is shared with the compiled
-engine (:mod:`repro.memories.compiled`); the engines differ only in the
-runner they hand it.  For the stock cache-emulation firmware the batched
-engine uses the shared cache-protocol runner in per-tenure admission
-mode: every node-controller buffer offer is replayed in tenure order,
-refusals and retries included, so it stays exact for any buffer timing
-— boards whose buffers are slower than the bus tenure, and backlogs a
-fault injector left behind.  Any other image (SDRAM-priced or ECC
-nodes, custom replacement classes, tracer and other firmware) runs the
-generic runner, ``firmware.process`` per admitted tenure.
+Which runner that is — the cache-protocol runner in closed form or in
+per-tenure admission mode, or the generic ``firmware.process`` runner —
+is chosen by :func:`repro.memories.compiled.replay_words_compiled`.
 
 Bit-identity with :meth:`MemoriesBoard._replay_words_scalar` is the
 contract, enforced by the property suite in ``tests/test_batched_replay``:
 counter increments commute within a chunk, buffer and directory mutations
 are applied in tenure order, and chunks are split at telemetry countdown
 boundaries so every sampler observation sees exactly the state the scalar
-path would show it.  Whenever an active feature breaks one of those
-arguments (a live ECC patrol scrubber that must tick between tenures),
-the engine registry (:mod:`repro.engines`) proves the capability missing
-and routes the board to the scalar loop instead — the decision is made
-statically, before replay, not inside this module.
+path would show it.  A live ECC patrol scrubber, which must tick between
+tenures, breaks that argument; the engine registry (:mod:`repro.engines`)
+proves the capability missing and routes such a board to the scalar loop
+— statically, before replay, not inside this module.
 """
 
 from __future__ import annotations
@@ -85,41 +77,19 @@ def _generic_runner(firmware):
     return run
 
 
-def replay_words_batched(board, words: np.ndarray) -> int:
-    """Replay packed records through the batched engine; returns the count.
-
-    Precondition (proven statically, not checked here): the board grants
-    ``INERT_BACKGROUND_TICK`` — no time-driven firmware machinery needs
-    to interleave between tenures.  The engine registry
-    (:func:`repro.engines.registry.select_board_engine`) only routes a
-    board here after the capability prover establishes that, so this
-    function carries no refusal logic of its own.
-    """
-    # The compiled module imports this one, so the runner is fetched here.
-    from repro.memories.compiled import _protocol_runner
-
-    if int(words.shape[0]) == 0:
-        return 0
-    runner = _protocol_runner(board.firmware, closed_form=False)
-    if runner is None:
-        runner = _generic_runner(board.firmware)
-    return replay_with_runner(board, words, runner)
-
-
 def replay_with_runner(board, words: np.ndarray, runner, flush=None) -> int:
     """Drive ``runner`` over ``words`` in telemetry-aligned chunks.
 
-    The shared chunking loop behind the batched and compiled engines:
-    vectorised admit-mask pre-pass, bulk filter/global/clock updates per
+    Vectorised admit-mask pre-pass, bulk filter/global/clock updates per
     chunk, chunk boundaries aligned with the sampler countdown.  ``runner``
     receives the admitted tenures of one chunk as numpy arrays
     ``(cpus, cmds, addrs, resps, nows)`` and returns the retry count.
 
-    ``flush``, when given, is called before every ``on_countdown``.  No
-    engine passes one: both flush their counters at chunk end.  It stays
-    because it is part of this function's call interface: benchmark
-    wrappers stand in for ``replay_with_runner`` and forward ``flush``
-    by keyword to time it as the telemetry flush.
+    ``flush``, when given, is called before every ``on_countdown``.  The
+    engine passes none: its runners flush their counters at chunk end.
+    It stays because it is part of this function's call interface:
+    benchmark wrappers stand in for ``replay_with_runner`` and forward
+    ``flush`` by keyword to time it as the telemetry flush.
     """
     count = int(words.shape[0])
     if count == 0:

@@ -44,7 +44,12 @@ import numpy as np
 
 from repro.bus.bus import ADDRESS_TENURE_CYCLES
 from repro.bus.trace import BusTrace, iter_decoded
-from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
+from repro.bus.transaction import (
+    MAX_PROCESSOR_ID,
+    BusCommand,
+    BusTransaction,
+    SnoopResponse,
+)
 from repro.common.errors import ConfigurationError, EmulationError
 from repro.memories.address_filter import AddressFilter
 from repro.memories.global_counter import GlobalEventsCounter
@@ -55,11 +60,6 @@ from repro.target.mapping import TargetMachine
 #: The observed bus utilization regime from Section 3.3 ("always varied
 #: between 2% to 20%"); the board's clock model defaults to the top of it.
 DEFAULT_ASSUMED_UTILIZATION = 0.20
-
-#: Bus IDs above this belong to I/O bridges, not processors (see
-#: :mod:`repro.host.smp`); the distinction matters for unmapped-master
-#: castout handling below.
-_MAX_PROCESSOR_ID = 15
 
 
 class Firmware(Protocol):
@@ -207,7 +207,7 @@ class CacheEmulationFirmware:
                 # cached copies.
                 if command is BusCommand.READ:
                     op = CacheOp.REMOTE_READ
-                elif command is BusCommand.CASTOUT and cpu_id <= _MAX_PROCESSOR_ID:
+                elif command is BusCommand.CASTOUT and cpu_id <= MAX_PROCESSOR_ID:
                     continue
                 else:
                     op = CacheOp.REMOTE_WRITE
@@ -245,11 +245,11 @@ class CacheEmulationFirmware:
     def tick_active(self) -> bool:
         """Whether :meth:`tick` currently does any work.
 
-        The batched replay engine cannot interleave time-driven machinery
-        (the ECC patrol scrubber) between tenures, so it asks this hint and
-        falls back to the scalar path whenever any in-service node has a
-        scrubber.  With none, per-tenure ticks are pure no-ops and skipping
-        them is bit-exact.
+        The compiled replay engine cannot interleave time-driven machinery
+        (the ECC patrol scrubber) between tenures, so the capability prover
+        asks this hint and routes the board to the scalar path whenever any
+        in-service node has a scrubber.  With none, per-tenure ticks are
+        pure no-ops and skipping them is bit-exact.
         """
         return any(
             node.scrubber is not None
@@ -351,7 +351,7 @@ class MemoriesBoard:
         self._firmware_tick = getattr(firmware, "tick", None)
         # Offline-replay engine preference.  True lets the engine registry
         # (repro.engines) pick the best engine whose capabilities this
-        # board provably grants (normally the vectorised batched engine);
+        # board provably grants (normally the compiled engine);
         # False restricts selection to the scalar reference path (tests,
         # A/B benchmarks).  Correctness never depends on this flag — the
         # registry's capability prover handles that.
@@ -478,10 +478,9 @@ class MemoriesBoard:
     def _replay_words_scalar(self, words: np.ndarray) -> int:
         """Reference replay path: one :meth:`_dispatch` per record.
 
-        The batched engine (:mod:`repro.memories.batch`) must stay
+        The compiled engine (:mod:`repro.memories.compiled`) must stay
         bit-identical to this loop; the registry selects this path
-        whenever a board feature the batched engine cannot vectorise is
-        active.
+        whenever a live ECC patrol scrubber must tick between tenures.
         """
         dispatch = self._dispatch
         command_of = _COMMANDS

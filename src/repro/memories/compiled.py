@@ -1,20 +1,25 @@
-"""The cache-protocol runner behind the batched and compiled engines.
+"""The compiled engine: the in-process fast replay path.
 
-Both fast engines drive the same chunk loop
+:func:`replay_words_compiled` drives the chunk loop
 (:func:`repro.memories.batch.replay_with_runner`): vectorised decode and
 admit mask, bulk filter and global-counter updates, the ``cumsum``
-clock, chunks split at telemetry countdowns.  What runs per admitted
-tenure of the stock cache-emulation firmware is the runner built here by
-:func:`_protocol_runner`.  It works on one view per node controller
-(:class:`_CompiledNode`): direct references to the directory's tag,
-state and way-map lists, a dense ``(op, state)`` transition table,
-cpu-indexed routing, and an integer-indexed counter accumulator over a
-fixed counter vocabulary (:data:`COUNTER_NAMES`).
+clock, chunks split at telemetry countdowns.  It is also the one place
+that picks what runs per admitted tenure.  For the stock cache-emulation
+firmware that is the runner built here by :func:`_protocol_runner`;
+any image it refuses (SDRAM-priced or ECC nodes, custom replacement
+classes, the tracer and the other firmware) runs
+:func:`~repro.memories.batch._generic_runner`, ``firmware.process``
+per admitted tenure.  The protocol runner works on one view per node
+controller (:class:`_CompiledNode`): direct references to the
+directory's tag, state and way-map lists, a dense ``(op, state)``
+transition table, cpu-indexed routing, and an integer-indexed counter
+accumulator over a fixed counter vocabulary (:data:`COUNTER_NAMES`).
 
-The runner serves two transaction-buffer regimes.  The engine picks one
-(``closed_form``); the user never does.
+The protocol runner serves two transaction-buffer regimes.  The engine
+picks one per call (:func:`_buffers_decoupled`); the user never does.
 
-* **Per-tenure admission** (the batched engine).  Every tenure replays
+* **Per-tenure admission**, for buffers slower than the bus tenure or
+  holding a backlog.  Every tenure replays
   ``CacheEmulationFirmware.process``.  First a drain-and-reject
   pre-check across every group, so a refused tenure has no side effects
   and counts as a retry.  Then the local offer.  Each peer or
@@ -24,7 +29,7 @@ The runner serves two transaction-buffer regimes.  The engine picks one
   :meth:`~repro.memories.tx_buffer.TransactionBuffer.offer`; the buffer
   scalars live in the view for the chunk (:meth:`_CompiledNode.load` /
   :meth:`_CompiledNode.store`).
-* **Closed form** (the compiled engine).  It needs
+* **Closed form**, the common case.  It needs
   ``NO_GLOBAL_ORDER_COUPLING``: no service time above the bus tenure.
   Float addition is monotone, so every finish time is at most the next
   tenure's time and each admission finds its queue drained.  A chunk's
@@ -32,7 +37,7 @@ The runner serves two transaction-buffer regimes.  The engine picks one
   ``t_last + service`` (:meth:`_CompiledNode.settle`), so the runner
   only tallies admissions per issuer.  Both the capability and a drained
   starting queue are checked on entry (:func:`_buffers_decoupled`);
-  otherwise the call replays on batched, in admission mode.
+  otherwise the call replays in admission mode.
 
 Bit-identity with the scalar loop, per structure:
 
@@ -77,9 +82,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.bus.transaction import BusCommand
+from repro.bus.transaction import MAX_PROCESSOR_ID, BusCommand
 from repro.engines.capabilities import Capability, prove_capabilities
-from repro.memories.batch import replay_with_runner, replay_words_batched
+from repro.memories.batch import _generic_runner, replay_with_runner
 from repro.memories.protocol_table import CacheOp, LineState
 from repro.memories.replacement import (
     FifoPolicy,
@@ -116,9 +121,6 @@ _DIRTY_OF = [LineState(i).is_dirty for i in range(_N_STATES)]
 #: Figure 12 satisfaction counters by snoop-response int, for hits/misses.
 _SAT_HIT = ["satisfied.l3", "satisfied.shr_int", "satisfied.mod_int", None]
 _SAT_MISS = ["satisfied.memory", "satisfied.shr_int", "satisfied.mod_int", None]
-
-#: Bus IDs above this are I/O bridges (board.py's _MAX_PROCESSOR_ID).
-_MAX_PROCESSOR_ID = 15
 
 
 def _build_counter_names() -> List[str]:
@@ -575,11 +577,12 @@ def _install_inline(local: _CompiledNode, set_index, tag, fill) -> int:
 def _protocol_runner(firmware, closed_form: bool, set_lanes: bool = False):
     """Build the cache-protocol runner, or None when ineligible.
 
-    Eligible when every in-service node uses the constant-service
-    transaction buffer (no SDRAM timing model), an unprotected directory
-    (no ECC) and a stock replacement policy.  ``closed_form`` picks the
-    buffer regime (see the module docstring); the engine chooses it:
-    batched admits per tenure, compiled settles in closed form.
+    Eligible when the firmware exposes precomputed coherence-group
+    routing and every node uses the constant-service transaction buffer
+    (no SDRAM timing model), an unprotected directory (no ECC) and a
+    stock replacement policy.  This check is the only place that decides
+    between this runner and the generic one.  ``closed_form`` picks the
+    buffer regime (see the module docstring).
     """
     groups = getattr(firmware, "_groups", None)
     if groups is None:
@@ -649,7 +652,7 @@ def _admission_run(compiled_groups, all_nodes):
                     # Unmapped master (see CacheEmulationFirmware.process).
                     if cmd == _READ:
                         op = _REMOTE_READ
-                    elif cmd == _CASTOUT and cpu <= _MAX_PROCESSOR_ID:
+                    elif cmd == _CASTOUT and cpu <= MAX_PROCESSOR_ID:
                         continue
                     else:
                         op = _REMOTE_WRITE
@@ -715,7 +718,7 @@ def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool):
                 if cmd == _READ:
                     op = _REMOTE_READ
                     unmapped[0] += 1
-                elif cmd == _CASTOUT and cpu <= _MAX_PROCESSOR_ID:
+                elif cmd == _CASTOUT and cpu <= MAX_PROCESSOR_ID:
                     continue
                 else:
                     op = _REMOTE_WRITE
@@ -795,21 +798,19 @@ def replay_words_compiled(board, words: np.ndarray) -> int:
     """Replay packed records through the compiled engine; returns the count.
 
     Precondition (proven statically by the engine registry): the board
-    grants ``EXACT_FLOAT_CLOCK``, ``INERT_BACKGROUND_TICK``,
-    ``DENSE_PROTOCOL_STATE`` and ``NO_GLOBAL_ORDER_COUPLING``.  A board
-    that slips past the prover (direct calls), or whose buffers hold a
-    backlog beyond the first tenure, replays on the batched engine
-    (per-tenure admission) rather than corrupting state.
+    grants ``INERT_BACKGROUND_TICK``.  The runner is chosen here, once
+    per call: the protocol runner in closed form when the buffers are
+    decoupled, in per-tenure admission mode otherwise, and the generic
+    runner for firmware the protocol runner refuses.
     """
     if int(words.shape[0]) == 0:
         return 0
     proof = prove_capabilities(board)
-    if not _buffers_decoupled(board, proof):
-        return replay_words_batched(board, words)
+    closed_form = _buffers_decoupled(board, proof)
     runner = _protocol_runner(
-        board.firmware, closed_form=True,
+        board.firmware, closed_form=closed_form,
         set_lanes=proof.grants(Capability.PER_SET_INDEPENDENCE),
     )
     if runner is None:
-        return replay_words_batched(board, words)
+        runner = _generic_runner(board.firmware)
     return replay_with_runner(board, words, runner)

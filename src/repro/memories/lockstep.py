@@ -54,6 +54,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.bus.transaction import MAX_PROCESSOR_ID
 from repro.memories.compiled import (
     _CASTOUT,
     _CID_EVICT_CLEAN,
@@ -68,7 +69,6 @@ from repro.memories.compiled import (
     _HIT_STATE_CID,
     _LOCAL_CASTOUT,
     _LOCAL_WRITE,
-    _MAX_PROCESSOR_ID,
     _N_STATES,
     _OWNED,
     _POLICY_FIFO,
@@ -314,7 +314,7 @@ class SetLanes:
         local = self.node_of_cpu[cpus]
         # An unmapped processor's castout touches nothing (see the loop).
         keep = ~((local == n_nodes) & (cmds == _CASTOUT)
-                 & (cpus <= _MAX_PROCESSOR_ID))
+                 & (cpus <= MAX_PROCESSOR_ID))
         depth = np.bincount(sets[keep], minlength=self.set_mask + 1)
         touched = np.flatnonzero(depth)
         # Deepest first, so the lanes live at each step are a prefix.

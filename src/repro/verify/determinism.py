@@ -1,7 +1,7 @@
 """Determinism analyzer: AST rules that keep replay bit-identical.
 
 The emulator's contract is that one seed plus one trace produces one
-bit-identical result — across the scalar, batched and sharded engines,
+bit-identical result — across the scalar, compiled and sharded engines,
 across hosts, and across process restarts.  The rules here flag the code
 shapes that silently break that contract:
 

@@ -1,16 +1,19 @@
-"""Bit-identity of the batched and compiled replay engines against scalar.
+"""Bit-identity of the compiled replay engine against scalar.
 
-The fast engines (:mod:`repro.memories.batch`,
-:mod:`repro.memories.compiled`) are only allowed to be fast — never
+The fast engine (:mod:`repro.memories.batch`,
+:mod:`repro.memories.compiled`) is only allowed to be fast — never
 different.  These tests replay identical traces through each path and
 require the full board checkpoint (directories, buffers, counters,
 clock, sampler cursor) to come out equal, across firmware shapes,
 replacement policies, telemetry cadences and degraded starting states;
 a property-based sweep drives randomized mixes through the same
 comparison, and a saturated-buffer sweep pins the rejected-tenure
-accounting parity of the cache-protocol runner's admission mode.  The
-set-lockstep form of the closed-form runner is forced onto every chunk
-and held to the same standard, and its chooser's routing is pinned.
+accounting parity of the cache-protocol runner's admission mode.  Both
+buffer regimes are held to this standard: the closed form through the
+engine, and per-tenure admission forced past the engine's chooser
+(:func:`replay_admission`).  The set-lockstep form of the closed-form
+runner is forced onto every chunk the same way, and its chooser's
+routing is pinned.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from hypothesis import strategies as st
 
 from repro.bus.trace import BusTrace, encode_arrays
 from repro.engines import ENGINES
-from repro.memories.batch import replay_words_batched
+from repro.memories.batch import replay_with_runner
 from repro.memories.board import MemoriesBoard, board_for_machine
+from repro.memories.compiled import _protocol_runner
 from repro.memories.config import CacheNodeConfig
 from repro.memories.counters import COUNTER_MASK
 from repro.memories.tx_buffer import TransactionBuffer
@@ -81,12 +85,37 @@ def machine_for(kind: str, replacement: str = "lru"):
     return multi_config_machine([config, other], N_CPUS)
 
 
-def assert_paths_identical(make_board, words, chunks=None, engine=None):
-    """Replay scalar and a fast engine; require identical checkpoints.
+def replay_admission(board, words):
+    """The protocol runner in per-tenure admission mode, forced past the
+    compiled engine's chooser (which takes it only for buffers slower
+    than the bus tenure or holding a backlog)."""
+    return replay_with_runner(
+        board, words, _protocol_runner(board.firmware, closed_form=False)
+    )
 
-    ``engine`` names a registered engine to drive explicitly; None uses
-    the board's own routing (``select_board_engine``), which picks the
-    highest-rank eligible engine.
+
+def fast_replay(engine, board, words):
+    """Replay through a registered engine, or through
+    :func:`replay_admission` when ``engine`` is ``"admission"``."""
+    if engine == "admission":
+        return replay_admission(board, words)
+    return ENGINES[engine].replay(board, words)
+
+
+#: The two buffer regimes the parity tests run: per-tenure admission,
+#: forced, and the compiled engine's own choice (the closed form on an
+#: unmodified board).  The admission regime's test id, ``batched``,
+#: predates its name.
+FAST_REGIMES = [pytest.param("admission", id="batched"), "compiled"]
+
+
+def assert_paths_identical(make_board, words, chunks=None, engine=None):
+    """Replay scalar and a fast path; require identical checkpoints.
+
+    ``engine`` names a registered engine to drive explicitly, or
+    ``"admission"`` (:func:`fast_replay`); None uses the board's own
+    routing (``select_board_engine``), which picks the highest-rank
+    eligible engine.
     """
     scalar = make_board()
     scalar.batched_replay = False
@@ -95,7 +124,7 @@ def assert_paths_identical(make_board, words, chunks=None, engine=None):
     replay = (
         other.replay_words
         if engine is None
-        else (lambda part: ENGINES[engine].replay(other, part))
+        else (lambda part: fast_replay(engine, other, part))
     )
     parts = np.array_split(words, chunks) if chunks else [words]
     for part in parts:
@@ -116,7 +145,7 @@ class TestBatchedBitIdentity:
         machine = machine_for(kind, replacement)
         assert_paths_identical(
             lambda: board_for_machine(machine, seed=3), words,
-            engine="batched",
+            engine="admission",
         )
 
     def test_chunked_replay_matches(self):
@@ -124,7 +153,7 @@ class TestBatchedBitIdentity:
         machine = machine_for("split")
         assert_paths_identical(
             lambda: board_for_machine(machine, seed=1), words, chunks=7,
-            engine="batched",
+            engine="admission",
         )
 
     def test_empty_and_all_filtered_traces(self):
@@ -157,7 +186,7 @@ class TestBatchedBitIdentity:
         assert_paths_identical(make_board, words)
 
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
     def test_duplicate_tags_map_to_first_occurrence(self, engine, replacement):
         """Tag flips can leave two resident lines with one tag; installs
@@ -226,7 +255,7 @@ class TestCompiledBitIdentity:
     def test_injected_burst_falls_back_identically(self):
         # A fault injector's burst leaves finish times queued beyond the
         # next tenure, which the closed-form buffer settlement cannot
-        # express; the occupancy guard must hand the call to batched.
+        # express; the occupancy guard must pick the admission regime.
         from repro.memories.compiled import _buffers_decoupled
 
         words = full_mix_words(2000, seed=45)
@@ -321,10 +350,8 @@ class TestOrderCouplingBoundary:
         assert scalar.statistics()["node0.buffer.high_water"] == 1
 
     def test_one_ulp_slower_is_denied_and_diverges(self):
-        from repro.engines import decide, select_board_engine
-        from repro.engines.capabilities import Capability
-        from repro.memories.batch import replay_with_runner
-        from repro.memories.compiled import _protocol_runner
+        from repro.engines import select_board_engine
+        from repro.engines.capabilities import Capability, prove_capabilities
 
         machine = machine_for("split")
 
@@ -336,10 +363,15 @@ class TestOrderCouplingBoundary:
             return self.retime(board, service)
 
         board = make_board()
-        decision = decide("compiled", board=board)
-        assert decision.missing == {Capability.NO_GLOBAL_ORDER_COUPLING}
-        assert "exceeds the bus tenure" in decision.reason()
-        assert select_board_engine(board).name == "batched"
+        proof = prove_capabilities(board)
+        assert not proof.grants(Capability.NO_GLOBAL_ORDER_COUPLING)
+        assert any(
+            "exceeds the bus tenure" in reason
+            for reason in proof.reasons(Capability.NO_GLOBAL_ORDER_COUPLING)
+        )
+        # The compiled engine still replays the board, bit-identically,
+        # in per-tenure admission mode.
+        assert select_board_engine(board).name == "compiled"
 
         words = self.back_to_back()
         scalar, _fast = assert_paths_identical(make_board, words)
@@ -351,6 +383,46 @@ class TestOrderCouplingBoundary:
             forced, words, _protocol_runner(forced.firmware, closed_form=True)
         )
         assert forced.firmware.nodes[0].buffer.stats.high_water == 1
+        assert forced.checkpoint() != scalar.checkpoint()
+
+
+class TestInertTickBoundary:
+    """Soundness witness for ``inert_background_tick``, the one
+    capability the compiled engine requires.
+
+    An active ECC patrol scrubber ticks between tenures on the scalar
+    loop.  The compiled engine's chunk loop never ticks, so forced onto
+    such a board it reproduces every statistic yet leaves the scrubber
+    where it started: the checkpoints differ, and the denial that routes
+    the board to scalar is real.
+    """
+
+    def test_active_scrubber_is_denied_and_diverges(self):
+        from repro.engines import select_board_engine
+        from repro.engines.capabilities import Capability, prove_capabilities
+        from repro.experiments.replay_bench import bench_machine, bench_trace
+
+        machine = bench_machine()
+
+        def make_board():
+            return board_for_machine(
+                machine, seed=1, ecc=True, scrub_interval=500.0
+            )
+
+        board = make_board()
+        assert not prove_capabilities(board).grants(
+            Capability.INERT_BACKGROUND_TICK
+        )
+        assert select_board_engine(board).name == "scalar"
+
+        words = bench_trace(20_000, seed=5).words
+        scalar = make_board()
+        scalar.replay_words(words)
+        forced = make_board()
+        ENGINES["compiled"].replay(forced, words)
+        assert forced.statistics() == scalar.statistics()
+        assert scalar.firmware.nodes[0].directory.ecc_stats.scrub_passes > 0
+        assert forced.firmware.nodes[0].directory.ecc_stats.scrub_passes == 0
         assert forced.checkpoint() != scalar.checkpoint()
 
 
@@ -381,17 +453,14 @@ def forced_lockstep(monkeypatch, lockstep_calls):
 
 def replay_forced_lanes(board, words):
     """The closed-form runner with set lanes, past the engine's guards."""
-    from repro.memories.batch import replay_with_runner
-    from repro.memories.compiled import _protocol_runner
-
     runner = _protocol_runner(board.firmware, closed_form=True, set_lanes=True)
     return replay_with_runner(board, words, runner)
 
 
 def assert_lanes_identical(make_board, words, chunks=3):
     """Scalar against the forced set lanes, chunk by chunk; a last part
-    replays on the batched engine, whose probes read the way maps the
-    lanes wrote back."""
+    replays in admission mode, whose probes read the way maps the lanes
+    wrote back."""
     scalar = make_board()
     scalar.batched_replay = False
     lanes = make_board()
@@ -400,7 +469,7 @@ def assert_lanes_identical(make_board, words, chunks=3):
         scalar.replay_words(part)
         replay_forced_lanes(lanes, part)
     scalar.replay_words(tail)
-    replay_words_batched(lanes, tail)
+    replay_admission(lanes, tail)
     assert scalar.statistics() == lanes.statistics()
     assert scalar.now_cycle == lanes.now_cycle
     assert scalar.checkpoint() == lanes.checkpoint()
@@ -514,8 +583,8 @@ class TestSetLockstep:
             return board
 
         assert_paths_identical(make_board, words, chunks=4, engine="compiled")
-        # The first call drains the burst on batched; the lanes take the
-        # rest once the closed form applies again.
+        # The first call drains the burst in admission mode; the lanes
+        # take the rest once the closed form applies again.
         assert len(forced_lockstep) == 3
 
     def test_deep_telemetry_cadence_jsonl_identical(self, lockstep_calls):
@@ -632,7 +701,7 @@ class TestLockstepChooser:
 
 
 class TestTelemetryChunking:
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     @pytest.mark.parametrize(
         ("cadence", "kind", "max_cpu"),
         [
@@ -664,7 +733,7 @@ class TestTelemetryChunking:
         scalar.batched_replay = False
         fast = make_board(fast_sink)
         scalar.replay_words(words)
-        ENGINES[engine].replay(fast, words)
+        fast_replay(engine, fast, words)
         scalar.telemetry.finish(scalar)
         fast.telemetry.finish(fast)
         assert scalar_sink.records == fast_sink.records
@@ -685,9 +754,9 @@ class TestTelemetryChunking:
             return board
 
         assert_paths_identical(make_board, words, chunks=3)
-        scalar_sink, batched_sink = sinks
-        assert scalar_sink.records == batched_sink.records
-        assert len(batched_sink.records) > 0
+        scalar_sink, fast_sink = sinks
+        assert scalar_sink.records == fast_sink.records
+        assert len(fast_sink.records) > 0
 
 
 class TestEngineSelection:
@@ -697,7 +766,7 @@ class TestEngineSelection:
         board.batched_replay = False
         calls = []
         monkeypatch.setattr(
-            "repro.memories.batch.replay_words_batched",
+            "repro.memories.compiled.replay_words_compiled",
             lambda *a: calls.append(a) or None,
         )
         board.replay_words(words)
@@ -711,8 +780,8 @@ class TestEngineSelection:
         board = board_for_machine(machine, ecc=True, scrub_interval=500.0)
         # The capability prover denies INERT_BACKGROUND_TICK (the patrol
         # scrubber must tick between tenures), so the registry rejects the
-        # batched engine and routes the board to the scalar path.
-        decision = decide("batched", board=board)
+        # compiled engine and routes the board to the scalar path.
+        decision = decide("compiled", board=board)
         assert not decision.eligible
         assert Capability.INERT_BACKGROUND_TICK in decision.missing
         assert "scrubber" in decision.reason()
@@ -726,7 +795,8 @@ class TestEngineSelection:
         )
 
     def test_sdram_node_uses_generic_runner(self):
-        """SDRAM-priced buffers exclude the protocol runner, not batching."""
+        """SDRAM-priced buffers exclude the protocol runner, not the
+        compiled engine."""
         from repro.memories.sdram import SdramModel
 
         words = full_mix_words(1200, seed=31)
@@ -753,7 +823,7 @@ class TestEngineSelection:
             raise AssertionError("firmware.process ran per tenure")
 
         monkeypatch.setattr(fast.firmware, "process", refuse)
-        assert replay_words_batched(fast, words) == len(words)
+        assert replay_admission(fast, words) == len(words)
         assert fast.checkpoint() == scalar.checkpoint()
 
     def test_tracer_firmware_generic_runner(self):
@@ -766,9 +836,9 @@ class TestEngineSelection:
                 TraceCollectorFirmware(capacity=2000), name="t"
             )
 
-        scalar, batched = assert_paths_identical(make_board, words)
+        scalar, fast = assert_paths_identical(make_board, words)
         assert np.array_equal(
-            scalar.firmware.to_trace().words, batched.firmware.to_trace().words
+            scalar.firmware.to_trace().words, fast.firmware.to_trace().words
         )
 
 
@@ -776,7 +846,7 @@ class TestZeroCountdownRegression:
     """A sampler countdown at (or below) zero on entry must not produce
     an empty chunk (this used to crash ``_run_chunk`` on ``steps[0]``)."""
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     @pytest.mark.parametrize("countdown", [0, -3])
     def test_zero_countdown_entry_matches_scalar(self, engine, countdown):
         words = full_mix_words(300, seed=53)
@@ -797,7 +867,7 @@ class TestZeroCountdownRegression:
         scalar.batched_replay = False
         fast = make_board(fast_sink)
         scalar.replay_words(words)
-        ENGINES[engine].replay(fast, words)
+        fast_replay(engine, fast, words)
         assert scalar_sink.records == fast_sink.records
         assert scalar.statistics() == fast.statistics()
         assert scalar.checkpoint() == fast.checkpoint()
@@ -808,7 +878,7 @@ class TestZeroCountdownRegression:
             CounterSampler(MemorySink(), every_transactions=10)
         )
         board.telemetry._countdown = 0
-        assert replay_words_batched(board, full_mix_words(25, seed=1)) == 25
+        assert replay_admission(board, full_mix_words(25, seed=1)) == 25
 
 
 class TestRejectedParity:
@@ -830,7 +900,7 @@ class TestRejectedParity:
             node.buffer.stats = stats
         return board
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     @pytest.mark.parametrize("kind", ["split", "multi"])
     def test_saturated_buffers_identical(self, engine, kind):
         words = full_mix_words(2000, seed=59)
@@ -852,7 +922,7 @@ class TestRejectedParity:
         assert rejected > 0, "saturation did not produce refusals"
         assert scalar.retries_posted > 0
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     def test_refused_snoop_skips_probe(self, engine):
         """A snoop that its target's full buffer refuses is dropped
         before the probe: the target's copy of the line stays as it was."""
@@ -880,7 +950,7 @@ class TestRejectedParity:
         seed=st.integers(0, 2**16),
         capacity=st.integers(1, 3),
         service=st.sampled_from([100.0, 3e3, 5e4]),
-        engine=st.sampled_from(["batched", "compiled"]),
+        engine=st.sampled_from(["admission", "compiled"]),
         replacement=st.sampled_from(["lru", "fifo", "plru", "random"]),
     )
     def test_rejected_accounting_property(
@@ -902,7 +972,7 @@ class TestEdgeChunks:
     """Chunk-shape edges: all-filtered chunks, chunk size 1, boundaries
     landing exactly on the countdown, wrap-adjacent 40-bit counters."""
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     def test_all_filtered_chunks_with_telemetry(self, engine):
         # Every record is filtered (IO/interrupt/sync): chunks contain
         # zero admitted tenures but must still advance clock, filter
@@ -925,7 +995,7 @@ class TestEdgeChunks:
 
         assert_paths_identical(make_board, words, engine=engine)
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     def test_single_record_chunks(self, engine):
         # Cadence 1 makes every chunk exactly one record long.
         words = full_mix_words(120, seed=67)
@@ -940,7 +1010,7 @@ class TestEdgeChunks:
 
         assert_paths_identical(make_board, words, engine=engine)
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     def test_boundary_exactly_on_countdown(self, engine):
         # Trace length an exact multiple of the cadence: the final chunk
         # ends on the countdown and on_countdown fires at the last record.
@@ -963,7 +1033,7 @@ class TestEdgeChunks:
         assert scalar_sink.records == fast_sink.records
         assert len(fast_sink.records) == 5
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_REGIMES)
     def test_wrap_adjacent_global_counters(self, engine):
         # Seed the global bank just below the 40-bit mask so
         # record_batch wraps mid-replay; masked readouts and the
@@ -992,7 +1062,7 @@ class TestBatchedProperty:
         kind=st.sampled_from(["single", "split", "multi"]),
         replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
         cadence=st.sampled_from([None, 1, 13, 256]),
-        engine=st.sampled_from([None, "batched", "compiled"]),
+        engine=st.sampled_from([None, "admission", "compiled"]),
     )
     def test_randomized_mix_identical(
         self, seed, n, kind, replacement, cadence, engine

@@ -155,13 +155,11 @@ class TestBenchSubcommand:
         )
         assert status == 0
         printed = capsys.readouterr().out
-        assert "batched speedup over scalar" in printed
+        assert "compiled speedup over scalar" in printed
         import json
 
         report = json.loads(out.read_text())
         assert report["identical"] is True
-        assert set(report["engines"]) == {
-            "scalar", "batched", "compiled", "sharded"
-        }
+        assert set(report["engines"]) == {"scalar", "compiled", "sharded"}
         for entry in report["engines"].values():
             assert entry["records_per_second"] > 0

@@ -96,38 +96,13 @@ class TestCapabilityProver:
         assert any("power of two" in msg for msg in proof.structural)
 
     def test_capability_names_are_stable_strings(self):
-        assert str(Capability.EXACT_FLOAT_CLOCK) == "exact_float_clock"
+        assert str(Capability.INERT_BACKGROUND_TICK) == "inert_background_tick"
         assert {str(c) for c in Capability} == {
-            "exact_float_clock",
             "inert_background_tick",
             "per_set_independence",
             "no_global_order_coupling",
             "shard_decomposable_sets",
-            "dense_protocol_state",
         }
-
-    def test_unknown_policy_denies_dense_protocol_state(self):
-        board = default_board()
-
-        class WeirdPolicy:
-            pass
-
-        board.firmware.nodes[0].directory.policy = WeirdPolicy()
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.DENSE_PROTOCOL_STATE)
-        assert any("WeirdPolicy" in reason for reason in reasons)
-
-    def test_ecc_denies_dense_protocol_state(self):
-        proof = prove_capabilities(default_board(ecc=True))
-        reasons = proof.reasons(Capability.DENSE_PROTOCOL_STATE)
-        assert any("ECC" in reason for reason in reasons)
-
-    def test_sdram_denies_dense_protocol_state(self):
-        board = default_board()
-        board.firmware.nodes[0].sdram = SdramModel()
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.DENSE_PROTOCOL_STATE)
-        assert any("SDRAM" in reason for reason in reasons)
 
 
 # ---------------------------------------------------------------------- #
@@ -154,9 +129,8 @@ class TestShardSpec:
 
 class TestRegistry:
     def test_builtin_engines_registered_in_rank_order(self):
-        assert list(ENGINES) == ["scalar", "batched", "compiled", "sharded"]
-        assert ENGINES["scalar"].rank < ENGINES["batched"].rank
-        assert ENGINES["batched"].rank < ENGINES["compiled"].rank
+        assert list(ENGINES) == ["scalar", "compiled", "sharded"]
+        assert ENGINES["scalar"].rank < ENGINES["compiled"].rank
         assert ENGINES["scalar"].requires == frozenset()
 
     def test_duplicate_registration_rejected(self):
@@ -179,7 +153,7 @@ class TestRegistry:
             decide("scalar")
 
     def test_decide_accepts_machine_directly(self):
-        decision = decide("batched", machine=machine_for("split"))
+        decision = decide("compiled", machine=machine_for("split"))
         assert decision.eligible
 
 
@@ -189,7 +163,7 @@ class TestDecisions:
         assert decide("scalar", board=board).eligible
 
     def test_rejection_report_names_capability_and_reason(self):
-        decision = decide("batched", board=default_board(ecc=True))
+        decision = decide("compiled", board=default_board(ecc=True))
         assert not decision.eligible
         assert decision.missing == {Capability.INERT_BACKGROUND_TICK}
         (finding,) = decision.report.errors
@@ -213,33 +187,13 @@ class TestDecisions:
         assert any(f.rule == "EN302" for f in decision.report.errors)
         assert "power of two" in decision.reason()
 
-    def test_compiled_rejection_names_dense_state(self):
-        board = default_board()
-        board.firmware.nodes[0].sdram = SdramModel()
-        decision = decide("compiled", board=board)
-        assert not decision.eligible
-        assert Capability.DENSE_PROTOCOL_STATE in decision.missing
-        assert any("SDRAM" in f.message for f in decision.report.errors)
-
-    def test_compiled_rejection_names_replacement(self):
-        board = default_board()
-
-        class WeirdPolicy:
-            pass
-
-        board.firmware.nodes[1].directory.policy = WeirdPolicy()
-        decision = decide("compiled", board=board)
-        assert not decision.eligible
-        assert Capability.DENSE_PROTOCOL_STATE in decision.missing
-        assert any("WeirdPolicy" in f.message for f in decision.report.errors)
-
     def test_decide_all_covers_every_engine(self):
         decisions = decide_all(board=default_board(), shards=2)
         assert [d.spec.name for d in decisions] == list(ENGINES)
         assert all(d.eligible for d in decisions)
 
     def test_decision_reports_audit_both_checks(self):
-        decision = decide("batched", board=default_board())
+        decision = decide("compiled", board=default_board())
         assert set(decision.report.checks_run) == {
             "missing-capability", "shard-spec",
         }
@@ -257,10 +211,19 @@ class TestSelectBoardEngine:
         board = board_for_machine(machine_for("split", "random"))
         assert select_board_engine(board).name == "compiled"
 
-    def test_sdram_node_demotes_to_batched(self):
+    def test_sdram_node_selects_compiled(self):
         board = default_board()
         board.firmware.nodes[0].sdram = SdramModel()
-        assert select_board_engine(board).name == "batched"
+        assert select_board_engine(board).name == "compiled"
+
+    def test_unknown_policy_selects_compiled(self):
+        board = default_board()
+
+        class WeirdPolicy:
+            pass
+
+        board.firmware.nodes[0].directory.policy = WeirdPolicy()
+        assert select_board_engine(board).name == "compiled"
 
     def test_falls_back_to_scalar_on_denial(self):
         assert select_board_engine(default_board(ecc=True)).name == "scalar"

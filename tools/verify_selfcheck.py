@@ -316,18 +316,16 @@ ENGINE_CORPUS: List[Tuple[str, str, str, object]] = [
      "stock", "compiled", None),
     ("random replacement runs compiled through the policy's own RNG",
      "random", "compiled", None),
-    ("a custom replacement policy class has no inlined transcription",
-     "custom-policy", "compiled", "dense_protocol_state"),
-    ("SDRAM-priced buffers have no inlined transcription",
-     "sdram", "compiled", "dense_protocol_state"),
-    ("ECC-protected directories have no inlined transcription",
-     "ecc", "compiled", "dense_protocol_state"),
-    ("ECC patrol scrubber still blocks batching",
-     "ecc", "batched", "inert_background_tick"),
-    ("buffers slower than the bus tenure break the closed form",
-     "slow-buffer", "compiled", "no_global_order_coupling"),
-    ("batched keeps replaying slow-buffer boards",
-     "slow-buffer", "batched", None),
+    ("a custom replacement policy class replays on the generic runner",
+     "custom-policy", "compiled", None),
+    ("SDRAM-priced buffers replay on the generic runner",
+     "sdram", "compiled", None),
+    ("ECC patrol scrubber blocks the compiled engine",
+     "ecc", "compiled", "inert_background_tick"),
+    ("compiled keeps replaying slow-buffer boards",
+     "slow-buffer", "compiled", None),
+    ("slow buffers break sharding",
+     "slow-buffer", "sharded", "no_global_order_coupling"),
 ]
 
 
