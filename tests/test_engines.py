@@ -22,6 +22,7 @@ from repro.engines import (
 )
 from repro.experiments.pipeline import validate_sharding
 from repro.memories.board import board_for_machine
+from repro.memories.compiled import _protocol_runner
 from repro.memories.config import CacheNodeConfig
 from repro.memories.sdram import SdramModel
 from repro.target.configs import multi_config_machine, single_node_machine
@@ -31,6 +32,29 @@ from tests.test_batched_replay import machine_for
 
 def default_board(**kwargs):
     return board_for_machine(machine_for("split"), **kwargs)
+
+
+class WeirdPolicy:
+    """A replacement class the cache-protocol runner has no code for."""
+
+
+def sdram_board():
+    board = default_board()
+    board.firmware.nodes[0].sdram = SdramModel()
+    return board
+
+
+def weird_policy_board(node=0):
+    board = default_board()
+    board.firmware.nodes[node].directory.policy = WeirdPolicy()
+    return board
+
+
+def refuses_dense_state(board):
+    """True when the cache-protocol runner (dense per-node protocol
+    state) refuses the board's firmware, so compiled replays it on the
+    generic runner."""
+    return _protocol_runner(board.firmware, closed_form=True) is None
 
 
 # ---------------------------------------------------------------------- #
@@ -103,6 +127,30 @@ class TestCapabilityProver:
             "no_global_order_coupling",
             "shard_decomposable_sets",
         }
+
+    # Dense protocol state is decided by ``_protocol_runner`` alone, not
+    # by a capability: the prover denies compiled nothing for these
+    # boards beyond an active scrubber.
+
+    def test_unknown_policy_denies_dense_protocol_state(self):
+        board = weird_policy_board()
+        assert refuses_dense_state(board)
+        proof = prove_capabilities(board)
+        assert proof.granted >= ENGINES["compiled"].requires
+
+    def test_ecc_denies_dense_protocol_state(self):
+        board = default_board(ecc=True)
+        assert refuses_dense_state(board)
+        proof = prove_capabilities(board)
+        assert ENGINES["compiled"].requires - proof.granted == {
+            Capability.INERT_BACKGROUND_TICK
+        }
+
+    def test_sdram_denies_dense_protocol_state(self):
+        board = sdram_board()
+        assert refuses_dense_state(board)
+        proof = prove_capabilities(board)
+        assert proof.granted >= ENGINES["compiled"].requires
 
 
 # ---------------------------------------------------------------------- #
@@ -187,6 +235,18 @@ class TestDecisions:
         assert any(f.rule == "EN302" for f in decision.report.errors)
         assert "power of two" in decision.reason()
 
+    def test_compiled_rejection_names_dense_state(self):
+        board = sdram_board()
+        assert refuses_dense_state(board)
+        decision = decide("compiled", board=board)
+        assert decision.eligible and not decision.report.errors
+
+    def test_compiled_rejection_names_replacement(self):
+        board = weird_policy_board(node=1)
+        assert refuses_dense_state(board)
+        decision = decide("compiled", board=board)
+        assert decision.eligible and not decision.report.errors
+
     def test_decide_all_covers_every_engine(self):
         decisions = decide_all(board=default_board(), shards=2)
         assert [d.spec.name for d in decisions] == list(ENGINES)
@@ -211,19 +271,19 @@ class TestSelectBoardEngine:
         board = board_for_machine(machine_for("split", "random"))
         assert select_board_engine(board).name == "compiled"
 
-    def test_sdram_node_selects_compiled(self):
-        board = default_board()
-        board.firmware.nodes[0].sdram = SdramModel()
-        assert select_board_engine(board).name == "compiled"
+    def test_sdram_node_demotes_to_batched(self):
+        # compiled demotes an SDRAM board to the generic runner, which
+        # replays it bit-identically to scalar.
+        from tests.test_batched_replay import (
+            assert_paths_identical,
+            full_mix_words,
+        )
+
+        assert select_board_engine(sdram_board()).name == "compiled"
+        assert_paths_identical(sdram_board, full_mix_words(500, seed=11))
 
     def test_unknown_policy_selects_compiled(self):
-        board = default_board()
-
-        class WeirdPolicy:
-            pass
-
-        board.firmware.nodes[0].directory.policy = WeirdPolicy()
-        assert select_board_engine(board).name == "compiled"
+        assert select_board_engine(weird_policy_board()).name == "compiled"
 
     def test_falls_back_to_scalar_on_denial(self):
         assert select_board_engine(default_board(ecc=True)).name == "scalar"
