@@ -8,19 +8,16 @@ protocol tables.  This example exercises all five on one workload.
 Run:  python examples/firmware_tour.py
 """
 
-from repro import CacheNodeConfig, MemoriesBoard
+from repro import MemoriesBoard
 from repro.experiments.params import ExperimentScale
 from repro.experiments.pipeline import capture_records
-from repro.memories.board import board_for_machine
 from repro.memories.console import MemoriesConsole
 from repro.memories.firmware import (
     HotSpotFirmware,
     NumaDirectoryFirmware,
     RemoteCacheFirmware,
-    TraceCollectorFirmware,
 )
 from repro.memories.protocol_table import ProtocolTable, load_protocol
-from repro.target.configs import single_node_machine
 from repro.workloads.tpcc import TpccWorkload
 
 SCALE = ExperimentScale(scale=4096)

@@ -11,7 +11,7 @@ Reproduces the paper's trace-length methodology end to end:
 Run:  python examples/tpcc_cache_study.py
 """
 
-from repro import CacheNodeConfig, board_for_machine, multi_config_machine
+from repro import board_for_machine, multi_config_machine
 from repro.analysis.report import render_series
 from repro.analysis.stats import MissCurve
 from repro.experiments.params import ExperimentScale

@@ -15,7 +15,7 @@ is what the Figure 10 test uses to confirm periodicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

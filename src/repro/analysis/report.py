@@ -8,7 +8,7 @@ experiment module and benchmark prints through the same two functions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.common.errors import ValidationError
 from repro.analysis.stats import MissCurve

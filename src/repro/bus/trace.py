@@ -16,7 +16,6 @@ Record layout (64 bits)::
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path

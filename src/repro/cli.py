@@ -98,11 +98,10 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ReproError
-from repro.common.units import format_size, parse_size
+from repro.common.units import format_size
 from repro.experiments.params import ExperimentScale
 from repro.experiments.pipeline import capture_records
 from repro.host.smp import HostConfig, HostSMP
-from repro.memories.config import CacheNodeConfig
 from repro.memories.console import MemoriesConsole
 from repro.target.configs import (
     multi_config_machine,

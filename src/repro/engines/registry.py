@@ -43,7 +43,9 @@ from repro.engines.capabilities import (
     prove_capabilities,
 )
 # Bound as a module and looked up at call time: compiled imports this
-# package's capabilities, so it may still be initialising here.
+# package's capabilities, so it may still be initialising here.  Loading
+# it loads the set lanes (repro.memories.lockstep) too, so a process
+# that forks replay workers after importing the registry hands both on.
 from repro.memories import compiled
 from repro.verify.findings import Report
 

@@ -10,8 +10,6 @@ an exponential to the anchors and project the shaded min/max range forward,
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.report import render_table

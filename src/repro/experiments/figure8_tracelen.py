@@ -17,13 +17,13 @@ trace touches only a fraction of it (cold-dominated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.ascii_chart import render_chart
 from repro.analysis.report import render_series
 from repro.analysis.stats import MissCurve
-from repro.common.units import format_size, parse_size
+from repro.common.units import parse_size
 from repro.experiments.params import ExperimentResult, ExperimentScale
 from repro.experiments.pipeline import capture_records, l3_size_sweep
 from repro.workloads.tpcc import TpccWorkload

@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.report import render_table
-from repro.bus.trace import BusTrace
 from repro.experiments.params import ExperimentResult, ExperimentScale
 from repro.experiments.pipeline import capture_records
 from repro.memories.board import MemoriesBoard

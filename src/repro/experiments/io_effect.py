@@ -14,7 +14,7 @@ database pages), and reports the L3 miss ratio at each intensity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

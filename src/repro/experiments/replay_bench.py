@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.bus.trace import BusTrace, encode_arrays
 from repro.bus.transaction import BusCommand, SnoopResponse
-from repro.memories.board import MemoriesBoard, board_for_machine
+from repro.memories.board import board_for_machine
 from repro.memories.config import CacheNodeConfig
 from repro.supervisor.spec import statistics_digest
 from repro.target.configs import split_smp_machine

@@ -16,7 +16,7 @@ direct-mapped).  The reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import render_table
 from repro.common.units import GB

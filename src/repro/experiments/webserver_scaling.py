@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.ascii_chart import render_chart
 from repro.analysis.report import render_table
 from repro.analysis.stats import MissCurve
-from repro.common.units import format_size, parse_size
+from repro.common.units import parse_size
 from repro.experiments.params import ExperimentResult, ExperimentScale
 from repro.experiments.pipeline import capture_records, l3_size_sweep
 from repro.workloads.web import WebWorkload

@@ -59,7 +59,7 @@ from repro.common.errors import (
     TraceFormatError,
 )
 from repro.memories.board import MemoriesBoard
-from repro.memories.cache_model import pack_directory
+from repro.memories.cache_model import pack_rows
 
 #: Format tag of checkpoint files.
 CHECKPOINT_FORMAT = "memories-checkpoint"
@@ -138,7 +138,7 @@ def _pack_legacy_directories(path: Path, version: int, state: dict) -> None:
     try:
         for node in firmware["nodes"]:
             directory = node["directory"]
-            node["directory"] = pack_directory(
+            node["directory"] = pack_rows(
                 directory["tags"], directory["states"], directory["meta"]
             )
     except (KeyError, TypeError, ValueError, OverflowError,

@@ -32,7 +32,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
 )
 

@@ -2,20 +2,26 @@
 
 Each node controller FPGA owns four 64 MB SDRAM DIMMs holding, for every
 line frame of the emulated cache, its tag, coherence state and replacement
-metadata.  :class:`TagStateDirectory` models that structure: a set-associative
-array of (tag, state) pairs managed by a pluggable replacement policy.
+metadata.  :class:`TagStateDirectory` keeps the same dense table: three
+numpy arrays indexed by set, ``tags`` and ``states`` of shape
+``(num_sets, assoc)`` and one replacement word per set in ``meta``.  A
+set's resident lines are a prefix of its row; tag ``-1`` (state 0) marks
+an empty way.  A probe returns the first way holding a tag, so a
+(corrupted) duplicate tag resolves to its first copy on every path, as
+``list.index`` and the set lanes' ``argmax`` both do.
 
 The directory itself is protocol-agnostic — it stores whatever state integers
 the node controller's protocol table produces — and exposes fine-grained
 operations (probe / touch / install / invalidate) so the controller can apply
-table transitions between them.
+table transitions between them.  Replacement policies still work on one
+set's resident lines as Python lists; the fast replay engines read and
+write the arrays directly.
 """
 
 from __future__ import annotations
 
 import base64
-from itertools import accumulate, chain
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +36,14 @@ _TAG_ADDRESS_BITS = 50
 
 #: Element widths (bytes) a packed checkpoint array may use.
 _PACK_WIDTHS = (1, 2, 4, 8)
+
+#: Tag of an empty way (every stored tag is non-negative); its state is 0.
+EMPTY_TAG = -1
+
+
+def _lines(row: List[int]) -> int:
+    """Resident lines of one padded tag row (they are its prefix)."""
+    return row.index(EMPTY_TAG) if row[-1] < 0 else len(row)
 
 
 class TagStateDirectory:
@@ -52,30 +66,39 @@ class TagStateDirectory:
         self.policy = policy if policy is not None else make_policy(
             config.replacement, config.assoc
         )
-        num_sets = config.num_sets
-        self._tags: list[list[int]] = [[] for _ in range(num_sets)]
-        self._states: list[list[int]] = [[] for _ in range(num_sets)]
-        # One make_meta() call per set: a policy is free to return mutable
-        # metadata, and replicating a single instance across sets would
-        # alias every set's replacement state onto one object.
-        self._meta: list = [self.policy.make_meta() for _ in range(num_sets)]
-        # Per-set tag -> way index, the O(1) replacement for scanning
-        # tags.index(tag) on every probe.  Kept coherent by every mutator;
-        # rare paths that edit tags in place (fault injection, ECC repair)
-        # rebuild their set via _rebuild_way_map.
-        self._ways: list[dict[int, int]] = [{} for _ in range(num_sets)]
+        shape = (config.num_sets, config.assoc)
+        self._tags = np.full(shape, EMPTY_TAG, dtype=np.int64)
+        self._states = np.zeros(shape, dtype=np.int64)
+        self._meta = self._fresh_meta()
 
-    def _rebuild_way_map(self, set_index: int) -> None:
-        """Recompute one set's tag->way map from its tag list.
+    def _fresh_meta(self) -> np.ndarray:
+        """Initial replacement words: int64 when the policy's word is an
+        int, else one ``make_meta()`` object per set (a policy is free to
+        return mutable metadata, and replicating a single instance across
+        sets would alias every set's replacement state onto one object)."""
+        num_sets = self.config.num_sets
+        first = self.policy.make_meta()
+        if type(first) is int:
+            return np.full(num_sets, first, dtype=np.int64)
+        meta = np.empty(num_sets, dtype=object)
+        meta[0] = first
+        for set_index in range(1, num_sets):
+            meta[set_index] = self.policy.make_meta()
+        return meta
 
-        First occurrence wins when (corrupted) duplicate tags exist, the
-        same line ``list.index`` used to return.
-        """
-        tags = self._tags[set_index]
-        ways: dict[int, int] = {}
-        for way in range(len(tags) - 1, -1, -1):
-            ways[tags[way]] = way
-        self._ways[set_index] = ways
+    def _row(self, set_index: int) -> Tuple[List[int], List[int]]:
+        """One set's resident tags and states, as the lists a replacement
+        policy works on."""
+        tags = self._tags[set_index].tolist()
+        lines = _lines(tags)
+        del tags[lines:]
+        return tags, self._states[set_index].tolist()[:lines]
+
+    def _put_row(self, set_index: int, tags: List[int], states: List[int]) -> None:
+        """Write one set's resident lines back, padding the empty ways."""
+        pad = self.config.assoc - len(tags)
+        self._tags[set_index] = tags + [EMPTY_TAG] * pad
+        self._states[set_index] = states + [0] * pad
 
     # ------------------------------------------------------------------ #
     # Hot-path operations
@@ -86,72 +109,55 @@ class TagStateDirectory:
         amap = self.amap
         set_index = amap.set_index(address)
         tag = amap.tag(address)
-        way = self._ways[set_index].get(tag, -1)
-        return set_index, tag, way
+        row = self._tags[set_index].tolist()
+        return set_index, tag, row.index(tag) if tag in row else -1
 
     def state_at(self, set_index: int, way: int) -> int:
         """State integer stored at (set, way)."""
-        return self._states[set_index][way]
+        return self._states.item(set_index, way)
 
     def set_state(self, set_index: int, way: int, state: int) -> None:
         """Overwrite the state at (set, way)."""
-        self._states[set_index][way] = state
+        self._states[set_index, way] = state
 
     def touch(self, set_index: int, way: int) -> int:
-        """Record a hit for the replacement policy; returns the new way."""
+        """Record a hit for the replacement policy; returns the new way.
+
+        A policy that moves lines on a hit reports it through the new way,
+        so only then is the set written back.
+        """
+        tags, states = self._row(set_index)
         new_way, meta = self.policy.touch(
-            self._tags[set_index], self._states[set_index], way, self._meta[set_index]
+            tags, states, way, self._meta.item(set_index)
         )
         self._meta[set_index] = meta
         if new_way != way:
-            if new_way == 0:
-                # Promotion to MRU rotates positions 0..way one step; no
-                # entry beyond the hit way moves.  Back to front, so a
-                # (corrupted) duplicate tag keeps its first occurrence.
-                tags = self._tags[set_index]
-                ways = self._ways[set_index]
-                for position in range(way, -1, -1):
-                    ways[tags[position]] = position
-            else:
-                self._rebuild_way_map(set_index)
+            self._put_row(set_index, tags, states)
         return new_way
 
     def install(
         self, set_index: int, tag: int, state: int
     ) -> Optional[Tuple[int, int]]:
         """Allocate a line; returns (victim line address, victim state) or None."""
+        tags, states = self._row(set_index)
         victim, meta = self.policy.insert(
-            self._tags[set_index],
-            self._states[set_index],
-            tag,
-            state,
-            self.config.assoc,
-            self._meta[set_index],
+            tags, states, tag, state, self.config.assoc,
+            self._meta.item(set_index),
         )
         self._meta[set_index] = meta
-        # insert() may rotate, replace or evict anywhere in the set, so the
-        # miss path pays one O(assoc) map rebuild.
-        self._rebuild_way_map(set_index)
+        self._put_row(set_index, tags, states)
         if victim is None:
             return None
         victim_tag, victim_state = victim
         return self.amap.rebuild(victim_tag, set_index), victim_state
 
     def invalidate(self, set_index: int, way: int) -> int:
-        """Drop the line at (set, way); returns its former state."""
-        tags = self._tags[set_index]
-        tag = tags.pop(way)
-        state = self._states[set_index].pop(way)
-        ways = self._ways[set_index]
-        if ways.get(tag) == way:
-            del ways[tag]
-        # Lines from `way` on moved down one.  Back to front, and an entry
-        # naming an earlier copy stays, so a (corrupted) duplicate tag
-        # keeps its first occurrence, as _rebuild_way_map would.
-        for position in range(len(tags) - 1, way - 1, -1):
-            moved = tags[position]
-            if ways.get(moved, way) >= way:
-                ways[moved] = position
+        """Drop the line at (set, way); returns its former state.  The
+        lines after it move up one way."""
+        tags, states = self._row(set_index)
+        del tags[way]
+        state = states.pop(way)
+        self._put_row(set_index, tags, states)
         return state
 
     # ------------------------------------------------------------------ #
@@ -163,15 +169,23 @@ class TagStateDirectory:
         set_index, tag, way = self.probe(address)
         if way < 0:
             return int(LineState.INVALID)
-        return self._states[set_index][way]
+        return self._states.item(set_index, way)
 
     def resident_lines(self) -> int:
         """Number of valid lines currently in the directory."""
-        return sum(len(tags) for tags in self._tags)
+        return int(np.count_nonzero(self._tags >= 0))
 
     def ways_in_set(self, set_index: int) -> int:
         """Number of resident lines in one set (fault injection, console)."""
-        return len(self._tags[set_index])
+        return _lines(self._tags[set_index].tolist())
+
+    def set_tags(self, set_index: int) -> List[int]:
+        """Resident tags of one set, in way order (fault injection, tests)."""
+        return self._row(set_index)[0]
+
+    def _check_resident(self, set_index: int, way: int) -> None:
+        if not 0 <= way < self.ways_in_set(set_index):
+            raise EmulationError(f"set {set_index} holds no line at way {way}")
 
     @property
     def stored_bits(self) -> int:
@@ -191,8 +205,8 @@ class TagStateDirectory:
         """Fault injection: flip one stored tag bit of a resident line."""
         if bit < 0 or bit >= self.stored_bits:
             raise EmulationError(f"bit index {bit} outside the stored tag")
-        self._tags[set_index][way] ^= 1 << bit
-        self._rebuild_way_map(set_index)
+        self._check_resident(set_index, way)
+        self._tags[set_index, way] ^= 1 << bit
 
     def occupancy(self) -> float:
         """Fraction of line frames in use."""
@@ -201,40 +215,53 @@ class TagStateDirectory:
     def iter_lines(self) -> Iterator[Tuple[int, int]]:
         """Yield (line address, state) for every resident line."""
         rebuild = self.amap.rebuild
-        for set_index, (tags, states) in enumerate(zip(self._tags, self._states)):
-            for tag, state in zip(tags, states):
-                yield rebuild(tag, set_index), state
+        sets, ways = np.nonzero(self._tags >= 0)
+        for set_index, tag, state in zip(
+            sets.tolist(),
+            self._tags[sets, ways].tolist(),
+            self._states[sets, ways].tolist(),
+        ):
+            yield rebuild(tag, set_index), state
 
     def check_invariants(self) -> None:
         """Assert structural invariants; used by property-based tests.
 
         Raises:
-            EmulationError: if a set exceeds the associativity, holds
-                duplicate tags, or parallel arrays lost sync.
+            EmulationError: if the arrays lost their shape, a set's lines
+                are not a prefix of its row (an empty way before a tag),
+                an empty way holds a state, or a set holds duplicate tags.
         """
-        assoc = self.config.assoc
-        for set_index, (tags, states) in enumerate(zip(self._tags, self._states)):
-            if len(tags) != len(states):
-                raise EmulationError(f"set {set_index}: tag/state arrays diverged")
-            if len(tags) > assoc:
-                raise EmulationError(f"set {set_index}: {len(tags)} lines > {assoc}-way")
-            if len(set(tags)) != len(tags):
-                raise EmulationError(f"set {set_index}: duplicate tags")
-            ways = self._ways[set_index]
-            if len(ways) != len(tags) or any(
-                way >= len(tags) or tags[way] != tag for tag, way in ways.items()
-            ):
-                raise EmulationError(f"set {set_index}: tag->way map out of sync")
+        shape = (self.config.num_sets, self.config.assoc)
+        tags, states = self._tags, self._states
+        if tags.shape != shape or states.shape != shape:
+            raise EmulationError(
+                f"directory rows {tags.shape}/{states.shape}; geometry {shape}"
+            )
+
+        def fail_where(bad_sets, problem: str) -> None:
+            if bad_sets.any():
+                first = int(np.flatnonzero(bad_sets)[0])
+                raise EmulationError(f"set {first}: {problem}")
+
+        resident = tags >= 0
+        fail_where(
+            (tags < EMPTY_TAG).any(1)
+            | (resident[:, 1:] & ~resident[:, :-1]).any(1),
+            "lines are not a prefix of the row",
+        )
+        fail_where(((states != 0) & ~resident).any(1),
+                   "an empty way holds a state")
+        ordered = np.sort(tags, axis=1)
+        fail_where(
+            ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(1),
+            "duplicate tags",
+        )
 
     def clear(self) -> None:
         """Invalidate the whole directory (console power-up initialisation)."""
-        for tags in self._tags:
-            tags.clear()
-        for states in self._states:
-            states.clear()
-        for ways in self._ways:
-            ways.clear()
-        self._meta = [self.policy.make_meta() for _ in range(self.config.num_sets)]
+        self._tags.fill(EMPTY_TAG)
+        self._states.fill(0)
+        self._meta = self._fresh_meta()
 
     # ------------------------------------------------------------------ #
     # Checkpoint support
@@ -255,7 +282,7 @@ class TagStateDirectory:
             EmulationError: when the checkpoint's set count does not match
                 this directory's geometry, or its arrays are malformed.
         """
-        tags, states, meta = unpack_directory(state)
+        tags, states, meta = unpack_directory(state, self.config.assoc)
         if len(tags) != self.config.num_sets or len(meta) != len(tags):
             raise EmulationError(
                 f"checkpoint has {len(tags)} sets; directory has "
@@ -263,30 +290,30 @@ class TagStateDirectory:
             )
         self._tags = tags
         self._states = states
-        self._meta = meta
-        # Bulk _rebuild_way_map: zipping the reversed row keeps the first
-        # occurrence of a (corrupted) duplicate tag.
-        self._ways = [
-            dict(zip(reversed(row), range(len(row) - 1, -1, -1)))
-            for row in tags
-        ]
+        self._meta = meta.astype(self._meta.dtype)
 
 
-def _pack_ints(values: Iterable[int], count: int) -> dict:
-    """``count`` non-negative ints as one little-endian array, base64'd.
+def _pack_ints(values: np.ndarray) -> dict:
+    """Non-negative ints as one little-endian array, base64'd.
 
     The element width is the narrowest of 1/2/4/8 bytes that holds the
     largest value, and is recorded next to the data.
+
+    Raises:
+        EmulationError: on a negative value.
     """
-    array = np.fromiter(values, dtype=np.uint64, count=count)
-    top = int(array.max()) if count else 0
+    values = np.asarray(values)
+    if values.size and values.min() < 0:
+        raise EmulationError("negative value in a packed directory array")
+    array = values.astype(np.uint64)
+    top = int(array.max()) if array.size else 0
     width = next(w for w in _PACK_WIDTHS if top >> (8 * w) == 0)
     data = array.astype(f"<u{width}").tobytes()
     return {"width": width, "data": base64.b64encode(data).decode("ascii")}
 
 
-def _unpack_ints(field: dict) -> List[int]:
-    """Inverse of :func:`_pack_ints`."""
+def _unpack_ints(field: dict) -> np.ndarray:
+    """Inverse of :func:`_pack_ints` (a read-only uint64 array)."""
     try:
         width = field["width"]
         raw = base64.b64decode(field["data"], validate=True)
@@ -296,57 +323,100 @@ def _unpack_ints(field: dict) -> List[int]:
         raise EmulationError(
             f"packed directory array of {len(raw)} bytes at width {width!r}"
         )
-    return np.frombuffer(raw, dtype=f"<u{width}").tolist()
+    return np.frombuffer(raw, dtype=f"<u{width}").astype(np.uint64)
 
 
-def pack_directory(
+def pack_directory(tags: np.ndarray, states: np.ndarray, meta) -> dict:
+    """Checkpoint form of a directory: four packed integer arrays.
+
+    ``tags`` and ``states`` are the directory's ``(num_sets, ways)``
+    rows (resident lines first, tag -1 in the empty ways).  ``ways``
+    holds each set's resident-line count, ``tags`` and ``states`` the
+    sets' resident lines laid end to end, and ``meta`` one replacement
+    word per set.  Each array is a ``{"width", "data"}`` pair (see
+    :func:`_pack_ints`), so the dict is JSON-ready and compares equal
+    exactly when the directory contents do.
+    """
+    resident = tags >= 0
+    return {
+        "ways": _pack_ints(np.count_nonzero(resident, axis=1)),
+        "tags": _pack_ints(tags[resident]),
+        "states": _pack_ints(states[resident]),
+        "meta": _pack_ints(meta),
+    }
+
+
+def pack_rows(
     tags: Sequence[Sequence[int]],
     states: Sequence[Sequence[int]],
     meta: Sequence[int],
 ) -> dict:
-    """Checkpoint form of a directory: four packed integer arrays.
-
-    ``ways`` holds each set's resident-line count, ``tags`` and ``states``
-    the sets' rows laid end to end, and ``meta`` one replacement word per
-    set.  Each array is a ``{"width", "data"}`` pair (see
-    :func:`_pack_ints`), so the dict is JSON-ready and compares equal
-    exactly when the directory contents do.
+    """:func:`pack_directory` of a directory given as per-set row lists
+    (the version-1 and version-2 checkpoint layout).
 
     Raises:
         EmulationError: when a set's tag and state rows differ in length.
     """
-    counts = list(map(len, tags))
-    if counts != list(map(len, states)):
+    counts = np.fromiter(map(len, tags), dtype=np.intp, count=len(tags))
+    if counts.tolist() != list(map(len, states)):
         raise EmulationError("directory tag/state rows diverged")
-    total = sum(counts)
-    return {
-        "ways": _pack_ints(counts, len(counts)),
-        "tags": _pack_ints(chain.from_iterable(tags), total),
-        "states": _pack_ints(chain.from_iterable(states), total),
-        "meta": _pack_ints(meta, len(meta)),
-    }
+    flat_tags = np.array([tag for row in tags for tag in row], dtype=np.int64)
+    if flat_tags.size and flat_tags.min() < 0:
+        raise EmulationError("negative tag in a directory row")
+    resident = np.arange(int(counts.max(initial=0))) < counts[:, None]
+    padded_tags = np.full(resident.shape, EMPTY_TAG, dtype=np.int64)
+    padded_states = np.zeros(resident.shape, dtype=np.int64)
+    padded_tags[resident] = flat_tags
+    padded_states[resident] = [state for row in states for state in row]
+    return pack_directory(padded_tags, padded_states, np.asarray(meta))
 
 
 def unpack_directory(
-    packed: dict,
-) -> Tuple[List[List[int]], List[List[int]], List[int]]:
-    """Per-set (tags, states) rows and meta words of a packed directory.
+    packed: dict, assoc: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and meta words of a packed directory, as ``tags`` and
+    ``states`` arrays of ``assoc`` ways (default: the fullest set's line
+    count) with the empty ways padded, and an int64 ``meta`` array.
 
     Raises:
-        EmulationError: when the arrays are malformed or disagree in length.
+        EmulationError: when the arrays are malformed, disagree in length,
+            or a set holds more than ``assoc`` lines.
     """
     try:
         fields = [packed[key] for key in ("ways", "tags", "states", "meta")]
     except (KeyError, TypeError) as exc:
         raise EmulationError(f"not a packed directory: {exc}") from exc
     counts, flat_tags, flat_states, meta = map(_unpack_ints, fields)
-    if sum(counts) != len(flat_tags) or len(flat_states) != len(flat_tags):
+    total = int(counts.sum())
+    if total != len(flat_tags) or len(flat_states) != len(flat_tags):
         raise EmulationError(
             f"packed directory holds {len(flat_tags)} tags and "
-            f"{len(flat_states)} states for {sum(counts)} resident lines"
+            f"{len(flat_states)} states for {total} resident lines"
         )
-    ends = list(accumulate(counts))
-    spans = list(zip([0, *ends[:-1]], ends))
-    tags = [flat_tags[start:end] for start, end in spans]
-    states = [flat_states[start:end] for start, end in spans]
-    return tags, states, meta
+    fullest = int(counts.max(initial=0))
+    ways = fullest if assoc is None else assoc
+    if fullest > ways:
+        raise EmulationError(
+            f"packed directory holds {fullest} lines in one set of {ways} ways"
+        )
+    if flat_tags.size and int(flat_tags.max()) >> 63:
+        raise EmulationError("packed directory tag beyond 63 bits")
+    resident = np.arange(ways) < counts[:, None].astype(np.intp)
+    tags = np.full(resident.shape, EMPTY_TAG, dtype=np.int64)
+    states = np.zeros(resident.shape, dtype=np.int64)
+    tags[resident] = flat_tags.astype(np.int64)
+    states[resident] = flat_states.astype(np.int64)
+    return tags, states, meta.astype(np.int64)
+
+
+def unpack_rows(packed: dict) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """Per-set (tags, states) row lists and meta words of a packed
+    directory: the version-1 and version-2 layout, inverse of
+    :func:`pack_rows`."""
+    tags, states, meta = unpack_directory(packed)
+    resident = tags >= 0
+    return (
+        [row[keep].tolist() for row, keep in zip(tags, resident)],
+        [row[keep].tolist() for row, keep in zip(states, resident)],
+        meta.tolist(),
+    )

@@ -10,10 +10,10 @@ any image it refuses (SDRAM-priced or ECC nodes, custom replacement
 classes, the tracer and the other firmware) runs
 :func:`~repro.memories.batch._generic_runner`, ``firmware.process``
 per admitted tenure.  The protocol runner works on one view per node
-controller (:class:`_CompiledNode`): direct references to the
-directory's tag, state and way-map lists, a dense ``(op, state)``
-transition table, cpu-indexed routing, and an integer-indexed counter
-accumulator over a fixed counter vocabulary (:data:`COUNTER_NAMES`).
+controller (:class:`_CompiledNode`): the directory rows it borrowed for
+the call (:class:`_Loan`), a dense ``(op, state)`` transition table,
+cpu-indexed routing, and an integer-indexed counter accumulator over a
+fixed counter vocabulary (:data:`COUNTER_NAMES`).
 
 The protocol runner serves two transaction-buffer regimes.  The engine
 picks one per call (:func:`_buffers_decoupled`); the user never does.
@@ -43,15 +43,15 @@ Bit-identity with the scalar loop, per structure:
 
 * **Clock and chunking** come from the shared chunk loop, unchanged.
 * **Directory** mutations apply in tenure order (within each set, in
-  the lockstep form) to the scalar directory's own lists.  LRU
-  move-to-front, FIFO insert-front / evict-back and the PLRU tree bits
-  are transcribed from :mod:`repro.memories.replacement`
-  (:func:`_install_inline`), the way-map upkeep from
-  :class:`~repro.memories.cache_model.TagStateDirectory`.
-  Invalidations and ``random`` victims go through
-  ``directory.invalidate`` and ``directory.install`` themselves; installs
-  happen in tenure order, so the board-wide RNG is drawn in the scalar
-  order.
+  the lockstep form) to the directory's own rows: borrowed as padded
+  lists by the loop, gathered and scattered as arrays by the lanes.
+  LRU move-to-front, FIFO insert-front / evict-back, the PLRU tree bits
+  and ``random`` victims are transcribed from
+  :mod:`repro.memories.replacement` (:func:`_install_inline`), the
+  invalidation shift from
+  :class:`~repro.memories.cache_model.TagStateDirectory`.  A probe finds
+  a tag's first copy, as the directory's does.  Installs happen in
+  tenure order, so the board-wide RNG is drawn in the scalar order.
 * **Counters** accumulate as a commutative reordering of the increments
   within one chunk and are flushed into the real counter banks at chunk
   end, before any observer (``on_countdown`` → ``board.statistics()``)
@@ -78,6 +78,7 @@ the loop otherwise.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -85,6 +86,7 @@ import numpy as np
 from repro.bus.transaction import MAX_PROCESSOR_ID, BusCommand
 from repro.engines.capabilities import Capability, prove_capabilities
 from repro.memories.batch import _generic_runner, replay_with_runner
+from repro.memories.cache_model import EMPTY_TAG
 from repro.memories.protocol_table import CacheOp, LineState
 from repro.memories.replacement import (
     FifoPolicy,
@@ -193,20 +195,21 @@ _POLICY_CODE = {
 
 _NEVER = float("-inf")
 
-#: A single-group chunk with at least this many admitted tenures per
-#: touched set replays in set lockstep (:mod:`repro.memories.lockstep`);
-#: docs/architecture.md has the measured crossover.
-LOCKSTEP_MIN_DEPTH = 6
+#: A single-group chunk with at least this many admitted tenures replays
+#: in set lockstep (:mod:`repro.memories.lockstep`); docs/architecture.md
+#: has the measured crossover.
+LOCKSTEP_MIN_TENURES = 384
 
 
 class _CompiledNode:
     """Hot-path view of one NodeController.
 
-    Holds direct references to the controller's mutable structures (the
-    directory's tag/state/way-map lists and metadata, the transaction
-    buffer), a dense ``(op, state) -> (next_state, invalidates, is_hit)``
-    table, the constants the inlined install path needs, and ``accv``,
-    an integer-indexed counter accumulator (one slot per
+    Holds the controller's directory and transaction buffer, the rows it
+    borrowed from the directory (``tags``, ``states`` and, under PLRU,
+    ``meta``: dicts by set, None when nothing is borrowed), a dense
+    ``(op, state) -> (next_state, invalidates, is_hit)`` table, the
+    constants the inlined install path needs, and ``accv``, an
+    integer-indexed counter accumulator (one slot per
     :data:`COUNTER_NAMES` entry).
 
     Admission mode snapshots the buffer scalars (``last_finish``,
@@ -224,11 +227,11 @@ class _CompiledNode:
     __slots__ = (
         "buffer", "ft", "capacity", "service", "last_finish",
         "accepted", "rejected", "high_water",
-        "tags", "states", "ways", "meta",
+        "directory", "tags", "states", "meta", "lent",
         "off_bits", "set_mask", "tag_shift",
         "trans", "fill_write", "fill_read_shared", "fill_read_alone",
-        "install", "invalidate", "policy_code", "assoc", "is_lru",
-        "touch_meta", "victim_way", "accv", "counters", "peers",
+        "policy_code", "assoc", "is_lru",
+        "touch_meta", "victim_way", "rng", "accv", "counters", "peers",
         "local_n", "local_t", "snoop_rd", "snoop_wr", "snoop_t",
     )
 
@@ -238,10 +241,7 @@ class _CompiledNode:
         self.capacity = buffer.capacity
         self.service = buffer.service_cycles
         directory = node.directory
-        self.tags = directory._tags
-        self.states = directory._states
-        self.ways = directory._ways
-        self.meta = directory._meta
+        self.directory = directory
         amap = directory.amap
         self.off_bits = amap.offset_bits
         self.set_mask = amap.num_sets - 1
@@ -260,8 +260,6 @@ class _CompiledNode:
         self.fill_write = int(fill.write)
         self.fill_read_shared = int(fill.read_shared)
         self.fill_read_alone = int(fill.read_alone)
-        self.install = directory.install
-        self.invalidate = directory.invalidate
         policy = directory.policy
         self.policy_code = _POLICY_CODE[type(policy)]
         self.assoc = node.config.assoc
@@ -269,9 +267,49 @@ class _CompiledNode:
         is_plru = type(policy) is PlruPolicy
         self.touch_meta = policy._update_on_access if is_plru else None
         self.victim_way = policy.victim_way if is_plru else None
+        self.rng = policy._rng if type(policy) is RandomPolicy else None
+        self.tags: dict = {}
+        self.states: dict = {}
+        self.meta: Optional[dict] = {} if is_plru else None
+        self.lent = np.zeros(amap.num_sets, dtype=bool)
         self.accv = [0] * len(COUNTER_NAMES)
         self.counters = node.counters
         self.peers: tuple = ()
+
+    def borrow(self, sets: np.ndarray) -> None:
+        """Add the directory rows of ``sets`` that are not out yet to the
+        borrowed rows (padded lists, by set)."""
+        new = sets[~self.lent[sets]]
+        if not new.shape[0]:
+            return
+        self.lent[new] = True
+        directory = self.directory
+        keys = new.tolist()
+        self.tags.update(zip(keys, directory._tags[new].tolist()))
+        self.states.update(zip(keys, directory._states[new].tolist()))
+        if self.meta is not None:
+            self.meta.update(zip(keys, directory._meta[new].tolist()))
+
+    def give_back(self) -> None:
+        """Write the borrowed rows back into the directory's arrays."""
+        if not self.tags:
+            return
+        directory = self.directory
+        sets = np.fromiter(self.tags, dtype=np.intp, count=len(self.tags))
+        self.lent[sets] = False
+        shape = (sets.shape[0], self.assoc)
+        for rows, array in ((self.tags, directory._tags),
+                            (self.states, directory._states)):
+            array[sets] = np.fromiter(
+                chain.from_iterable(rows.values()), dtype=np.int64,
+                count=shape[0] * shape[1],
+            ).reshape(shape)
+            rows.clear()
+        if self.meta is not None:
+            directory._meta[sets] = np.fromiter(
+                self.meta.values(), dtype=np.int64, count=shape[0]
+            )
+            self.meta.clear()
 
     def flush_counters(self) -> None:
         """Move the accumulated counts into the node's counter bank."""
@@ -367,6 +405,43 @@ class _CompiledNode:
         self.flush_counters()
 
 
+class _Loan:
+    """The directory rows one replay call lends its protocol loop.
+
+    The loop probes and edits one set at a time, where a short Python
+    list beats numpy indexing many times over.  So each loop chunk
+    borrows, on every node, the rows of the sets its tenures address
+    that are not out yet (:meth:`_CompiledNode.borrow`): a set's row is
+    converted once per call, not once per chunk.  The rows go back into
+    the arrays when the call ends (:func:`_replay_lent`), or earlier,
+    before a chunk replays on the set lanes, which read and write the
+    arrays themselves.
+    """
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes) -> None:
+        self.nodes = nodes
+
+    def take(self, addrs: np.ndarray) -> None:
+        """Borrow the rows of every set ``addrs`` address."""
+        sets_of: dict = {}
+        for node in self.nodes:
+            geometry = (node.off_bits, node.set_mask)
+            sets = sets_of.get(geometry)
+            if sets is None:
+                sets = sets_of[geometry] = np.unique(
+                    (addrs >> np.uint64(node.off_bits))
+                    & np.uint64(node.set_mask)
+                )
+            node.borrow(sets)
+
+    def give_back(self) -> None:
+        """Return every borrowed row."""
+        for node in self.nodes:
+            node.give_back()
+
+
 def _settle_group(controllers, unmapped) -> None:
     """Settle every controller of one coherence group at chunk end.
 
@@ -384,6 +459,15 @@ def _settle_group(controllers, unmapped) -> None:
         node.settle(reads, writes, last)
 
 
+def _invalidate_row(tags_in_set, states_in_set, way) -> None:
+    """directory.invalidate on a borrowed row: the lines after ``way``
+    move up one, an empty way joins the end."""
+    del tags_in_set[way]
+    tags_in_set.append(EMPTY_TAG)
+    del states_in_set[way]
+    states_in_set.append(0)
+
+
 def _snoop_hit(peer: _CompiledNode, op: int, set_index: int, way: int) -> bool:
     """The directory half of NodeController.process_remote, on a probe
     that found the line; returns whether the peer supplied dirty data."""
@@ -395,7 +479,7 @@ def _snoop_hit(peer: _CompiledNode, op: int, set_index: int, way: int) -> bool:
     if supplied_dirty:
         accv[_CID_SUPPLIED_DIRTY] += 1
     if invalidates:
-        peer.invalidate(set_index, way)
+        _invalidate_row(peer.tags[set_index], states_in_set, way)
         accv[_CID_INVALIDATED] += 1
     else:
         states_in_set[way] = next_state
@@ -413,10 +497,11 @@ def _snoop_offered(node: _CompiledNode, op: int, addr: int, now: float):
     if not node.offer(now):
         return None
     set_index = (addr >> node.off_bits) & node.set_mask
-    way = node.ways[set_index].get(addr >> node.tag_shift, -1)
-    if way < 0:
+    tags_in_set = node.tags[set_index]
+    tag = addr >> node.tag_shift
+    if tag not in tags_in_set:
         return None
-    return _snoop_hit(node, op, set_index, way)
+    return _snoop_hit(node, op, set_index, tags_in_set.index(tag))
 
 
 def _broadcast_offered(local: _CompiledNode, op, addr, now) -> bool:
@@ -443,10 +528,12 @@ def _broadcast_tallied(local: _CompiledNode, op, addr, now) -> bool:
     held = False
     for peer in local.peers:
         peer_set = (addr >> peer.off_bits) & peer.set_mask
-        peer_way = peer.ways[peer_set].get(addr >> peer.tag_shift, -1)
-        if peer_way >= 0:
+        peer_tags = peer.tags[peer_set]
+        peer_tag = addr >> peer.tag_shift
+        if peer_tag in peer_tags:
             held = True
-            if _snoop_hit(peer, op, peer_set, peer_way) and op == _REMOTE_READ:
+            if (_snoop_hit(peer, op, peer_set, peer_tags.index(peer_tag))
+                    and op == _REMOTE_READ):
                 local.accv[_CID_INTERVENTION] += 1
     return held
 
@@ -467,27 +554,23 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
 
     set_index = (addr >> local.off_bits) & local.set_mask
     tag = addr >> local.tag_shift
-    ways = local.ways[set_index]
-    way = ways.get(tag, -1)
+    tags_in_set = local.tags[set_index]
 
-    if way >= 0:
+    if tag in tags_in_set:
+        way = tags_in_set.index(tag)
         states_in_set = local.states[set_index]
         state = states_in_set[way]
         next_state, invalidates, _is_hit = local.trans[op][state]
         accv[hit_cid] += 1
         accv[_HIT_STATE_CID[state]] += 1
         if invalidates:
-            local.invalidate(set_index, way)
+            _invalidate_row(tags_in_set, states_in_set, way)
         else:
             states_in_set[way] = next_state
             if local.is_lru:
                 if way:
-                    tags_in_set = local.tags[set_index]
                     tags_in_set.insert(0, tags_in_set.pop(way))
                     states_in_set.insert(0, states_in_set.pop(way))
-                    # Back to front: a duplicate keeps its first occurrence.
-                    for position in range(way, -1, -1):
-                        ways[tags_in_set[position]] = position
             elif local.touch_meta is not None:
                 meta = local.meta
                 meta[set_index] = local.touch_meta(way, meta[set_index])
@@ -510,7 +593,7 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
         fill = local.fill_read_shared
     else:
         fill = local.fill_read_alone
-    victim_state = _install_inline(local, set_index, tag, fill)
+    victim_state = _install_inline(local, set_index, tags_in_set, tag, fill)
     accv[_FILL_CID[fill]] += 1
     if victim_state >= 0:
         if _DIRTY_OF[victim_state]:
@@ -521,56 +604,42 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
         accv[_SAT_MISS_CID[resp]] += 1
 
 
-def _install_inline(local: _CompiledNode, set_index, tag, fill) -> int:
-    """Inlined directory.install with incremental way-map maintenance.
+def _install_inline(local: _CompiledNode, set_index, tags_in_set, tag,
+                    fill) -> int:
+    """Inlined directory.install on a borrowed row.
 
     Returns the victim's state, or -1 when no line was evicted —
     transcribed from repro.memories.replacement so every victim choice
-    matches the object path.  ``random`` calls the directory itself: its
-    victims come from the policy's RNG stream.
+    matches the object path.  ``random`` draws its victim from the
+    policy's own RNG, one draw per full-set install, in tenure order.
     """
-    tags_in_set = local.tags[set_index]
     states_in_set = local.states[set_index]
-    ways = local.ways[set_index]
     policy_code = local.policy_code
     if policy_code <= _POLICY_FIFO:
-        # LRU / FIFO: insert at front, evict from the back.
-        victim_state = -1
-        if len(tags_in_set) >= local.assoc:
-            victim_tag = tags_in_set.pop()
-            victim_state = states_in_set.pop()
-            del ways[victim_tag]
+        # LRU / FIFO: insert at front; the last way (a victim or an
+        # empty way) drops off the back.
+        victim_state = states_in_set.pop()
+        if tags_in_set.pop() < 0:
+            victim_state = -1
         tags_in_set.insert(0, tag)
         states_in_set.insert(0, fill)
-        # Back to front, so a (corrupted) duplicate tag maps to its first
-        # occurrence, as _rebuild_way_map would.
-        for position in range(len(tags_in_set) - 1, -1, -1):
-            ways[tags_in_set[position]] = position
         return victim_state
-    if policy_code == _POLICY_RANDOM:
-        evicted = local.install(set_index, tag, fill)
-        return -1 if evicted is None else evicted[1]
-    # PLRU: stable way positions, tree bits in the set's metadata word.
-    meta = local.meta
-    fill_level = len(tags_in_set)
-    if fill_level < local.assoc:
-        tags_in_set.append(tag)
-        states_in_set.append(fill)
-        ways[tag] = fill_level
-        meta[set_index] = local.touch_meta(fill_level, meta[set_index])
-        return -1
-    way = local.victim_way(meta[set_index])
-    victim_tag = tags_in_set[way]
-    victim_state = states_in_set[way]
-    del ways[victim_tag]
+    # PLRU and random: stable way positions; a set with room fills its
+    # first empty way.
+    if tags_in_set[-1] < 0:
+        way = tags_in_set.index(EMPTY_TAG)
+        victim_state = -1
+    elif policy_code == _POLICY_RANDOM:
+        way = int(local.rng.integers(0, local.assoc))
+        victim_state = states_in_set[way]
+    else:
+        way = local.victim_way(local.meta[set_index])
+        victim_state = states_in_set[way]
     tags_in_set[way] = tag
     states_in_set[way] = fill
-    ways[tag] = way
-    if victim_tag in tags_in_set:
-        # A corrupted duplicate of the victim survives; the map keeps its
-        # first occurrence, as _rebuild_way_map would.
-        ways[victim_tag] = tags_in_set.index(victim_tag)
-    meta[set_index] = local.touch_meta(way, meta[set_index])
+    if policy_code == _POLICY_PLRU:
+        meta = local.meta
+        meta[set_index] = local.touch_meta(way, meta[set_index])
     return victim_state
 
 
@@ -611,18 +680,23 @@ def _protocol_runner(firmware, closed_form: bool, set_lanes: bool = False):
         compiled_groups.append(
             (local_table, tuple(compiled_of[id(node)] for node in controllers))
         )
+    loan = _Loan(all_nodes)
     if not closed_form:
-        return _admission_run(compiled_groups, all_nodes)
-    return _closed_form_run(compiled_groups, all_nodes, set_lanes)
+        run = _admission_run(compiled_groups, all_nodes, loan)
+    else:
+        run = _closed_form_run(compiled_groups, all_nodes, set_lanes, loan)
+    run.loan = loan
+    return run
 
 
-def _admission_run(compiled_groups, all_nodes):
+def _admission_run(compiled_groups, all_nodes, loan):
     """Per-tenure admission: CacheEmulationFirmware.process with every
     buffer offer replayed; the runner returns the retry count."""
     process_local = _process_local
     broadcast = _broadcast_offered
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
+        loan.take(addrs)
         for node in all_nodes:
             node.load()
         retries = 0
@@ -670,35 +744,27 @@ def _admission_run(compiled_groups, all_nodes):
     return run
 
 
-def _deep_chunk_sets(node: _CompiledNode, addrs: np.ndarray):
-    """The chooser between the loop and set lockstep: the set index of
-    each address when the chunk has at least :data:`LOCKSTEP_MIN_DEPTH`
-    admitted tenures per touched set, else None."""
-    sets = ((addrs >> np.uint64(node.off_bits))
-            & np.uint64(node.set_mask)).astype(np.intp)
-    touched = np.count_nonzero(np.bincount(sets, minlength=node.set_mask + 1))
-    return sets if sets.shape[0] >= LOCKSTEP_MIN_DEPTH * touched else None
-
-
-def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool):
+def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool, loan):
     """Closed form: one local tenure per coherence group that maps the
     cpu, and a probe of every controller of a group that does not.
 
     A chunk of a single group may instead replay on
     :mod:`repro.memories.lockstep`, when ``set_lanes`` holds (the board
     grants ``per_set_independence``), the group has a lockstep form and
-    the chunk is deep; the loop then replays the sets the lanes cannot.
+    the chunk has at least :data:`LOCKSTEP_MIN_TENURES` admitted tenures;
+    the loop then replays the sets the lanes cannot.
     """
     process_local = _process_local
     broadcast = _broadcast_tallied
     snoop_hit = _snoop_hit
     lanes = None
     # Only a single group has lanes; cleared once it turns out to have none.
-    deep_sets = set_lanes and len(compiled_groups) == 1
+    may_step_sets = set_lanes and len(compiled_groups) == 1
 
     def loop(cpus, cmds, addrs, resps, nows):
         """Replay admitted tenures one by one; returns each group's
         unmapped-master tallies ``[reads, writes, last time]``."""
+        loan.take(addrs)
         groups = [
             (local_table, controllers, [0, 0, _NEVER])
             for local_table, controllers in compiled_groups
@@ -726,34 +792,24 @@ def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool):
                 unmapped[2] = now
                 for node in controllers:
                     node_set = (addr >> node.off_bits) & node.set_mask
-                    node_way = node.ways[node_set].get(
-                        addr >> node.tag_shift, -1
-                    )
-                    if node_way >= 0:
-                        snoop_hit(node, op, node_set, node_way)
+                    node_tags = node.tags[node_set]
+                    node_tag = addr >> node.tag_shift
+                    if node_tag in node_tags:
+                        snoop_hit(node, op, node_set, node_tags.index(node_tag))
         return [unmapped for _local_table, _controllers, unmapped in groups]
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
-        nonlocal lanes, deep_sets
+        nonlocal lanes, may_step_sets
         for node in all_nodes:
             node.begin()
-        sets = (
-            _deep_chunk_sets(compiled_groups[0][1][0], addrs)
-            if deep_sets else None
-        )
-        if sets is not None and lanes is None:
-            # Imported at the first deep chunk (it imports this module's
-            # constants), so that a process replaying only shallow chunks,
-            # such as a forked service worker, never loads it.
-            from repro.memories import lockstep
-
+        on_lanes = may_step_sets and cpus.shape[0] >= LOCKSTEP_MIN_TENURES
+        if on_lanes and lanes is None:
             lanes = lockstep.plan(*compiled_groups[0])
-            deep_sets = lanes is not None
-        if sets is not None and lanes is not None:
-            tallies = [lanes.run(
-                sets, cpus, cmds, addrs, resps, nows,
-                lambda *chunk: loop(*chunk)[0],
-            )]
+            on_lanes = may_step_sets = lanes is not None
+        if on_lanes:
+            loan.give_back()
+            tallies = [lanes.run(cpus, cmds, addrs, resps, nows,
+                                 lambda *chunk: loop(*chunk)[0])]
         else:
             tallies = loop(cpus, cmds, addrs, resps, nows)
         for (_local_table, controllers), unmapped in zip(
@@ -812,5 +868,22 @@ def replay_words_compiled(board, words: np.ndarray) -> int:
         set_lanes=proof.grants(Capability.PER_SET_INDEPENDENCE),
     )
     if runner is None:
-        runner = _generic_runner(board.firmware)
-    return replay_with_runner(board, words, runner)
+        return replay_with_runner(board, words, _generic_runner(board.firmware))
+    return _replay_lent(board, words, runner)
+
+
+def _replay_lent(board, words: np.ndarray, runner) -> int:
+    """``replay_with_runner`` for a protocol runner: the rows its loop
+    borrowed are back in the directories' arrays when this returns, also
+    when replay raises."""
+    try:
+        return replay_with_runner(board, words, runner)
+    finally:
+        runner.loan.give_back()
+
+
+# The set lanes read this module's tables, so they are imported once
+# those exist.  Every importer of the engine thus loads them too, the
+# engine registry at module level among them, so forked service workers
+# inherit the module instead of compiling it.
+from repro.memories import lockstep  # noqa: E402

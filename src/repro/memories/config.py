@@ -17,8 +17,7 @@ simulator) enforces the same envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 from repro.common.addr import is_power_of_two
 from repro.common.errors import ConfigurationError

@@ -11,7 +11,7 @@ examples can feel like a lab session.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.memories.board import (

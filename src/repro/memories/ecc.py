@@ -29,6 +29,8 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.memories.cache_model import TagStateDirectory
 from repro.memories.counters import CounterBank
@@ -185,8 +187,8 @@ class EccTagStateDirectory(TagStateDirectory):
 
     The protected word of one line is ``(tag << STATE_BITS) | state``; its
     check bits are packed into the high bits of the stored state integer, so
-    replacement policies — which reorder the parallel ``tags``/``states``
-    lists in lockstep — keep data and check bits associated for free.
+    replacement policies — which move a line's tag and state together —
+    keep data and check bits associated for free.
 
     Legitimate writes (install / set_state) refresh the check bits; the
     fault injector's :meth:`inject_bit_flip` deliberately does not, exactly
@@ -217,11 +219,11 @@ class EccTagStateDirectory(TagStateDirectory):
     # -- overridden hot-path operations ---------------------------------- #
 
     def state_at(self, set_index: int, way: int) -> int:
-        return self._states[set_index][way] & STATE_MASK
+        return self._states.item(set_index, way) & STATE_MASK
 
     def set_state(self, set_index: int, way: int, state: int) -> None:
-        tag = self._tags[set_index][way]
-        self._states[set_index][way] = self._encode(tag, state)
+        tag = self._tags.item(set_index, way)
+        self._states[set_index, way] = self._encode(tag, state)
 
     def install(self, set_index: int, tag: int, state: int):
         result = super().install(set_index, tag, self._encode(tag, state))
@@ -277,10 +279,8 @@ class EccTagStateDirectory(TagStateDirectory):
         are conservatively invalidated — the emulated line is refetched on
         its next reference, which only ever *overstates* the miss ratio.
         """
-        tags = self._tags[set_index]
-        states = self._states[set_index]
-        stored = states[way]
-        tag = tags[way]
+        stored = self._states.item(set_index, way)
+        tag = self._tags.item(set_index, way)
         word = (tag << STATE_BITS) | (stored & STATE_MASK)
         check = stored >> self._check_shift
         corrected, outcome = self._codec.decode(word, check)
@@ -295,7 +295,7 @@ class EccTagStateDirectory(TagStateDirectory):
             return outcome
         new_tag = corrected >> STATE_BITS
         new_state = corrected & STATE_MASK
-        duplicate = new_tag != tag and new_tag in tags
+        duplicate = new_tag != tag and new_tag in self.set_tags(set_index)
         if duplicate or not self._state_is_valid(new_state):
             # Correcting would collide with another resident line (the flip
             # let a second copy of the tag be installed meanwhile) or the
@@ -305,9 +305,8 @@ class EccTagStateDirectory(TagStateDirectory):
                 counters.increment("ecc.dropped")
             super().invalidate(set_index, way)
             return EccOutcome.UNCORRECTABLE
-        tags[way] = new_tag
-        states[way] = self._encode(new_tag, new_state)
-        self._rebuild_way_map(set_index)
+        self._tags[set_index, way] = new_tag
+        self._states[set_index, way] = self._encode(new_tag, new_state)
         if counters is not None:
             counters.increment("ecc.corrected")
         return outcome
@@ -339,24 +338,25 @@ class EccTagStateDirectory(TagStateDirectory):
         another way's tag or land outside the state alphabet.
         """
         uncorrectable = 0
-        for set_index in range(len(self._tags)):
-            tags = self._tags[set_index]
-            states = self._states[set_index]
-            for way in range(len(tags)):
-                stored = states[way]
-                word = (tags[way] << STATE_BITS) | (stored & STATE_MASK)
-                corrected, outcome = self._codec.decode(
-                    word, stored >> self._check_shift
-                )
-                if outcome is EccOutcome.CLEAN:
-                    continue
-                if outcome is EccOutcome.UNCORRECTABLE:
-                    uncorrectable += 1
-                    continue
-                new_tag = corrected >> STATE_BITS
-                duplicate = new_tag != tags[way] and new_tag in tags
-                if duplicate or not self._state_is_valid(corrected & STATE_MASK):
-                    uncorrectable += 1
+        sets, ways = np.nonzero(self._tags >= 0)
+        for set_index, tag, stored in zip(
+            sets.tolist(),
+            self._tags[sets, ways].tolist(),
+            self._states[sets, ways].tolist(),
+        ):
+            word = (tag << STATE_BITS) | (stored & STATE_MASK)
+            corrected, outcome = self._codec.decode(
+                word, stored >> self._check_shift
+            )
+            if outcome is EccOutcome.CLEAN:
+                continue
+            if outcome is EccOutcome.UNCORRECTABLE:
+                uncorrectable += 1
+                continue
+            new_tag = corrected >> STATE_BITS
+            duplicate = new_tag != tag and new_tag in self.set_tags(set_index)
+            if duplicate or not self._state_is_valid(corrected & STATE_MASK):
+                uncorrectable += 1
         return uncorrectable
 
     def scrub_set(
@@ -365,8 +365,8 @@ class EccTagStateDirectory(TagStateDirectory):
         """Verify every line of one set; returns lines examined."""
         examined = 0
         way = 0
-        # verify_line may drop lines, shrinking the list while we walk it.
-        while way < len(self._tags[set_index]):
+        # verify_line may drop lines, shrinking the set while we walk it.
+        while way < self.ways_in_set(set_index):
             outcome = self.verify_line(set_index, way, counters)
             examined += 1
             if outcome is not EccOutcome.UNCORRECTABLE:
@@ -388,15 +388,15 @@ class EccTagStateDirectory(TagStateDirectory):
         """
         if bit < 0 or bit >= self.stored_bits:
             raise ValidationError(f"bit index {bit} outside the stored word")
-        tags = self._tags[set_index]
-        states = self._states[set_index]
+        self._check_resident(set_index, way)
         if bit < STATE_BITS:
-            states[way] ^= 1 << bit
+            self._states[set_index, way] ^= 1 << bit
         elif bit < self._data_bits:
-            tags[way] ^= 1 << (bit - STATE_BITS)
-            self._rebuild_way_map(set_index)
+            self._tags[set_index, way] ^= 1 << (bit - STATE_BITS)
         else:
-            states[way] ^= 1 << (self._check_shift + (bit - self._data_bits))
+            self._states[set_index, way] ^= 1 << (
+                self._check_shift + (bit - self._data_bits)
+            )
 
 
 class DirectoryScrubber:

@@ -16,11 +16,12 @@ all sets together, as numpy lanes:
   axis.  Step *k* plays the rank-*k* tenure of every such lane; its
   tenures are one contiguous block, in lane order, and index the lane
   arrays with a slice.
-* **State.**  Each (lane, node) row holds the set's tag and state lists,
-  padded to ``assoc + 2`` columns: the ways, one spare column for the
-  step's probe tag and the row's new state, and one column that stays
-  empty (tag -1).  Lines are a prefix of the ways, as in the directory's
-  lists.
+* **State.**  Each (lane, node) row is gathered from the directory's
+  arrays by fancy indexing, padded to ``assoc + 2`` columns: the ways,
+  one spare column for the step's probe tag and the row's new state, and
+  one column that stays empty (tag -1).  Lines are a prefix of the ways,
+  as in the directory.  At chunk end the rows are scattered straight
+  back.
 * **Step.**  One tag compare plus ``argmax`` gives the hit way on every
   node (the spare always matches, so ``way == assoc`` is a miss).
   Transition-table gathers give the local and the peer outcomes.  One
@@ -35,26 +36,26 @@ all sets together, as numpy lanes:
 
 Sets the lanes cannot represent exactly replay on the loop instead, in
 their own order; they share no state with the lanes.  These are sets
-whose way map has fewer entries than the set has lines (a flipped tag
-that duplicates another leaves one: the map names only the first copy),
 that hold a state outside the protocol's complete transition rows, or
-whose PLRU bits lie outside the tables.  Groups with
+whose PLRU bits lie outside the tables.  A set holding a (corrupted)
+duplicate tag stays on the lanes: ``argmax`` finds the first copy, as
+the loop's ``list.index`` and the directory's probe do.  Groups with
 mixed set mappings or associativities, or with ``random`` replacement,
 have no lanes at all (:func:`plan`).
 
-The lanes pay a load and a write-back per touched (set, node) row, the
-loop a fixed cost per tenure, so the lanes pay only on deep chunks; the
-runner chooses (:func:`repro.memories.compiled._deep_chunk_sets`).
+The lanes pay a fixed cost per chunk and per step, the loop a fixed
+cost per tenure, so the lanes pay only on chunks long enough; the
+runner chooses (:data:`repro.memories.compiled.LOCKSTEP_MIN_TENURES`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from repro.bus.transaction import MAX_PROCESSOR_ID
+from repro.memories.cache_model import EMPTY_TAG
 from repro.memories.compiled import (
     _CASTOUT,
     _CID_EVICT_CLEAN,
@@ -83,7 +84,6 @@ from repro.memories.compiled import (
     COUNTER_NAMES,
 )
 
-_EMPTY = -1
 #: What a tenure broadcasts to the peers: nothing, a read, a write snoop.
 _POP_NONE, _POP_READ, _POP_WRITE = 0, 1, 2
 _POP_OPS = (None, _REMOTE_READ, _REMOTE_WRITE)
@@ -170,6 +170,7 @@ class SetLanes:
         self.nodes = nodes
         n_nodes = len(nodes)
         first = nodes[0]
+        self.off_bits = first.off_bits
         self.set_mask = first.set_mask
         self.tag_shift = first.tag_shift
         assoc = first.assoc
@@ -206,7 +207,8 @@ class SetLanes:
         peer_base = np.full(pshape, put, dtype=np.intp)
         peer_next = np.zeros(pshape, dtype=np.int8)
         peer_dirty = np.zeros(pshape, dtype=bool)
-        complete = np.zeros((n_nodes, _N_STATES), dtype=bool)
+        # One more column, always False, for states outside the table.
+        complete = np.zeros((n_nodes, _N_STATES + 1), dtype=bool)
         # By (node, cmd): the fill when a peer holds the line, and when
         # none does (castouts and writes fill the same either way).
         fill_shared = np.zeros((n_nodes, _N_CMDS), dtype=np.int8)
@@ -302,15 +304,18 @@ class SetLanes:
 
     # -- one chunk ------------------------------------------------------------ #
 
-    def run(self, sets, cpus, cmds, addrs, resps, nows, loop):
+    def run(self, cpus, cmds, addrs, resps, nows, loop):
         """Replay one chunk's admitted tenures; returns the unmapped-master
         tallies ``(reads, writes, last time)``, as ``loop`` does.
 
         ``loop(cpus, cmds, addrs, resps, nows)`` is the closed-form loop;
         it replays the tenures of the sets the lanes cannot represent.
-        Node counters and admission tallies are updated in place.
+        Node counters and admission tallies are updated in place, and the
+        lanes' rows go straight back into the directories' arrays.
         """
         n_nodes = len(self.nodes)
+        sets = ((addrs >> np.uint64(self.off_bits))
+                & np.uint64(self.set_mask)).astype(np.intp)
         local = self.node_of_cpu[cpus]
         # An unmapped processor's castout touches nothing (see the loop).
         keep = ~((local == n_nodes) & (cmds == _CASTOUT)
@@ -319,8 +324,7 @@ class SetLanes:
         touched = np.flatnonzero(depth)
         # Deepest first, so the lanes live at each step are a prefix.
         touched = touched[np.argsort(-depth[touched], kind="stable")]
-        tags, states, meta, ok = self._load(touched)
-        lane_sets = touched[ok]
+        lane_sets = touched[self._representable(touched)]
         lane_of_set = np.full(self.set_mask + 1, -1, dtype=np.int32)
         lane_of_set[lane_sets] = np.arange(lane_sets.shape[0])
         lanes = lane_of_set[sets]
@@ -334,82 +338,69 @@ class SetLanes:
             unmapped = loop(cpus[leftover], cmds[leftover], addrs[leftover],
                             resps[leftover], nows[leftover])
         if lane_sets.shape[0]:
-            # Only the lanes' own rows, in lane order.
-            keep_rows = np.repeat(ok, n_nodes)
-            tags, states = tags[keep_rows], states[keep_rows]
-            if meta is not None:
-                meta = meta[keep_rows]
-            written = np.zeros(tags.shape[0], dtype=bool)
+            tags, states, meta = self._gather(lane_sets)
             reads, writes, last = self._replay(
-                tags, states, meta, written, depth[lane_sets],
+                tags, states, meta, depth[lane_sets],
                 np.flatnonzero(on_lanes), lanes, local, cmds, addrs, resps,
                 nows,
             )
-            self._store(tags, states, meta, written, lane_sets)
+            # Scatter every lane row back (row = lane * nodes + node).
+            assoc = self.assoc
+            tags = tags.reshape(-1, n_nodes, assoc + 2)
+            states = states.reshape(-1, n_nodes, assoc + 2)
+            for n, node in enumerate(self.nodes):
+                directory = node.directory
+                directory._tags[lane_sets] = tags[:, n, :assoc]
+                directory._states[lane_sets] = states[:, n, :assoc]
+                if meta is not None:
+                    directory._meta[lane_sets] = meta[n::n_nodes]
             unmapped = (unmapped[0] + reads, unmapped[1] + writes,
                         max(unmapped[2], last))
         return unmapped
 
-    def _load(self, sets):
-        """Copy the given sets of every node into padded row arrays (row
-        = set position * nodes + node): tags, states, PLRU bits (or
-        None), and which sets the lanes can represent."""
-        nodes = self.nodes
-        n_nodes = len(nodes)
+    def _representable(self, sets) -> np.ndarray:
+        """Which of ``sets`` the lanes can hold on every node: every line
+        in a complete state and, under PLRU, tree bits in the tables."""
+        ok = np.ones(sets.shape[0], dtype=bool)
+        # States past the table's end index its all-False sentinel column.
+        last = self.complete.shape[1] - 1
+        for n, node in enumerate(self.nodes):
+            directory = node.directory
+            states = np.minimum(directory._states[sets], last)
+            ok &= np.all(
+                (directory._tags[sets] < 0) | self.complete[n, states], axis=1
+            )
+            if self.touch is not None:
+                meta = directory._meta[sets]
+                ok &= (meta >= 0) & (meta < 1 << self.assoc)
+        return ok
+
+    def _gather(self, sets):
+        """The rows of ``sets`` on every node (row = set position * nodes
+        + node), padded to ``assoc + 2`` columns: tags, states, and the
+        PLRU bits (or None)."""
+        n_nodes = len(self.nodes)
         assoc = self.assoc
-        width = assoc + 2
-        set_list = sets.tolist()
-
-        def by_row(per_set):  # [per_set of node n][s] in row order
-            columns = [per_set(node) for node in nodes]
-            return [column[s] for s in set_list for column in columns]
-
-        tag_lists = by_row(lambda node: node.tags)
-        n_rows = len(tag_lists)
-        lines = np.fromiter(map(len, tag_lists), dtype=np.intp, count=n_rows)
-        total = int(lines.sum())
-        # Line j of row r goes to column j of the padded row.
-        at = np.arange(total) + np.repeat(
-            np.arange(n_rows) * width - (np.cumsum(lines) - lines), lines
-        )
-        tags = np.full((n_rows, width), _EMPTY, dtype=np.int64)
-        tags.reshape(-1)[at] = np.fromiter(
-            chain.from_iterable(tag_lists), dtype=np.int64, count=total
-        )
-        del tag_lists
-        states = np.zeros((n_rows, width), dtype=np.int8)
-        states.reshape(-1)[at] = np.fromiter(
-            chain.from_iterable(by_row(lambda node: node.states)),
-            dtype=np.int8, count=total,
-        )
-        del at
-        # Every way-map key names a line of its set, so a map with one
-        # entry per line means distinct tags, each mapped to its position.
-        row_ok = lines == np.fromiter(
-            map(len, by_row(lambda node: node.ways)), dtype=np.intp,
-            count=n_rows,
-        )
-        node_of_row = np.arange(n_rows) % n_nodes
-        row_ok &= np.all(
-            (tags[:, :assoc] < 0)
-            | self.complete[node_of_row[:, None], states[:, :assoc]],
-            axis=1,
-        )
+        shape = (sets.shape[0], n_nodes, assoc + 2)
+        tags = np.full(shape, EMPTY_TAG, dtype=np.int64)
+        states = np.zeros(shape, dtype=np.int8)
+        for n, node in enumerate(self.nodes):
+            directory = node.directory
+            tags[:, n, :assoc] = directory._tags[sets]
+            states[:, n, :assoc] = directory._states[sets]
         meta = None
         if self.touch is not None:
-            metas = by_row(lambda node: node.meta)
-            in_table = [type(m) is int and 0 <= m < (1 << assoc)
-                        for m in metas]
-            row_ok &= np.array(in_table, dtype=bool)
-            meta = np.array([m if good else 0 for m, good in
-                             zip(metas, in_table)], dtype=np.int64)
-        return tags, states, meta, row_ok.reshape(-1, n_nodes).all(axis=1)
+            meta = np.stack(
+                [node.directory._meta[sets] for node in self.nodes], axis=1
+            ).reshape(-1)
+        return (tags.reshape(-1, assoc + 2), states.reshape(-1, assoc + 2),
+                meta)
 
-    def _replay(self, tags, states, meta, written, depths, picked, lanes,
-                local, cmds, addrs, resps, nows):
-        """Step the lanes (their rows updated in place, the rows written
-        marked in ``written``) through the tenures ``picked`` (chunk
-        indices, in chunk order); returns the unmapped-master tallies."""
+    def _replay(self, tags, states, meta, depths, picked, lanes, local,
+                cmds, addrs, resps, nows):
+        """Step the lanes (their rows updated in place) through the
+        tenures ``picked`` (chunk indices, in chunk order); returns the
+        unmapped-master tallies."""
         n_nodes = len(self.nodes)
         assoc = self.assoc
         width = assoc + 2
@@ -560,7 +551,6 @@ class SetLanes:
             # buffers allocated once: fresh arrays this size cost page
             # faults on every step).
             changed = np.flatnonzero(code_flat != identity)
-            written[changed] = True
             count = changed.shape[0]
             gather = gather_buf[:count]
             np.take(src, code_flat[changed], axis=0, out=gather)
@@ -640,34 +630,3 @@ class SetLanes:
             compiled.snoop_t = max(compiled.snoop_t, last_snoop[n])
         return (int(issued[n_nodes, _POP_READ]),
                 int(issued[n_nodes, _POP_WRITE]), last[n_nodes])
-
-    def _store(self, tags, states, meta, written, sets) -> None:
-        """Write the rows the lanes changed back into the directories'
-        lists and way maps.
-
-        Each new list and map replaces one that dies at once, so the
-        write-back leaves the garbage collector's counts where they were
-        (row lists made all at once would push the next board's set-up
-        into a full collection).
-        """
-        assoc = self.assoc
-        nodes = self.nodes
-        n_nodes = len(nodes)
-        rows = np.flatnonzero(written)
-        ways = tags[rows, :assoc]
-        lines = (ways >= 0).sum(1).tolist()
-        all_tags = ways.reshape(-1).tolist()
-        all_states = states[rows, :assoc].reshape(-1).tolist()
-        metas = meta[rows].tolist() if meta is not None else None
-        set_list = sets.tolist()
-        for i, row in enumerate(rows.tolist()):
-            s = set_list[row // n_nodes]
-            node = nodes[row % n_nodes]
-            start = i * assoc
-            stop = start + lines[i]
-            set_tags = all_tags[start:stop]
-            node.tags[s] = set_tags
-            node.states[s] = all_states[start:stop]
-            node.ways[s] = dict(zip(set_tags, range(stop - start)))
-            if metas is not None:
-                node.meta[s] = metas[i]

@@ -16,7 +16,7 @@ Figure 12 breakdown.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -1,9 +1,9 @@
 """Replacement policies for the emulated cache directories.
 
 The board's SDRAM directory stores replacement metadata next to each tag
-("state/Tag/LRU functions", Section 3.3).  Policies here operate directly on
-a set's parallel ``tags``/``states`` lists so the directory hot loop stays
-allocation-free:
+("state/Tag/LRU functions", Section 3.3).  Policies here operate on one
+set's resident lines as parallel ``tags``/``states`` lists, which the
+directory reads out of its arrays and writes back:
 
 * ``lru``    — true least-recently-used (move-to-front lists).
 * ``fifo``   — first-in first-out (insertion order, hits do not refresh).
@@ -25,9 +25,10 @@ from repro.common.errors import ConfigurationError
 class ReplacementPolicy:
     """Interface: stateless except for optional per-set metadata.
 
-    A policy may reorder the set's lists on :meth:`touch` (LRU does) and
-    must install new lines via :meth:`insert`, returning the evicted
-    ``(tag, state)`` pair when the set was full.
+    A policy may reorder the set's lists on :meth:`touch` (LRU does), and
+    then reports it through the new way it returns; it must install new
+    lines via :meth:`insert`, returning the evicted ``(tag, state)`` pair
+    when the set was full.
     """
 
     name = "abstract"

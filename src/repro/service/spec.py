@@ -16,7 +16,7 @@ both :class:`~repro.common.errors.ResourceError` → CLI exit code 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.errors import ConfigurationError
 from repro.memories.config import CacheNodeConfig

@@ -19,7 +19,7 @@ This module plays that role twice over:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.bus.trace import BusTrace, iter_decoded

@@ -58,7 +58,6 @@ from repro.supervisor.journal import RunJournal
 from repro.supervisor.spec import (
     ChaosPlan,
     SupervisedRunSpec,
-    statistics_digest,
 )
 from repro.supervisor.worker import worker_main
 from repro.telemetry.histogram import Histogram

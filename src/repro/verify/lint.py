@@ -40,6 +40,14 @@ walking every source file under a root (default ``src/repro``) with
     encoder and writes the same bytes (a checkpoint encoded about seven
     times faster).  Indented output is pure Python either way, so
     ``indent=`` calls stay quiet.
+``unused-import`` (RP107)
+    Every imported name is used somewhere in its module: as a name, the
+    root of an attribute chain, inside a string annotation, or listed in
+    ``__all__``.  Exempt: ``__init__.py`` (a package re-exports), the
+    ``__future__`` imports, ``import x as x`` re-exports, and imports
+    guarded by ``except ImportError`` (availability probes).  This is
+    pyflakes' F401, kept here because the repo lint runs where ruff
+    does not.
 
 The determinism rules (DT2xx — unsorted serialization, wall-clock
 escapes, unseeded entropy, ``hash()`` order dependence, unordered float
@@ -121,6 +129,7 @@ ALL_CHECKS: Tuple[str, ...] = (
     "mutable-default",
     "call-replication",
     "streaming-json-dump",
+    "unused-import",
     "unsorted-serialization",
     "wallclock-escape",
     "unseeded-entropy",
@@ -407,6 +416,7 @@ def _base_name(node: ast.expr) -> Optional[str]:
 # ---------------------------------------------------------------------- #
 
 def _lint_file(tree: ast.AST, ctx: FileLint, derived: Set[str]) -> None:
+    _lint_unused_imports(tree, ctx)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -653,3 +663,82 @@ def _is_mutable_default(node: ast.expr) -> bool:
         and not node.args
         and not node.keywords
     )
+
+
+def _lint_unused_imports(tree: ast.AST, ctx: FileLint) -> None:
+    """Flag imported names the module never uses (pyflakes F401)."""
+    if ctx.relative.rsplit("/", 1)[-1] == "__init__.py":
+        return
+    probes: Set[int] = set()  # imports guarded by except ImportError
+    imports: List[Tuple[ast.stmt, str, str]] = []  # (node, bound, shown)
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(
+            _catches_import_error(handler.type) for handler in node.handlers
+        ):
+            probes.update(
+                id(inner) for stmt in node.body for inner in ast.walk(stmt)
+            )
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is None:
+                    imports.append((node, alias.name.split(".")[0], alias.name))
+                elif alias.asname != alias.name:
+                    imports.append((node, alias.asname, alias.name))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.asname is None:
+                    imports.append((node, alias.name, alias.name))
+                elif alias.asname != alias.name:
+                    imports.append((node, alias.asname, alias.name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(_string_constants(node.value))
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            used.update(_names_in_string_annotation(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used.update(_names_in_string_annotation(node.returns))
+    for node, bound, shown in imports:
+        if bound not in used and id(node) not in probes:
+            ctx.error(
+                "unused-import",
+                f"'{shown}' imported but unused",
+                node.lineno,
+            )
+
+
+def _catches_import_error(handler: Optional[ast.expr]) -> bool:
+    if handler is None:
+        return False
+    names = handler.elts if isinstance(handler, ast.Tuple) else [handler]
+    return any(
+        _base_name(name) in ("ImportError", "ModuleNotFoundError")
+        for name in names
+    )
+
+
+def _string_constants(node: ast.AST) -> Iterable[str]:
+    return [
+        element.value for element in ast.walk(node)
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    ]
+
+
+def _names_in_string_annotation(annotation: Optional[ast.expr]) -> Set[str]:
+    """Names referenced by the quoted parts of an annotation."""
+    names: Set[str] = set()
+    if annotation is None:
+        return names
+    for text in _string_constants(annotation):
+        try:
+            parsed = ast.parse(text, mode="eval")
+        except SyntaxError:
+            continue
+        names.update(
+            node.id for node in ast.walk(parsed) if isinstance(node, ast.Name)
+        )
+    return names

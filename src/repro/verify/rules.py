@@ -52,6 +52,8 @@ RULES: Dict[str, RuleInfo] = {
         RuleInfo("RP106", "streaming-json-dump",
                  "json.dump() without indent=: the streaming encoder is "
                  "pure Python; write json.dumps() for the C encoder"),
+        RuleInfo("RP107", "unused-import",
+                 "imported name never used in its module (pyflakes F401)"),
         # -------------------------------------------------------------- #
         # Determinism analyzer (this PR)
         # -------------------------------------------------------------- #

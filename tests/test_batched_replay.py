@@ -25,11 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bus.trace import BusTrace, encode_arrays
+from repro.bus.trace import encode_arrays
 from repro.engines import ENGINES
-from repro.memories.batch import replay_with_runner
 from repro.memories.board import MemoriesBoard, board_for_machine
-from repro.memories.compiled import _protocol_runner
+from repro.memories.compiled import _protocol_runner, _replay_lent
 from repro.memories.config import CacheNodeConfig
 from repro.memories.counters import COUNTER_MASK
 from repro.memories.tx_buffer import TransactionBuffer
@@ -89,7 +88,7 @@ def replay_admission(board, words):
     """The protocol runner in per-tenure admission mode, forced past the
     compiled engine's chooser (which takes it only for buffers slower
     than the bus tenure or holding a backlog)."""
-    return replay_with_runner(
+    return _replay_lent(
         board, words, _protocol_runner(board.firmware, closed_form=False)
     )
 
@@ -200,7 +199,8 @@ class TestBatchedBitIdentity:
             board.replay_words(full_mix_words(3000, seed=21, address_space=1 << 20))
             for node in board.firmware.nodes:
                 directory = node.directory
-                for set_index, tags in enumerate(directory._tags):
+                for set_index in range(directory.config.num_sets):
+                    tags = directory.set_tags(set_index)
                     if len(tags) < 2:
                         continue
                     diff = tags[0] ^ tags[1]
@@ -228,7 +228,7 @@ class TestCompiledBitIdentity:
             # No chunk is deep enough for the set lanes: every one
             # replays on the closed-form loop.
             monkeypatch.setattr(
-                "repro.memories.compiled.LOCKSTEP_MIN_DEPTH", math.inf
+                "repro.memories.compiled.LOCKSTEP_MIN_TENURES", math.inf
             )
         words = full_mix_words(4000, seed=7)
         machine = machine_for(kind, replacement)
@@ -379,7 +379,7 @@ class TestOrderCouplingBoundary:
         # The divergence is real: the closed form, forced past the
         # guard, reports depth one.
         forced = make_board()
-        replay_with_runner(
+        _replay_lent(
             forced, words, _protocol_runner(forced.firmware, closed_form=True)
         )
         assert forced.firmware.nodes[0].buffer.stats.high_water == 1
@@ -426,17 +426,30 @@ class TestInertTickBoundary:
         assert forced.checkpoint() != scalar.checkpoint()
 
 
+class LaneCalls(list):
+    """The length of every chunk replayed on the set lanes; ``leftover``
+    counts the tenures of those chunks the lanes handed to the loop."""
+
+    leftover = 0
+
+
 @pytest.fixture
 def lockstep_calls(monkeypatch):
     """Counts the chunks replayed on the set lanes."""
     from repro.memories import lockstep
 
-    calls = []
+    calls = LaneCalls()
     run = lockstep.SetLanes.run
 
     def counted(self, *args):
-        calls.append(args[0].shape[0])
-        return run(self, *args)
+        *chunk, loop = args
+        calls.append(chunk[0].shape[0])
+
+        def counted_loop(*leftover):
+            calls.leftover += leftover[0].shape[0]
+            return loop(*leftover)
+
+        return run(self, *chunk, counted_loop)
 
     monkeypatch.setattr(lockstep.SetLanes, "run", counted)
     return calls
@@ -446,7 +459,7 @@ def lockstep_calls(monkeypatch):
 def forced_lockstep(monkeypatch, lockstep_calls):
     """Every chunk of a group with a lockstep form runs on the lanes."""
     monkeypatch.setattr(
-        "repro.memories.compiled.LOCKSTEP_MIN_DEPTH", 0
+        "repro.memories.compiled.LOCKSTEP_MIN_TENURES", 0
     )
     return lockstep_calls
 
@@ -454,12 +467,12 @@ def forced_lockstep(monkeypatch, lockstep_calls):
 def replay_forced_lanes(board, words):
     """The closed-form runner with set lanes, past the engine's guards."""
     runner = _protocol_runner(board.firmware, closed_form=True, set_lanes=True)
-    return replay_with_runner(board, words, runner)
+    return _replay_lent(board, words, runner)
 
 
 def assert_lanes_identical(make_board, words, chunks=3):
     """Scalar against the forced set lanes, chunk by chunk; a last part
-    replays in admission mode, whose probes read the way maps the lanes
+    replays in admission mode, whose probes read the rows the lanes
     wrote back."""
     scalar = make_board()
     scalar.batched_replay = False
@@ -497,8 +510,9 @@ class TestSetLockstep:
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
     def test_flipped_duplicate_tags(self, forced_lockstep, replacement):
-        """Sets holding a duplicated tag replay on the loop, the rest on
-        the lanes, and together they match scalar."""
+        """Sets holding a duplicated tag replay on the lanes like every
+        other set (none is left to the loop), and match scalar down to
+        the checkpoint."""
         words = full_mix_words(2500, seed=5, address_space=1 << 20)
         machine = machine_for("split", replacement)
 
@@ -510,7 +524,8 @@ class TestSetLockstep:
             )
             for node in board.firmware.nodes:
                 directory = node.directory
-                for set_index, tags in enumerate(directory._tags):
+                for set_index in range(directory.config.num_sets):
+                    tags = directory.set_tags(set_index)
                     if len(tags) >= 2 and set_index % 3 == 0:
                         diff = tags[0] ^ tags[1]
                         for bit in range(diff.bit_length()):
@@ -519,13 +534,19 @@ class TestSetLockstep:
             board.batched_replay = True
             return board
 
-        assert_lanes_identical(make_board, words)
+        _scalar, lanes = assert_lanes_identical(make_board, words)
         assert forced_lockstep
+        assert forced_lockstep.leftover == 0
+        flipped = lanes.firmware.nodes[0].directory
+        assert any(
+            len(set(tags)) < len(tags)
+            for tags in map(flipped.set_tags, range(flipped.config.num_sets))
+        )
 
     def test_duplicate_tag_follows_the_way_map(self, forced_lockstep):
-        """An LRU hit behind two copies of a tag moves both; the way map
-        must stay on the first copy, as scalar's does, so a later probe
-        finds the same line on every path."""
+        """An LRU hit behind two copies of a tag moves both; a probe must
+        stay on the first copy, as scalar's does, so a later probe finds
+        the same line on every path.  The set replays on the lanes."""
         machine = machine_for("split")
         line = lambda tag: tag << 15  # set 0 of the 256-set nodes
 
@@ -543,7 +564,7 @@ class TestSetLockstep:
             # Reads fill tags 1..4, a write makes tag 3 dirty and MRU.
             board.replay_words(records((0, 1), (0, 2), (0, 3), (0, 4), (1, 3)))
             directory = board.firmware.nodes[0].directory
-            assert directory._tags[0] == [3, 4, 2, 1]
+            assert directory.set_tags(0) == [3, 4, 2, 1]
             for bit in range(3):  # 4 -> 3: two copies, first one dirty
                 directory.inject_bit_flip(0, 1, bit)
             board.batched_replay = True
@@ -554,6 +575,7 @@ class TestSetLockstep:
             make_board, records((0, 1), (1, 3), (0, 3)), chunks=2
         )
         assert forced_lockstep
+        assert forced_lockstep.leftover == 0
         assert lanes.statistics()["node0.hit_state.EXCLUSIVE"] >= 1
 
     def test_unmapped_masters_on_a_degraded_board(self, forced_lockstep):
@@ -618,7 +640,7 @@ class TestSetLockstep:
 
 
 class TestLockstepChooser:
-    """Which chunks take the set lanes: deep ones, on groups that have a
+    """Which chunks take the set lanes: long ones, on groups that have a
     lockstep form."""
 
     @staticmethod
@@ -629,22 +651,29 @@ class TestLockstepChooser:
     def test_deep_chunk_takes_lanes_shallow_segment_the_loop(
         self, lockstep_calls, monkeypatch
     ):
+        from repro.memories.compiled import LOCKSTEP_MIN_TENURES
+
         machine = self.split4()
         words = full_mix_words(200_000, seed=3, address_space=4 << 20)
         segment = full_mix_words(5_000, seed=4, address_space=4 << 20)
+        short = full_mix_words(400, seed=5, address_space=4 << 20)
         lanes = board_for_machine(machine, seed=1)
         lanes.replay_words(words)
         assert len(lockstep_calls) == 1
-        lanes.replay_words(segment)  # a warm 5k-record segment
-        assert len(lockstep_calls) == 1
+        lanes.replay_words(segment)  # a warm 5k-record segment: lanes too
+        assert len(lockstep_calls) == 2
+        assert lockstep_calls[1] >= LOCKSTEP_MIN_TENURES
+        lanes.replay_words(short)  # too few admitted tenures: the loop
+        assert len(lockstep_calls) == 2
         # The loop alone reaches the same state.
         monkeypatch.setattr(
-            "repro.memories.compiled.LOCKSTEP_MIN_DEPTH", float("inf")
+            "repro.memories.compiled.LOCKSTEP_MIN_TENURES", float("inf")
         )
         loop = board_for_machine(machine, seed=1)
         loop.replay_words(words)
         loop.replay_words(segment)
-        assert len(lockstep_calls) == 1
+        loop.replay_words(short)
+        assert len(lockstep_calls) == 2
         assert loop.checkpoint() == lanes.checkpoint()
 
     def test_random_has_no_lanes(self, forced_lockstep):
@@ -698,6 +727,7 @@ class TestLockstepChooser:
 
         assert_paths_identical(make_board, words, engine="compiled")
         assert forced_lockstep
+        assert forced_lockstep.leftover > 0
 
 
 class TestTelemetryChunking:

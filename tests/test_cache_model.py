@@ -114,6 +114,16 @@ class TestWholeDirectory:
                 directory.install(s, t, 1)
         directory.check_invariants()
 
+    def test_bit_flip_of_an_empty_way_is_refused(self):
+        from repro.common.errors import EmulationError
+
+        directory = make_directory(size=4 * 128, assoc=4)
+        s, t, _ = directory.probe(0)
+        directory.install(s, t, 1)
+        with pytest.raises(EmulationError, match="no line at way 1"):
+            directory.inject_bit_flip(s, 1, 0)
+        directory.check_invariants()
+
 
 @st.composite
 def directory_ops(draw):
@@ -225,13 +235,25 @@ class TestPerSetMetadata:
 
 
 class TestWayMapCoherence:
-    """The O(1) tag->way map must agree with the tag lists at all times."""
+    """The directory rows keep their invariants at all times: each set's
+    lines are a prefix of its row, and a probe finds a tag at its first
+    occurrence."""
+
+    @staticmethod
+    def assert_rows(directory, set_index):
+        """One set's row invariants, duplicates allowed."""
+        row = directory._tags[set_index].tolist()
+        tags = directory.set_tags(set_index)
+        assert row == tags + [-1] * (len(row) - len(tags)), row
+        assert all(tag >= 0 for tag in tags), row
+        for tag in tags:
+            address = directory.amap.rebuild(tag, set_index)
+            assert directory.probe(address)[2] == tags.index(tag)
 
     def assert_map_matches_scan(self, directory):
         directory.check_invariants()
-        for set_index, tags in enumerate(directory._tags):
-            for tag in tags:
-                assert directory._ways[set_index][tag] == tags.index(tag)
+        for set_index in range(directory.config.num_sets):
+            self.assert_rows(directory, set_index)
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
     def test_map_tracks_mixed_traffic(self, replacement):
@@ -261,8 +283,8 @@ class TestWayMapCoherence:
         directory.inject_bit_flip(0, 1, 3)
         self.assert_map_matches_scan(directory)
         # The flipped tag is findable at its corrupted value.
-        corrupted = directory._tags[0][1]
-        assert directory._ways[0][corrupted] == 1
+        corrupted = directory.set_tags(0)[1]
+        assert directory.probe(directory.amap.rebuild(corrupted, 0))[2] == 1
 
     def test_map_rebuilt_by_state_roundtrip(self):
         directory = make_directory(size=8 * 128, assoc=2)
@@ -273,29 +295,32 @@ class TestWayMapCoherence:
         fresh = make_directory(size=8 * 128, assoc=2)
         fresh.load_state_dict(directory.state_dict())
         self.assert_map_matches_scan(fresh)
+        assert fresh._tags.tolist() == directory._tags.tolist()
+        assert fresh._states.tolist() == directory._states.tolist()
         for i in range(10):
             assert fresh.probe(i * 128) == directory.probe(i * 128)
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
     def test_duplicate_tags_keep_first_occurrence(self, replacement):
         """Sets holding a (corrupted) duplicate tag: after every touch,
-        invalidate and install the map equals the one a rebuild makes,
-        first occurrence winning, as a checkpoint restore rebuilds it."""
+        invalidate and install the row keeps its lines a prefix and a
+        probe finds each tag at its first occurrence, as a checkpoint
+        restore of the same row does."""
         seeds = [[5, 5, 7, 9], [7, 5, 5, 9], [5, 7, 5, 9], [7, 9, 5, 5],
                  [5, 7, 9, 5], [5, 5, 5, 7], [5, 5]]
 
         def seeded(tags):
             directory = make_directory(size=8 * 128, assoc=4,
                                        replacement=replacement)
-            directory._tags[0] = list(tags)
-            directory._states[0] = [1] * len(tags)
-            directory._rebuild_way_map(0)
+            directory._put_row(0, list(tags), [1] * len(tags))
             return directory
 
         def assert_rebuilt(directory, action):
-            ways = dict(directory._ways[0])
-            directory._rebuild_way_map(0)
-            assert ways == directory._ways[0], (action, directory._tags[0])
+            self.assert_rows(directory, 0)
+            restored = make_directory(size=8 * 128, assoc=4,
+                                      replacement=replacement)
+            restored.load_state_dict(directory.state_dict())
+            assert restored._tags.tolist() == directory._tags.tolist(), action
 
         for tags in seeds:
             for way in range(len(tags)):
@@ -311,7 +336,7 @@ class TestWayMapCoherence:
             # A run of operations, checked after each one.
             directory = seeded(tags)
             for tag in (9, 5, 7, 11, 5, 13):
-                way = directory._ways[0].get(tag, -1)
+                way = directory.probe(directory.amap.rebuild(tag, 0))[2]
                 if way < 0:
                     directory.install(0, tag, 1)
                     action = "install"
@@ -329,6 +354,18 @@ class TestWayMapCoherence:
         directory = make_directory(size=4 * 128, assoc=2)
         set_index, tag, _ = directory.probe(0)
         directory.install(set_index, tag, 1)
-        directory._ways[set_index][tag] = 1  # corrupt: points past the line
-        with pytest.raises(EmulationError, match="out of sync"):
+        directory.check_invariants()
+        # An empty way before a tag: the line is no longer in the prefix.
+        directory._tags[set_index] = [-1, tag]
+        directory._states[set_index] = [0, 1]
+        with pytest.raises(EmulationError, match="not a prefix"):
+            directory.check_invariants()
+        # A duplicate tag.
+        directory._tags[set_index] = [tag, tag]
+        directory._states[set_index] = [1, 1]
+        with pytest.raises(EmulationError, match="duplicate tags"):
+            directory.check_invariants()
+        # A state left in an empty way.
+        directory._tags[set_index] = [tag, -1]
+        with pytest.raises(EmulationError, match="empty way"):
             directory.check_invariants()

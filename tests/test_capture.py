@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bus.transaction import BusCommand
 from repro.experiments.pipeline import capture_records, l3_size_sweep
 from repro.host.smp import HostConfig
 from repro.memories.config import CacheNodeConfig

@@ -27,7 +27,7 @@ from repro.faults import (
     save_checkpoint,
 )
 from repro.memories.board import board_for_machine
-from repro.memories.cache_model import unpack_directory
+from repro.memories.cache_model import unpack_directory, unpack_rows
 from repro.memories.config import CacheNodeConfig
 from repro.memories.ecc import STATE_MASK
 from repro.supervisor import statistics_digest
@@ -67,7 +67,7 @@ def rewrite_as_v2(path):
     CRC over the canonical sorted-key encoding)."""
     payload = load_checkpoint_payload(path)
     for node in payload["state"]["firmware"]["nodes"]:
-        tags, states, meta = unpack_directory(node["directory"])
+        tags, states, meta = unpack_rows(node["directory"])
         node["directory"] = {"tags": tags, "states": states, "meta": meta}
     body = {
         key: value for key, value in payload.items()

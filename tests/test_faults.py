@@ -287,7 +287,7 @@ class TestCheckpoint:
         straight.replay_words(records(
             (read, 1), (read, 2), (read, 3), (read, 4), (rwitm, 3)
         ))
-        assert directory._tags[0] == [3, 4, 2, 1]
+        assert directory.set_tags(0) == [3, 4, 2, 1]
         for bit in range(3):  # way 1: 4 -> 3, a clean copy behind a dirty one
             directory.inject_bit_flip(0, 1, bit)
         straight.replay_words(records((read, 1)))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bus.bus import SystemBus
-from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
 from repro.common.errors import ConfigurationError
 from repro.host.cache import MESIState, SnoopingCache
 

@@ -7,7 +7,7 @@ from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
 from repro.common.errors import ConfigurationError
 from repro.host.memory import MemoryController
 from repro.host.processor import Processor
-from repro.host.smp import HostConfig, HostSMP, S7A_HOST
+from repro.host.smp import HostConfig, S7A_HOST
 
 
 class TestHostConfig:

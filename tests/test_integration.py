@@ -1,6 +1,5 @@
 """End-to-end integration tests across the whole stack."""
 
-import numpy as np
 import pytest
 
 from repro.bus.trace import TraceReader

@@ -5,7 +5,7 @@ import pytest
 from repro.bus.transaction import BusCommand, SnoopResponse
 from repro.memories.config import CacheNodeConfig
 from repro.memories.node_controller import NodeController
-from repro.memories.protocol_table import CacheOp, LineState
+from repro.memories.protocol_table import LineState
 from repro.memories.tx_buffer import TransactionBuffer
 
 

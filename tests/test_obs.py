@@ -30,7 +30,6 @@ from repro.service import (
     ServiceConfig,
     SessionRequest,
     SessionState,
-    synthetic_words,
 )
 from repro.service.metrics import service_exposition
 from repro.supervisor import ChaosPlan, RunSupervisor, SupervisedRunSpec

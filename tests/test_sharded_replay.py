@@ -25,7 +25,6 @@ from repro.memories.counters import COUNTER_MASK
 from repro.target.configs import (
     multi_config_machine,
     single_node_machine,
-    split_smp_machine,
 )
 
 from tests.test_batched_replay import full_mix_words, machine_for

@@ -1,9 +1,8 @@
 """Tests for the trace-driven software cache simulator."""
 
-import numpy as np
 import pytest
 
-from repro.bus.trace import BusTrace, encode_arrays
+from repro.bus.trace import BusTrace
 from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
 from repro.common.errors import ConfigurationError
 from repro.memories.config import CacheNodeConfig

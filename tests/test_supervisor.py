@@ -31,7 +31,6 @@ from repro.supervisor import (
     SupervisedRunSpec,
     SupervisorError,
     render_status,
-    statistics_digest,
 )
 from repro.target.configs import single_node_machine, split_smp_machine
 

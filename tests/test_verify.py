@@ -355,7 +355,7 @@ class TestRepoLint:
 
     def test_random_allowed_in_rng_module(self, tmp_path):
         report = self.lint_source(
-            tmp_path, "common/rng.py", "import random\n"
+            tmp_path, "common/rng.py", "import random\n\nSTREAM = random.Random\n"
         )
         assert report.ok, report.render()
 

@@ -40,7 +40,7 @@ import numpy as np
 from _smoke import SmokeChecks, synthetic_words
 
 from repro.faults import find_latest_checkpoint, load_checkpoint_payload
-from repro.memories.cache_model import unpack_directory
+from repro.memories.cache_model import unpack_rows
 from repro.memories.config import CacheNodeConfig
 from repro.supervisor import (
     ChaosPlan,
@@ -86,7 +86,7 @@ def _rewrite_as_v2(path: Path) -> None:
     """Rewrite a checkpoint in the version-2 layout."""
     payload = load_checkpoint_payload(path)
     for node in payload["state"]["firmware"]["nodes"]:
-        tags, states, meta = unpack_directory(node["directory"])
+        tags, states, meta = unpack_rows(node["directory"])
         node["directory"] = {"tags": tags, "states": states, "meta": meta}
     body = {
         key: value for key, value in payload.items()

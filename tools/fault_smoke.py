@@ -52,7 +52,7 @@ def _flip_into_duplicates(board) -> int:
         for set_index in range(directory.config.num_sets):
             if directory.ways_in_set(set_index) < 2:
                 continue
-            tags = directory._tags[set_index]
+            tags = directory.set_tags(set_index)
             diff = tags[0] ^ tags[1]
             for bit in range(diff.bit_length()):
                 if diff >> bit & 1:

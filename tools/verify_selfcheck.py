@@ -118,6 +118,13 @@ CORPUS: List[Tuple[str, str, Callable[[dict], None], str]] = [
 #: inside the scoped tree.
 LINT_CORPUS: List[Tuple[str, ...]] = [
     (
+        "imported name never used",
+        "from typing import List, Optional\n\n"
+        "def first(items: List[int]):\n"
+        "    return items[0]\n",
+        "RP107",
+    ),
+    (
         "mutable default argument",
         "def extend(item, acc=[]):\n"
         "    acc.append(item)\n"
@@ -243,6 +250,20 @@ LINT_CORPUS: List[Tuple[str, ...]] = [
 #: untouched — the deterministic spelling of each defect above, plus an
 #: inline suppression.  These prove the rules stay quiet on correct code.
 CLEAN_CORPUS: List[Tuple[str, ...]] = [
+    (
+        "imports used by a quoted annotation, __all__ and an attribute, "
+        "and an availability probe",
+        "import os.path\n"
+        "from typing import Optional\n\n"
+        "from repro.common.errors import ReproError\n\n"
+        "try:\n"
+        "    import numba\n"
+        "except ImportError:\n"
+        "    pass\n\n"
+        "__all__ = ['ReproError']\n\n"
+        "def join(name) -> 'Optional[str]':\n"
+        "    return os.path.join('.', name)\n",
+    ),
     (
         "one-shot json.dumps and an indented report dump",
         "import json\n\n"
