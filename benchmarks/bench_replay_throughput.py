@@ -1,11 +1,10 @@
-"""Benchmark: replay throughput — scalar vs compiled vs sharded.
+"""Benchmark: replay throughput — scalar vs compiled.
 
 The compiled replay engine's acceptance bar is a >= 3x records/sec
 speedup over the scalar reference path on the standard benchmark
-workload.  All three engines must land on bit-identical board
-statistics.  The full report (the same shape
-``tools/bench_smoke.py`` writes to ``BENCH_replay.json``) goes into
-``benchmark.extra_info``.
+workload.  Both engines must land on bit-identical board statistics.
+The full report (the same shape ``tools/bench_smoke.py`` writes to
+``BENCH_replay.json``) goes into ``benchmark.extra_info``.
 """
 
 import json
@@ -17,16 +16,13 @@ from repro.experiments.replay_bench import run_replay_benchmark
 
 RECORDS = 150_000
 SEED = 2000
-SHARDS = 4
 REPEATS = 3
 
 
 def test_bench_replay_throughput(benchmark):
     report = run_once(
         benchmark,
-        lambda: run_replay_benchmark(
-            RECORDS, seed=SEED, shards=SHARDS, repeats=REPEATS
-        ),
+        lambda: run_replay_benchmark(RECORDS, seed=SEED, repeats=REPEATS),
     )
     print()
     for name, entry in report["engines"].items():

@@ -21,7 +21,7 @@ Commands (also shown by ``help``)::
     miss-ratios                                  per-node miss ratios
     save-trace <path> <n_records>                capture and dump a trace
     verify                                       verify the current programming
-    engines [shards]                             replay-engine capability decisions
+    engines                                      replay-engine capability decisions
     faults                                       resilience report for the board
     watch [every_transactions]                   live telemetry dashboard
     supervise <run_dir>                          supervised-run journal status
@@ -36,8 +36,8 @@ Static verification also runs stand-alone, before any board exists::
     python -m repro.cli verify repo [dir ...] [--profile P]
         [--format text|json|sarif] [--output FILE]
         [--baseline FILE] [--update-baseline]
-    python -m repro.cli verify engines [programming.json] [--shards N]
-        [--cache SIZE] [--expect a,b]
+    python -m repro.cli verify engines [programming.json] [--cache SIZE]
+        [--expect a,b]
 
 So do seeded fault-injection campaigns (see :mod:`repro.faults`)::
 
@@ -172,7 +172,7 @@ class ConsoleSession:
             "reset": self._cmd_console_passthrough,
             "describe": self._cmd_console_passthrough,
             "verify": self._cmd_console_passthrough,
-            "engines": self._cmd_engines,
+            "engines": self._cmd_console_passthrough,
             "faults": self._cmd_console_passthrough,
             "watch": self._cmd_watch,
             "supervise": self._cmd_supervise,
@@ -327,10 +327,6 @@ class ConsoleSession:
     def _cmd_watch(self, args: List[str]) -> str:
         """One frame of the console's live telemetry dashboard."""
         return self.console.execute(" ".join(["watch", *args]))
-
-    def _cmd_engines(self, args: List[str]) -> str:
-        """Replay-engine capability decisions for the attached board."""
-        return self.console.execute(" ".join(["engines", *args]))
 
     def _cmd_supervise(self, args: List[str]) -> str:
         """Journal status of a supervised run directory."""
@@ -531,9 +527,6 @@ def _verify_engines_main(args: List[str]) -> int:
         "programming", nargs="?", default=None,
         help="saved board programming JSON (default: the bench machine)")
     parser.add_argument(
-        "--shards", type=int, default=4,
-        help="shard spec to prove the sharded engine against (default 4)")
-    parser.add_argument(
         "--cache", default="64MB",
         help="paper-scale L3 size for the default machine (default 64MB)")
     parser.add_argument(
@@ -551,7 +544,7 @@ def _verify_engines_main(args: List[str]) -> int:
         machine = single_node_machine(
             scale.cache(ns.cache), n_cpus=scale.n_cpus
         )
-    decisions = decide_all(machine=machine, shards=ns.shards)
+    decisions = decide_all(machine=machine)
     expected = (
         {name.strip() for name in ns.expect.split(",") if name.strip()}
         if ns.expect is not None
@@ -1232,12 +1225,12 @@ def bench_main(argv: List[str]) -> int:
     """The ``bench`` subcommand: replay-engine throughput A/B.
 
     Replays one deterministic synthetic trace through the scalar
-    reference loop, the compiled engine and the sharded worker pool (see
+    reference loop and the compiled engine (see
     :mod:`repro.experiments.replay_bench`), prints records/sec for each
     (best of ``--repeats``), and optionally writes the JSON report CI
-    archives as ``BENCH_replay.json``.  The
-    digests are the point: a non-zero exit means the engines' statistics
-    diverged, which is a correctness failure, not a slow run.
+    archives as ``BENCH_replay.json``.  The digests are the point: a
+    non-zero exit means the engines' statistics diverged, which is a
+    correctness failure, not a slow run.
     """
     import argparse
     import json
@@ -1250,9 +1243,7 @@ def bench_main(argv: List[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli bench",
-        description=(
-            "replay throughput: scalar vs compiled vs sharded"
-        ),
+        description="replay throughput: scalar vs compiled",
     )
     parser.add_argument(
         "--records", type=int, default=DEFAULT_RECORDS,
@@ -1260,12 +1251,6 @@ def bench_main(argv: List[str]) -> int:
     parser.add_argument(
         "--seed", type=int, default=2000,
         help="workload and replacement-policy seed (default 2000)")
-    parser.add_argument(
-        "--shards", type=int, default=4,
-        help="worker shards for the sharded engine (default 4)")
-    parser.add_argument(
-        "--inline-shards", action="store_true",
-        help="replay the shards inline instead of in worker processes")
     parser.add_argument(
         "--repeats", type=int, default=1,
         help="timing repeats per engine; best-of-N is reported (default 1)")
@@ -1275,8 +1260,7 @@ def bench_main(argv: List[str]) -> int:
     ns = parser.parse_args(argv)
 
     report = run_replay_benchmark(
-        ns.records, seed=ns.seed, shards=ns.shards,
-        sharded_processes=not ns.inline_shards, repeats=ns.repeats,
+        ns.records, seed=ns.seed, repeats=ns.repeats
     )
     for name, entry in report["engines"].items():
         print(

@@ -37,6 +37,13 @@ class AddressMap:
     Attributes:
         line_size: cache line size in bytes; must be a power of two.
         num_sets: number of sets in the cache; must be a power of two.
+        offset_bits: number of address bits covered by the line offset.
+        index_bits: number of address bits covered by the set index.
+
+    ``offset_bits`` and ``index_bits`` are derived once, when the map is
+    built, because every cache lookup slices with them.  They are plain
+    instance attributes, not dataclass fields, so equality, hashing and
+    ``repr`` still see only the geometry.
     """
 
     line_size: int
@@ -47,16 +54,8 @@ class AddressMap:
             raise ValidationError(f"line size {self.line_size} is not a power of two")
         if not is_power_of_two(self.num_sets):
             raise ValidationError(f"set count {self.num_sets} is not a power of two")
-
-    @property
-    def offset_bits(self) -> int:
-        """Number of address bits covered by the line offset."""
-        return log2_int(self.line_size)
-
-    @property
-    def index_bits(self) -> int:
-        """Number of address bits covered by the set index."""
-        return log2_int(self.num_sets)
+        object.__setattr__(self, "offset_bits", log2_int(self.line_size))
+        object.__setattr__(self, "index_bits", log2_int(self.num_sets))
 
     def line_address(self, address: int) -> int:
         """The line-aligned address containing ``address``."""

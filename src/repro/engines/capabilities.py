@@ -1,10 +1,10 @@
 """The capability vocabulary and the static capability prover.
 
-A *capability* is a property of a programmed board (plus, for sharding,
-a shard spec) that an engine's bit-identity argument depends on.  The
-prover derives the granted set by inspecting the configuration — never
-by running it — so engine eligibility is known before the first record
-replays, and every denial carries the concrete reason.
+A *capability* is a property of a programmed board that a replay
+path's bit-identity argument depends on.  The prover derives the granted
+set by inspecting the configuration — never by running it — so engine
+eligibility and the compiled engine's runner are known before the first
+record replays, and every denial carries the concrete reason.
 
 The capability semantics (each is the precondition of a proof obligation
 discharged in the engine's module docstring and test suite):
@@ -19,8 +19,10 @@ discharged in the engine's module docstring and test suite):
     own cache set.  Denied by ``random`` replacement (victims come from
     one board-wide RNG stream whose draw order is global) and by the
     SDRAM timing model (service times depend on global access order).
-    Sharded replay splits sets across workers on it; the compiled
-    engine's set-lockstep form steps all sets of a chunk at once on it.
+    No engine requires it: where it is granted,
+    :func:`~repro.memories.compiled.replay_words_compiled` may step all
+    sets of a deep chunk at once as numpy lanes, and where it is denied
+    the compiled runner walks the chunk tenure by tenure.
 ``NO_GLOBAL_ORDER_COUPLING``
     Every transaction buffer's service time is at most the bus tenure.
     Float addition is monotone, so a finish time ``t + service`` is at
@@ -30,21 +32,17 @@ discharged in the engine's module docstring and test suite):
     admissions, the queue holds only the last admission's ``t +
     service``, high-water is one, nothing is rejected — so it depends on
     how many admissions a node saw and when the last was, not on their
-    global order.  Where it is granted the compiled engine settles
-    buffers this way per chunk, and where it is denied it replays every
-    buffer offer in tenure order instead; sharding relies on it to split
-    records across workers.
-``SHARD_DECOMPOSABLE_SETS``
-    The shard index field fits inside **every** node's set-index field,
-    so no cache set is split across workers.  Only provable against a
-    concrete :class:`ShardSpec`.
+    global order.  No engine requires it either: where it is granted
+    :func:`~repro.memories.compiled.replay_words_compiled` settles
+    buffers in this closed form per chunk, and where it is denied it
+    replays every buffer offer in tenure order instead.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 class Capability(enum.Enum):
@@ -54,54 +52,23 @@ class Capability(enum.Enum):
     INERT_BACKGROUND_TICK = "inert_background_tick"
     PER_SET_INDEPENDENCE = "per_set_independence"
     NO_GLOBAL_ORDER_COUPLING = "no_global_order_coupling"
-    SHARD_DECOMPOSABLE_SETS = "shard_decomposable_sets"
 
     def __str__(self) -> str:  # readable in f-strings and reports
         return self.value
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """A requested set-interleaved decomposition: ``shards`` workers.
-
-    Structural validity (power-of-two count) is checked by the prover
-    and reported under rule ``EN302`` — it is a property of the request,
-    not of the machine.
-    """
-
-    shards: int
-
-    @property
-    def shard_bits(self) -> int:
-        return max(self.shards.bit_length() - 1, 0)
-
-    def structural_errors(self) -> List[str]:
-        if self.shards < 1 or (self.shards & (self.shards - 1)) != 0:
-            return [
-                f"shard count must be a power of two, got {self.shards}"
-            ]
-        return []
-
-
 @dataclass
 class CapabilityProof:
-    """The prover's verdict for one board (+ optional shard spec).
+    """The prover's verdict for one board.
 
     Attributes:
         granted: capabilities the configuration provides.
         denials: capability -> reasons it was denied (one entry per
             violating feature, so a report can name all of them).
-        structural: shard-spec errors that are not capability denials
-            (``EN302``).
-        shard_shift: the address bit where the shard index field starts
-            (the widest line-offset field across nodes); 0 when no nodes
-            or no spec.
     """
 
     granted: frozenset = frozenset()
     denials: Dict[Capability, List[str]] = field(default_factory=dict)
-    structural: List[str] = field(default_factory=list)
-    shard_shift: int = 0
 
     def grants(self, capability: Capability) -> bool:
         return capability in self.granted
@@ -110,17 +77,13 @@ class CapabilityProof:
         return tuple(self.denials.get(capability, ()))
 
 
-def prove_capabilities(
-    board, spec: Optional[ShardSpec] = None
-) -> CapabilityProof:
+def prove_capabilities(board) -> CapabilityProof:
     """Statically evaluate which capabilities ``board`` grants.
 
     ``board`` is a programmed :class:`~repro.memories.board.MemoriesBoard`
     (build one from a machine with
     :func:`~repro.memories.board.board_for_machine`); nothing is
-    replayed or mutated.  Without a ``spec``,
-    :attr:`~Capability.SHARD_DECOMPOSABLE_SETS` is denied as unprovable
-    rather than assumed.
+    replayed or mutated.
     """
     proof = CapabilityProof()
     denials: Dict[Capability, List[str]] = {}
@@ -148,12 +111,11 @@ def prove_capabilities(
 
     nodes = list(getattr(board.firmware, "nodes", []))
     if not nodes:
-        reason = (
+        deny(
+            Capability.PER_SET_INDEPENDENCE,
             "firmware exposes no cache nodes; per-set decomposition is "
-            "undefined for this image"
+            "undefined for this image",
         )
-        deny(Capability.PER_SET_INDEPENDENCE, reason)
-        deny(Capability.SHARD_DECOMPOSABLE_SETS, reason)
 
     # PER_SET_INDEPENDENCE — no feature may couple decisions across sets.
     for node in nodes:
@@ -188,39 +150,8 @@ def prove_capabilities(
             "occupancy would depend on global arrival order",
         )
 
-    # SHARD_DECOMPOSABLE_SETS — the shard field must sit inside every
-    # node's set-index field.
-    shard_shift = 0
-    for node in nodes:
-        shard_shift = max(shard_shift, node.directory.amap.offset_bits)
-    structural: List[str] = []
-    if spec is None:
-        if nodes:
-            deny(
-                Capability.SHARD_DECOMPOSABLE_SETS,
-                "no shard spec given; decomposability is only provable "
-                "against a concrete shard count",
-            )
-    else:
-        structural = spec.structural_errors()
-        if not structural:
-            for node in nodes:
-                amap = node.directory.amap
-                index_top = amap.offset_bits + amap.index_bits
-                if shard_shift + spec.shard_bits > index_top:
-                    deny(
-                        Capability.SHARD_DECOMPOSABLE_SETS,
-                        f"{spec.shards} shards need address bits "
-                        f"[{shard_shift}, {shard_shift + spec.shard_bits}) "
-                        f"but node{node.index}'s set-index field ends at "
-                        f"bit {index_top}; use at most "
-                        f"{1 << max(index_top - shard_shift, 0)} shard(s)",
-                    )
-
     proof.granted = frozenset(
         capability for capability in Capability if capability not in denials
     )
     proof.denials = denials
-    proof.structural = structural
-    proof.shard_shift = shard_shift
     return proof

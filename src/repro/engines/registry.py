@@ -4,25 +4,17 @@ Each replay engine registers an :class:`EngineSpec` naming the
 capabilities its bit-identity proof requires.  :func:`decide` runs the
 static prover over a programmed board and compares requirement to grant,
 producing an :class:`EngineDecision` whose report *is* the audit trail:
-one ``EN301`` error finding per missing capability (with the prover's
-reason) and ``EN302`` errors for structurally invalid shard specs.
+one ``EN301`` error finding per missing capability, with the prover's
+reason.
 
-Engine scopes:
-
-``board``
-    In-process engines replaying packed words on one board (scalar and
-    compiled).  :func:`select_board_engine` is the single selection
-    point — :meth:`MemoriesBoard._replay_words
-    <repro.memories.board.MemoriesBoard._replay_words>` and the
-    supervisor's shard workers route through it, so no replay path
-    carries its own refusal logic.  Within the compiled engine,
-    :func:`~repro.memories.compiled.replay_words_compiled` picks the
-    runner; that choice never changes a result, so it is not a
-    capability.
-``trace``
-    Whole-trace orchestrations that decompose the input before boards
-    exist (sharded).  :func:`repro.experiments.pipeline.validate_sharding`
-    delegates here.
+Two engines replay packed words on one board: the scalar reference loop
+and the compiled engine.  :func:`select_board_engine` is the single
+selection point — :meth:`MemoriesBoard._replay_words
+<repro.memories.board.MemoriesBoard._replay_words>` routes through it,
+so no replay path carries its own refusal logic.  Within the compiled
+engine, :func:`~repro.memories.compiled.replay_words_compiled` picks the
+runner from the same proof; that choice never changes a result, so it is
+not a requirement.
 
 Selection honours the board's ``batched_replay`` preference flag: with
 it cleared, only rank-0 engines (the scalar reference path) are
@@ -39,13 +31,13 @@ from repro.common.errors import ConfigurationError
 from repro.engines.capabilities import (
     Capability,
     CapabilityProof,
-    ShardSpec,
     prove_capabilities,
 )
 # Bound as a module and looked up at call time: compiled imports this
 # package's capabilities, so it may still be initialising here.  Loading
 # it loads the set lanes (repro.memories.lockstep) too, so a process
-# that forks replay workers after importing the registry hands both on.
+# that forks supervised workers after importing the registry hands both
+# on.
 from repro.memories import compiled
 from repro.verify.findings import Report
 
@@ -55,25 +47,20 @@ class EngineSpec:
     """One registered replay engine.
 
     Attributes:
-        name: registry key (``scalar``, ``compiled``, ``sharded`` ...).
+        name: registry key (``scalar``, ``compiled`` ...).
         description: one line for ``verify engines`` output.
         requires: capabilities the engine's bit-identity proof needs.
         rank: selection preference among eligible engines (higher wins;
             the scalar reference engine is rank 0 and requires nothing,
             so selection always has a fallback).
-        scope: ``"board"`` for in-process word replay, ``"trace"`` for
-            whole-trace orchestration.
-        replay: for board-scope engines, ``replay(board, words) -> int``;
-            None for trace-scope engines (their orchestration lives in
-            :mod:`repro.experiments.pipeline`).
+        replay: ``replay(board, words) -> int``.
     """
 
     name: str
     description: str
     requires: frozenset
     rank: int
-    scope: str = "board"
-    replay: Optional[Callable] = None
+    replay: Callable
 
 
 #: name -> spec, in registration order.
@@ -106,10 +93,6 @@ class EngineDecision:
     def eligible(self) -> bool:
         return self.report.ok
 
-    @property
-    def shard_shift(self) -> int:
-        return self.proof.shard_shift
-
     def reason(self) -> str:
         """The first error message (for exception surfaces)."""
         errors = self.report.errors
@@ -119,9 +102,6 @@ class EngineDecision:
 def _decision(spec: EngineSpec, proof: CapabilityProof) -> EngineDecision:
     report = Report(subject=f"engine '{spec.name}'")
     report.ran("missing-capability")
-    report.ran("shard-spec")
-    for message in proof.structural:
-        report.error("shard-spec", message, rule="EN302")
     for capability in sorted(spec.requires, key=lambda c: c.value):
         if proof.grants(capability):
             report.info(
@@ -143,10 +123,9 @@ def _decision(spec: EngineSpec, proof: CapabilityProof) -> EngineDecision:
     return EngineDecision(spec=spec, proof=proof, report=report)
 
 
-def _prove(caller: str, board, machine, shards: Optional[int]):
+def _prove(caller: str, board, machine) -> CapabilityProof:
     """The proof :func:`decide` and :func:`decide_all` judge against:
-    ``board``, or a board built from ``machine``, with ``shards`` as the
-    :class:`~repro.engines.capabilities.ShardSpec` under proof."""
+    ``board``, or a board built from ``machine``."""
     if board is None:
         if machine is None:
             raise ConfigurationError(
@@ -155,41 +134,32 @@ def _prove(caller: str, board, machine, shards: Optional[int]):
         from repro.memories.board import board_for_machine
 
         board = board_for_machine(machine)
-    spec = ShardSpec(shards) if shards is not None else None
-    return prove_capabilities(board, spec)
+    return prove_capabilities(board)
 
 
-def decide(
-    engine: str,
-    board=None,
-    machine=None,
-    shards: Optional[int] = None,
-) -> EngineDecision:
+def decide(engine: str, board=None, machine=None) -> EngineDecision:
     """Prove one engine eligible (or not) for a configuration.
 
     Pass a programmed ``board``, or a ``machine`` from which one is
-    built.  ``shards`` (for trace-scope engines) becomes the
-    :class:`~repro.engines.capabilities.ShardSpec` under proof.
+    built.
     """
     if engine not in ENGINES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; registered: "
             f"{', '.join(sorted(ENGINES))}"
         )
-    proof = _prove("decide", board, machine, shards)
+    proof = _prove("decide", board, machine)
     return _decision(ENGINES[engine], proof)
 
 
-def decide_all(
-    board=None, machine=None, shards: Optional[int] = None
-) -> List[EngineDecision]:
+def decide_all(board=None, machine=None) -> List[EngineDecision]:
     """Decisions for every registered engine, in registration order."""
-    proof = _prove("decide_all", board, machine, shards)
+    proof = _prove("decide_all", board, machine)
     return [_decision(spec, proof) for spec in ENGINES.values()]
 
 
 def select_board_engine(board) -> EngineSpec:
-    """Pick the best eligible board-scope engine for one board.
+    """Pick the best eligible engine for one board.
 
     The single in-process selection point: highest-rank engine whose
     required capabilities the board grants, restricted to rank 0 (the
@@ -200,8 +170,6 @@ def select_board_engine(board) -> EngineSpec:
     proof = prove_capabilities(board)
     best: Optional[EngineSpec] = None
     for spec in ENGINES.values():
-        if spec.scope != "board" or spec.replay is None:
-            continue
         if not board.batched_replay and spec.rank > 0:
             continue
         if spec.requires - proof.granted:
@@ -210,7 +178,7 @@ def select_board_engine(board) -> EngineSpec:
             best = spec
     if best is None:  # pragma: no cover — scalar is always registered
         raise ConfigurationError(
-            "no eligible board-scope engine is registered"
+            "no eligible replay engine is registered"
         )
     return best
 
@@ -233,7 +201,6 @@ register_engine(
         description="reference per-record dispatch loop (always exact)",
         requires=frozenset(),
         rank=0,
-        scope="board",
         replay=_replay_scalar,
     )
 )
@@ -247,26 +214,6 @@ register_engine(
         ),
         requires=frozenset({Capability.INERT_BACKGROUND_TICK}),
         rank=15,
-        scope="board",
         replay=_replay_compiled,
-    )
-)
-
-register_engine(
-    EngineSpec(
-        name="sharded",
-        description=(
-            "set-interleaved multi-process replay "
-            "(repro.experiments.pipeline.sharded_replay)"
-        ),
-        requires=frozenset(
-            {
-                Capability.PER_SET_INDEPENDENCE,
-                Capability.NO_GLOBAL_ORDER_COUPLING,
-                Capability.SHARD_DECOMPOSABLE_SETS,
-            }
-        ),
-        rank=20,
-        scope="trace",
     )
 )

@@ -170,108 +170,6 @@ def replay_machine(
     return board
 
 
-def validate_sharding(machine, shards: int, board: Optional[MemoriesBoard] = None) -> int:
-    """Check ``machine`` can be replayed in ``shards`` set-interleaved parts.
-
-    Returns the shard shift (the address bit where the shard index field
-    starts).  Sharding partitions the trace by address bits that fall
-    inside **every** node's set-index field, so no cache set — and hence
-    no directory line, replacement-policy position, or per-set hit/miss
-    decision — is ever touched by two workers.  The merged statistics are
-    then bit-identical to a serial replay.  Raises
-    :class:`~repro.common.errors.ConfigurationError` when a feature breaks
-    that argument:
-
-    * ``random`` replacement draws victims from one board-wide RNG stream,
-      whose draw order depends on global (not per-set) miss order;
-    * an SDRAM timing model or a transaction-buffer service time longer
-      than the bus tenure lets queue depth exceed one, making occupancy
-      history depend on global arrival order;
-    * a shard field wider than some node's set-index field would split one
-      of that node's sets across workers.
-
-    Those arguments are no longer checked here: the engine registry's
-    static capability prover (:func:`repro.engines.registry.decide`)
-    evaluates the ``sharded`` engine's declared requirements against the
-    board, and this helper raises from the resulting decision — so the
-    CLI's ``verify engines`` shows exactly the verdict replay will act on.
-    """
-    from repro.common.errors import ConfigurationError
-    from repro.engines.registry import decide
-
-    decision = decide("sharded", board=board, machine=machine, shards=shards)
-    if not decision.eligible:
-        raise ConfigurationError(decision.reason())
-    return decision.shard_shift
-
-
-def sharded_replay(
-    trace: BusTrace,
-    machine,
-    shards: int,
-    seed: int = 0,
-    assumed_utilization: Optional[float] = None,
-    processes: bool = True,
-) -> MemoriesBoard:
-    """Replay a trace split by set index across ``shards`` workers.
-
-    The trace is partitioned on address bits inside every node's set-index
-    field (:func:`validate_sharding`), each partition replays on a private
-    board — in worker processes, or inline with ``processes=False`` — and
-    the counter banks merge wrap-aware back into one board.  The returned
-    board's :meth:`~repro.memories.board.MemoriesBoard.statistics` are
-    bit-identical to :func:`replay_machine` on the same trace.
-
-    ``shards=1`` degenerates to a plain serial replay (no partitioning,
-    no worker overhead) and is always valid.
-    """
-    from repro.bus.trace import decode_arrays
-    from repro.memories.board import DEFAULT_ASSUMED_UTILIZATION
-    from repro.supervisor.worker import merge_shard_payloads, shard_worker_main
-
-    if assumed_utilization is None:
-        assumed_utilization = DEFAULT_ASSUMED_UTILIZATION
-    board = board_for_machine(
-        machine, seed=seed, assumed_utilization=assumed_utilization
-    )
-    if shards == 1:
-        board.replay(trace)
-        return board
-    shard_shift = validate_sharding(machine, shards, board)
-
-    words = trace.words
-    _cpus, _commands, addresses, _responses = decode_arrays(words)
-    shard_of = (addresses >> shard_shift) & (shards - 1)
-    tasks = [
-        {
-            "machine": machine,
-            "seed": seed,
-            "assumed_utilization": assumed_utilization,
-            "words": words[shard_of == shard],
-        }
-        for shard in range(shards)
-    ]
-    if processes:
-        from repro.supervisor.supervisor import _mp_context
-
-        with _mp_context().Pool(processes=shards) as pool:
-            payloads = pool.map(shard_worker_main, tasks)
-    else:
-        payloads = [shard_worker_main(task) for task in tasks]
-    merge_shard_payloads(board, payloads)
-    # Reconstruct the serial clock: the merged counters correspond to a
-    # serial replay of every record, whose clock is len(words) repeated
-    # additions of cycles_per_tenure (cumsum matches that accumulation
-    # bit for bit; see repro.memories.batch).
-    count = int(words.shape[0])
-    if count:
-        import numpy as np
-
-        steps = np.full(count, board.cycles_per_tenure, dtype=np.float64)
-        board.now_cycle = float(np.cumsum(steps)[-1])
-    return board
-
-
 def supervised_replay(
     trace: BusTrace,
     machine,

@@ -1,13 +1,13 @@
-"""Replay throughput benchmark: scalar vs compiled vs sharded.
+"""Replay throughput benchmark: scalar vs compiled.
 
 The real board's selling point is keeping up with a 100 MHz bus in real
 time; the software model's equivalent currency is **records per second**
 through :meth:`~repro.memories.board.MemoriesBoard.replay_words`.  This
 module builds a deterministic synthetic workload (a TPC-C-shaped command
 mix, roughly 30% of tenures filtered as IO/interrupt/sync/retried, the
-rest hitting a hot working set), replays it through every engine, and
+rest hitting a hot working set), replays it through both engines, and
 reports throughput plus the statistics digests that prove the fast
-paths changed nothing.  Timings are best-of-``repeats`` (the minimum is
+path changed nothing.  Timings are best-of-``repeats`` (the minimum is
 the least noisy estimator of a deterministic workload's cost), with
 every raw sample recorded so the artifact captures the variance.
 
@@ -90,9 +90,9 @@ def bench_machine():
 def _timed_board_engine(
     machine, trace: BusTrace, seed: int, engine: str, repeats: int
 ) -> tuple:
-    """Best-of-``repeats`` timing of one board-scope engine, forced
-    explicitly (the registry would otherwise route every eligible board
-    to the highest-rank engine, making the slower rows unmeasurable)."""
+    """Best-of-``repeats`` timing of one engine, forced explicitly (the
+    registry would otherwise route every eligible board to the
+    highest-rank engine, making the scalar row unmeasurable)."""
     from repro.engines import ENGINES
 
     spec = ENGINES[engine]
@@ -110,13 +110,11 @@ def _timed_board_engine(
 def run_replay_benchmark(
     n_records: int = DEFAULT_RECORDS,
     seed: int = 2000,
-    shards: int = 4,
-    sharded_processes: bool = True,
     machine=None,
     trace: Optional[BusTrace] = None,
     repeats: int = 1,
 ) -> dict:
-    """Measure scalar, compiled and sharded replay of one trace.
+    """Measure scalar and compiled replay of one trace.
 
     Returns a JSON-ready report: per-engine ``records_per_second`` and
     ``seconds`` (best of ``repeats``), every raw sample in
@@ -137,23 +135,11 @@ def run_replay_benchmark(
             machine, trace, seed, engine, repeats
         )
 
-    from repro.experiments.pipeline import sharded_replay
-
-    seconds_all["sharded"] = []
-    for _ in range(max(repeats, 1)):
-        sharded_start = time.perf_counter()
-        sharded_board = sharded_replay(
-            trace, machine, shards, seed=seed, processes=sharded_processes
-        )
-        seconds_all["sharded"].append(time.perf_counter() - sharded_start)
-    digests["sharded"] = statistics_digest(sharded_board.statistics())
-
     best = {name: min(samples) for name, samples in seconds_all.items()}
     return {
         "records": n_records,
         "seed": seed,
         "machine": machine.name,
-        "shards": shards,
         "repeats": max(repeats, 1),
         "engines": {
             name: {

@@ -262,7 +262,7 @@ class MemoriesConsole:
 
         Supported commands: ``stats``, ``report``, ``reset``, ``describe``,
         ``log``, ``self-test``, ``protocol <node>``, ``overflows``,
-        ``verify``, ``engines [shards]``, ``faults``,
+        ``verify``, ``engines``, ``faults``,
         ``watch [every_transactions]``, ``supervise <run_dir>``,
         ``service <service_root>``, ``timeline <run_dir>``.
         """
@@ -313,14 +313,12 @@ class MemoriesConsole:
             report = check_machine(machine)
             self._log.append(f"verify: {report.summary()}")
             return report.render(verbose=True)
-        if command.startswith("engines"):
-            parts = command.split()
-            shards = int(parts[1]) if len(parts) > 1 else None
+        if command == "engines":
             from repro.engines import decide_all
 
             board = self._require_board()
             lines = [f"=== engines: board {board.name!r} ==="]
-            for decision in decide_all(board=board, shards=shards):
+            for decision in decide_all(board=board):
                 verdict = "eligible" if decision.eligible else "REJECTED"
                 lines.append(f"{decision.spec.name:8s} [{verdict}]")
                 for finding in decision.report.findings:

@@ -33,6 +33,7 @@ extra plumbing.
 
 from __future__ import annotations
 
+import importlib
 import os
 import signal
 import time
@@ -41,12 +42,7 @@ from typing import Optional
 
 from repro.bus.trace import TraceReader
 from repro.common.errors import ReproError, TraceFormatError
-# The registry imports the replay engines, so a process that imports the
-# supervisor holds them before it forks: workers inherit them instead of
-# importing (and, without bytecode caching, compiling) them per session.
-from repro.engines.registry import select_board_engine
 from repro.faults.checkpoint import CheckpointRotation, restore_checkpoint
-from repro.memories.board import board_for_machine
 from repro.supervisor.spec import (
     ChaosPlan,
     SupervisedRunSpec,
@@ -55,6 +51,12 @@ from repro.supervisor.spec import (
 from repro.telemetry.histogram import Histogram, split_histogram_states
 from repro.telemetry.sampler import CounterSampler
 from repro.telemetry.spans import RunTrace
+
+# The registry imports the replay engines, which replay loads lazily, so
+# a process that imports the supervisor holds them before it forks:
+# workers inherit them instead of importing them per session (about
+# 70 ms on a 2-vCPU host).
+importlib.import_module("repro.engines.registry")
 
 #: Records replayed per chunk when a chaos kill must land mid-segment.
 _CHAOS_CHUNK = 256
@@ -102,118 +104,6 @@ class _HeartbeatSink:
 def _die_now() -> None:
     """Chaos hook: die the way a crashed process dies (no cleanup)."""
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-# --------------------------------------------------------------------- #
-# Set-interleaved shard worker (sharded replay)
-# --------------------------------------------------------------------- #
-
-
-def shard_worker_main(task: dict) -> dict:
-    """Replay one address shard on a private board; return reduced state.
-
-    Entry point for :func:`repro.experiments.pipeline.sharded_replay` —
-    importable at module top level so it survives pickling under the
-    ``spawn`` start method.  ``task`` carries the target machine, the
-    board parameters, and this shard's packed records (original bus
-    order preserved within the shard).
-
-    The per-shard board engine comes from the registry's capability
-    prover (the same selection point as
-    :meth:`~repro.memories.board.MemoriesBoard.replay_words`), so a
-    worker can never run an engine the configuration does not grant.
-    """
-    board = board_for_machine(
-        task["machine"],
-        seed=task["seed"],
-        assumed_utilization=task["assumed_utilization"],
-    )
-    select_board_engine(board).replay(board, task["words"])
-    return shard_payload(board)
-
-
-def shard_payload(board) -> dict:
-    """Reduce a shard board to the mergeable counter state.
-
-    Everything :meth:`MemoriesBoard.statistics` reads, in raw
-    (un-wrapped) form: raw counter values sum across shards and wrap
-    only at read time, so merged 40-bit readouts alias exactly like a
-    serial run's.
-    """
-    stats = board.address_filter.stats
-    return {
-        "filter_stats": {
-            "observed": stats.observed,
-            "forwarded": stats.forwarded,
-            "filtered_io": stats.filtered_io,
-            "filtered_interrupts": stats.filtered_interrupts,
-            "filtered_sync": stats.filtered_sync,
-            "filtered_retried": stats.filtered_retried,
-        },
-        "filter_buffer": _buffer_stats(board.address_filter.buffer),
-        "global": board.global_counter.counters.state_dict(),
-        "nodes": [
-            {
-                "counters": node.counters.state_dict(),
-                "resilience": node.resilience.state_dict(),
-                "buffer": _buffer_stats(node.buffer),
-            }
-            for node in board.firmware.nodes
-        ],
-        "retries_posted": board.retries_posted,
-        "snoop_losses": board.snoop_losses,
-    }
-
-
-def _buffer_stats(buffer) -> dict:
-    stats = buffer.stats
-    return {
-        "accepted": stats.accepted,
-        "rejected": stats.rejected,
-        "high_water": stats.high_water,
-        "injected": stats.injected,
-    }
-
-
-def merge_shard_payloads(board, payloads) -> None:
-    """Fold shard payloads into a fresh board, in place.
-
-    Counter banks sum raw values (wrap-aware: the 40-bit mask applies at
-    read time, after summation, exactly as one serial bank would alias);
-    buffer high-water marks merge by maximum.  The caller guarantees the
-    sharding preconditions (see
-    :func:`repro.experiments.pipeline.validate_sharding`) under which
-    these reductions reproduce the serial run bit for bit.
-    """
-    stats = board.address_filter.stats
-    for payload in payloads:
-        for field, value in payload["filter_stats"].items():
-            setattr(stats, field, getattr(stats, field) + value)
-        _merge_buffer_stats(board.address_filter.buffer, payload["filter_buffer"])
-        _merge_counts(board.global_counter.counters, payload["global"])
-        for node, node_payload in zip(board.firmware.nodes, payload["nodes"]):
-            _merge_counts(node.counters, node_payload["counters"])
-            _merge_counts(node.resilience, node_payload["resilience"])
-            _merge_buffer_stats(node.buffer, node_payload["buffer"])
-        board.retries_posted += payload["retries_posted"]
-        board.snoop_losses += payload["snoop_losses"]
-
-
-def _merge_counts(bank, raw: dict) -> None:
-    merged = bank.state_dict()
-    for name, value in raw.items():
-        merged[name] = merged.get(name, 0) + int(value)
-    bank.load_state_dict(merged)
-
-
-def _merge_buffer_stats(buffer, raw: dict) -> None:
-    stats = buffer.stats
-    stats.accepted += int(raw["accepted"])
-    stats.rejected += int(raw["rejected"])
-    stats.injected += int(raw["injected"])
-    high_water = int(raw["high_water"])
-    if high_water > stats.high_water:
-        stats.high_water = high_water
 
 
 def worker_main(

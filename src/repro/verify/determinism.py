@@ -1,8 +1,8 @@
 """Determinism analyzer: AST rules that keep replay bit-identical.
 
 The emulator's contract is that one seed plus one trace produces one
-bit-identical result — across the scalar, compiled and sharded engines,
-across hosts, and across process restarts.  The rules here flag the code
+bit-identical result — across the scalar and compiled engines, across
+hosts, and across process restarts.  The rules here flag the code
 shapes that silently break that contract:
 
 ``unsorted-serialization`` (DT201)

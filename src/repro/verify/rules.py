@@ -88,8 +88,6 @@ RULES: Dict[str, RuleInfo] = {
         RuleInfo("EN301", "missing-capability",
                  "configuration does not grant a capability the engine "
                  "requires"),
-        RuleInfo("EN302", "shard-spec",
-                 "shard specification is structurally invalid"),
     )
 }
 

@@ -147,12 +147,7 @@ class TestMain:
 class TestBenchSubcommand:
     def test_bench_reports_and_writes_json(self, tmp_path, capsys):
         out = tmp_path / "BENCH_replay.json"
-        status = main(
-            [
-                "bench", "--records", "1500", "--shards", "2",
-                "--inline-shards", "--out", str(out),
-            ]
-        )
+        status = main(["bench", "--records", "1500", "--out", str(out)])
         assert status == 0
         printed = capsys.readouterr().out
         assert "compiled speedup over scalar" in printed
@@ -160,6 +155,6 @@ class TestBenchSubcommand:
 
         report = json.loads(out.read_text())
         assert report["identical"] is True
-        assert set(report["engines"]) == {"scalar", "compiled", "sharded"}
+        assert set(report["engines"]) == {"scalar", "compiled"}
         for entry in report["engines"].values():
             assert entry["records_per_second"] > 0

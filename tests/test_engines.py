@@ -13,19 +13,15 @@ from repro.engines import (
     ENGINES,
     Capability,
     EngineSpec,
-    ShardSpec,
     decide,
     decide_all,
     prove_capabilities,
     register_engine,
     select_board_engine,
 )
-from repro.experiments.pipeline import validate_sharding
 from repro.memories.board import board_for_machine
 from repro.memories.compiled import _protocol_runner
-from repro.memories.config import CacheNodeConfig
 from repro.memories.sdram import SdramModel
-from repro.target.configs import multi_config_machine, single_node_machine
 
 from tests.test_batched_replay import machine_for
 
@@ -63,16 +59,9 @@ def refuses_dense_state(board):
 
 class TestCapabilityProver:
     def test_default_board_grants_everything_with_spec(self):
-        proof = prove_capabilities(default_board(), ShardSpec(2))
-        assert proof.granted == frozenset(Capability)
-        assert not proof.denials and not proof.structural
-
-    def test_without_spec_sharding_is_unprovable_not_assumed(self):
         proof = prove_capabilities(default_board())
-        assert not proof.grants(Capability.SHARD_DECOMPOSABLE_SETS)
-        assert "shard spec" in proof.reasons(
-            Capability.SHARD_DECOMPOSABLE_SETS
-        )[0]
+        assert proof.granted == frozenset(Capability)
+        assert not proof.denials
 
     def test_ecc_scrubber_denies_inert_tick(self):
         proof = prove_capabilities(default_board(ecc=True))
@@ -84,40 +73,22 @@ class TestCapabilityProver:
 
     def test_random_replacement_denies_per_set_independence(self):
         board = board_for_machine(machine_for("split", "random"))
-        proof = prove_capabilities(board, ShardSpec(2))
+        proof = prove_capabilities(board)
         reasons = proof.reasons(Capability.PER_SET_INDEPENDENCE)
         assert any("random" in reason for reason in reasons)
 
     def test_sdram_denies_per_set_independence(self):
         board = default_board()
         board.firmware.nodes[0].sdram = SdramModel()
-        proof = prove_capabilities(board, ShardSpec(2))
+        proof = prove_capabilities(board)
         reasons = proof.reasons(Capability.PER_SET_INDEPENDENCE)
         assert any("SDRAM" in reason for reason in reasons)
 
     def test_slow_buffer_denies_order_freedom(self):
         board = default_board(assumed_utilization=0.9)
-        proof = prove_capabilities(board, ShardSpec(2))
+        proof = prove_capabilities(board)
         reasons = proof.reasons(Capability.NO_GLOBAL_ORDER_COUPLING)
         assert any("service" in reason for reason in reasons)
-
-    def test_overflowing_shard_field_denied_per_node(self):
-        tiny = CacheNodeConfig(size=1024, assoc=4, line_size=128)
-        board = board_for_machine(single_node_machine(tiny, 4))
-        proof = prove_capabilities(board, ShardSpec(16))
-        reasons = proof.reasons(Capability.SHARD_DECOMPOSABLE_SETS)
-        assert any("set-index" in reason for reason in reasons)
-
-    def test_shard_shift_clears_widest_line_offset(self):
-        coarse = CacheNodeConfig(size=128 * 1024, assoc=4, line_size=256)
-        fine = CacheNodeConfig(size=64 * 1024, assoc=4, line_size=64)
-        board = board_for_machine(multi_config_machine([coarse, fine], 4))
-        proof = prove_capabilities(board, ShardSpec(2))
-        assert proof.shard_shift == 8
-
-    def test_non_power_of_two_is_structural_not_capability(self):
-        proof = prove_capabilities(default_board(), ShardSpec(3))
-        assert any("power of two" in msg for msg in proof.structural)
 
     def test_capability_names_are_stable_strings(self):
         assert str(Capability.INERT_BACKGROUND_TICK) == "inert_background_tick"
@@ -125,7 +96,6 @@ class TestCapabilityProver:
             "inert_background_tick",
             "per_set_independence",
             "no_global_order_coupling",
-            "shard_decomposable_sets",
         }
 
     # Dense protocol state is decided by ``_protocol_runner`` alone, not
@@ -154,30 +124,12 @@ class TestCapabilityProver:
 
 
 # ---------------------------------------------------------------------- #
-# Shard spec structure
-# ---------------------------------------------------------------------- #
-
-class TestShardSpec:
-    @pytest.mark.parametrize("shards,bits", [(1, 0), (2, 1), (4, 2), (8, 3)])
-    def test_shard_bits(self, shards, bits):
-        assert ShardSpec(shards).shard_bits == bits
-
-    @pytest.mark.parametrize("shards", [0, -1, 3, 6, 12])
-    def test_invalid_counts_are_structural_errors(self, shards):
-        assert ShardSpec(shards).structural_errors()
-
-    @pytest.mark.parametrize("shards", [1, 2, 4, 32])
-    def test_powers_of_two_are_valid(self, shards):
-        assert not ShardSpec(shards).structural_errors()
-
-
-# ---------------------------------------------------------------------- #
 # Registry and decisions
 # ---------------------------------------------------------------------- #
 
 class TestRegistry:
     def test_builtin_engines_registered_in_rank_order(self):
-        assert list(ENGINES) == ["scalar", "compiled", "sharded"]
+        assert list(ENGINES) == ["scalar", "compiled"]
         assert ENGINES["scalar"].rank < ENGINES["compiled"].rank
         assert ENGINES["scalar"].requires == frozenset()
 
@@ -189,6 +141,7 @@ class TestRegistry:
                     description="imposter",
                     requires=frozenset(),
                     rank=0,
+                    replay=ENGINES["scalar"].replay,
                 )
             )
 
@@ -221,19 +174,13 @@ class TestDecisions:
         assert decision.reason() == finding.message
 
     def test_granted_capabilities_documented_as_info(self):
-        decision = decide("sharded", board=default_board(), shards=2)
+        decision = decide("compiled", board=default_board())
         assert decision.eligible
         granted = [
             f.message for f in decision.report.findings
             if f.rule == "EN301" and "granted" in f.message
         ]
-        assert len(granted) == len(ENGINES["sharded"].requires)
-
-    def test_structural_shard_error_rejects_with_en302(self):
-        decision = decide("sharded", board=default_board(), shards=3)
-        assert not decision.eligible
-        assert any(f.rule == "EN302" for f in decision.report.errors)
-        assert "power of two" in decision.reason()
+        assert len(granted) == len(ENGINES["compiled"].requires)
 
     def test_compiled_rejection_names_dense_state(self):
         board = sdram_board()
@@ -248,15 +195,13 @@ class TestDecisions:
         assert decision.eligible and not decision.report.errors
 
     def test_decide_all_covers_every_engine(self):
-        decisions = decide_all(board=default_board(), shards=2)
+        decisions = decide_all(board=default_board())
         assert [d.spec.name for d in decisions] == list(ENGINES)
         assert all(d.eligible for d in decisions)
 
     def test_decision_reports_audit_both_checks(self):
         decision = decide("compiled", board=default_board())
-        assert set(decision.report.checks_run) == {
-            "missing-capability", "shard-spec",
-        }
+        assert set(decision.report.checks_run) == {"missing-capability"}
 
 
 # ---------------------------------------------------------------------- #
@@ -300,24 +245,3 @@ class TestSelectBoardEngine:
         spec = select_board_engine(board)
         words = full_mix_words(500, seed=11)
         assert spec.replay(board, words) == len(words)
-
-    def test_trace_scope_engines_never_selected(self):
-        assert select_board_engine(default_board()).scope == "board"
-
-
-# ---------------------------------------------------------------------- #
-# Pipeline delegation
-# ---------------------------------------------------------------------- #
-
-class TestValidateShardingDelegation:
-    def test_returns_prover_shard_shift(self):
-        machine = machine_for("single")
-        decision = decide("sharded", machine=machine, shards=2)
-        assert validate_sharding(machine, 2) == decision.shard_shift
-
-    def test_raises_with_decision_reason(self):
-        machine = machine_for("split", "random")
-        decision = decide("sharded", machine=machine, shards=2)
-        with pytest.raises(ConfigurationError) as excinfo:
-            validate_sharding(machine, 2)
-        assert str(excinfo.value) == decision.reason()

@@ -2,10 +2,12 @@
 """CI smoke gate for the fast replay engine (compiled).
 
 Runs the replay throughput benchmark at CI scale and enforces the hard
-contract — **scalar, compiled and sharded replay must produce
-bit-identical board statistics** — plus a throughput floor: compiled
-merely has to beat scalar (> 1x) to prove the fast path engaged; the
-strict >= 3x bar lives in ``benchmarks/bench_replay_throughput.py``.
+contract — **scalar and compiled replay must produce bit-identical board
+statistics** — plus a throughput floor: compiled must run at least
+``MIN_SPEEDUP`` times as fast as scalar, the bar
+``benchmarks/bench_replay_throughput.py`` asserts too.  The floor proves
+the protocol runner engaged: a silent fallback to the generic runner
+runs only about 1.2x as fast as scalar, the protocol runner over 20x.
 
 Timings are best-of-``REPEATS`` with every raw sample recorded in
 ``BENCH_replay.json`` (a single-shot number once drifted a recorded
@@ -27,16 +29,13 @@ from repro.experiments.replay_bench import run_replay_benchmark
 
 RECORDS = 60_000
 SEED = 2000
-SHARDS = 2
 REPEATS = 3
+MIN_SPEEDUP = 3.0
 
 
 def main() -> int:
     smoke = SmokeChecks("bench")
-    report = run_replay_benchmark(
-        RECORDS, seed=SEED, shards=SHARDS, sharded_processes=True,
-        repeats=REPEATS,
-    )
+    report = run_replay_benchmark(RECORDS, seed=SEED, repeats=REPEATS)
     for name, entry in report["engines"].items():
         spread = max(entry["seconds_all"]) - min(entry["seconds_all"])
         print(
@@ -45,7 +44,7 @@ def main() -> int:
             f"digest {entry['statistics_digest'][:16]}…"
         )
     smoke.check(
-        "scalar, compiled and sharded statistics bit-identical",
+        "scalar and compiled statistics bit-identical",
         report["identical"],
         ", ".join(
             f"{name}={entry['statistics_digest'][:12]}"
@@ -53,8 +52,8 @@ def main() -> int:
         ),
     )
     smoke.check(
-        "compiled path faster than scalar",
-        report["compiled_speedup"] > 1.0,
+        f"compiled path at least {MIN_SPEEDUP:g}x faster than scalar",
+        report["compiled_speedup"] >= MIN_SPEEDUP,
         f"{report['compiled_speedup']:.2f}x",
     )
     out = Path(__file__).resolve().parent.parent / "BENCH_replay.json"

@@ -345,8 +345,6 @@ ENGINE_CORPUS: List[Tuple[str, str, str, object]] = [
      "ecc", "compiled", "inert_background_tick"),
     ("compiled keeps replaying slow-buffer boards",
      "slow-buffer", "compiled", None),
-    ("slow buffers break sharding",
-     "slow-buffer", "sharded", "no_global_order_coupling"),
 ]
 
 
