@@ -8,7 +8,7 @@ numpy arrays indexed by set, ``tags`` and ``states`` of shape
 set's resident lines are a prefix of its row; tag ``-1`` (state 0) marks
 an empty way.  A probe returns the first way holding a tag, so a
 (corrupted) duplicate tag resolves to its first copy on every path, as
-``list.index`` and the set lanes' ``argmax`` both do.
+``list.index`` and the set lanes' probe both do.
 
 The directory itself is protocol-agnostic — it stores whatever state integers
 the node controller's protocol table produces — and exposes fine-grained

@@ -22,13 +22,19 @@ all sets together, as numpy lanes:
   one column that stays empty (tag -1).  Lines are a prefix of the ways,
   as in the directory.  At chunk end the rows are scattered straight
   back.
-* **Step.**  One tag compare plus ``argmax`` gives the hit way on every
-  node (the spare always matches, so ``way == assoc`` is a miss).
-  Transition-table gathers give the local and the peer outcomes.  One
-  gather through :func:`_src_table` then applies set-state, remove, LRU
-  move-to-front, insert-front, PLRU append and PLRU replace to every row
-  at once.  PLRU tree bits move through touch and victim tables built
-  from the policy's own methods.
+* **Step.**  One tag compare per way column, scanned from the last way
+  to the first, gives the hit way on every row (``assoc`` is a miss, and
+  the first copy of a duplicated tag wins).  The local tenure reads its
+  own row's state only.  Peer work runs on the rows that hold the line,
+  less each mapped tenure's own row, and nowhere else: their indices
+  come from one ``flatnonzero``, and transition-table gathers on them
+  give the snoop outcomes.  A peer that keeps the line writes its next
+  state in place.  The local rows and the peers that lose the line take
+  their new contents through one gather through :func:`_src_table`,
+  which applies set-state, remove, LRU move-to-front, insert-front, PLRU
+  append and PLRU replace, and are written back whole.  PLRU tree bits
+  move through touch and victim tables built from the policy's own
+  methods.
 * **Counters and buffers.**  Per-tenure outcomes go into int8 arrays;
   counters are bincounts at chunk end.  The closed-form buffer tallies
   need, per issuer, a count and the time of the last admission, which is
@@ -38,7 +44,7 @@ Sets the lanes cannot represent exactly replay on the loop instead, in
 their own order; they share no state with the lanes.  These are sets
 that hold a state outside the protocol's complete transition rows, or
 whose PLRU bits lie outside the tables.  A set holding a (corrupted)
-duplicate tag stays on the lanes: ``argmax`` finds the first copy, as
+duplicate tag stays on the lanes: the probe finds the first copy, as
 the loop's ``list.index`` and the directory's probe do.  Groups with
 mixed set mappings or associativities, or with ``random`` replacement,
 have no lanes at all (:func:`plan`).
@@ -96,9 +102,9 @@ _NO_COUNTER = len(COUNTER_NAMES)
 
 
 def _src_table(assoc: int) -> np.ndarray:
-    """``SRC[code, j]``: the column way ``j`` of a row takes its new
-    content from.  Column ``assoc`` is the spare (probe tag, new state),
-    column ``assoc + 1`` the empty one.
+    """``SRC[code, j]``: the column ``j`` of a row takes its new content
+    from.  Column ``assoc`` is the spare (probe tag, new state), column
+    ``assoc + 1`` the empty one; both keep their own content.
 
     Codes: ``PUT(w)`` for w in 0..assoc (``PUT(assoc)`` leaves the row
     as it is); then ``FRONT(w)`` for w in 0..assoc (the spare moves to
@@ -113,7 +119,15 @@ def _src_table(assoc: int) -> np.ndarray:
               for j in range(assoc)] for w in range(assoc + 1)]
     rows += [[j if j < w else j + 1 if j + 1 < assoc else empty
               for j in range(assoc)] for w in range(assoc)]
-    return np.array(rows, dtype=np.intp)
+    return np.array([row + [spare, empty] for row in rows], dtype=np.intp)
+
+
+def _as_rows(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D array as a 1-D array of its rows, one opaque
+    item each: a fancy setitem then copies whole rows, where indexing
+    rows this short would run numpy's inner loop once per row."""
+    row = np.dtype((np.void, array.shape[1] * array.itemsize))
+    return array.view(row).reshape(-1)
 
 
 def _complete_states(node) -> Optional[frozenset]:
@@ -178,15 +192,15 @@ class SetLanes:
         self.src = _src_table(assoc)
         put, front, remove = 0, assoc + 1, 2 * assoc + 2
         self.remove = remove
-        # Local row code base by hit * 2 + invalidates; the way added to
-        # it is the hit way, or ``assoc`` on a miss (insert-front) — PLRU
+        # Local row code by hit * 2 + invalidates, before the way added to
+        # it: the hit way, or ``assoc`` on a miss (insert-front) — PLRU
         # adds its allocation way instead.
         bases = {
             _POLICY_LRU: (front, front, front, remove),
             _POLICY_FIFO: (front, front, put, remove),
             _POLICY_PLRU: (put, put, put, remove),
         }[first.policy_code]
-        self.local_base = np.array(bases, dtype=np.intp)
+        self.local_code = np.array(bases, dtype=np.intp)
 
         index_of = {id(node): i for i, node in enumerate(nodes)}
         node_of_cpu = np.full(len(local_table), n_nodes, dtype=np.int8)
@@ -201,11 +215,13 @@ class SetLanes:
         local_next = np.zeros(shape, dtype=np.int8)
         local_inv = np.zeros(shape, dtype=bool)
         hit_pop = np.zeros(shape, dtype=np.int8)
-        # By (node, broadcast, state): the peer row's code base (PUT or
-        # REMOVE), next state and supplied-dirty flag.
+        # By (node, broadcast, state): whether the peer loses the line,
+        # its next state and supplied-dirty flag.  No broadcast leaves
+        # the peer as it is.
         pshape = (n_nodes, len(_POP_OPS), _N_STATES)
-        peer_base = np.full(pshape, put, dtype=np.intp)
+        peer_lost = np.zeros(pshape, dtype=bool)
         peer_next = np.zeros(pshape, dtype=np.int8)
+        peer_next[:, _POP_NONE] = np.arange(_N_STATES)
         peer_dirty = np.zeros(pshape, dtype=bool)
         # One more column, always False, for states outside the table.
         complete = np.zeros((n_nodes, _N_STATES + 1), dtype=bool)
@@ -227,8 +243,7 @@ class SetLanes:
                         node.trans[_POP_OPS[pop]][state]
                     )
                     peer_next[n, pop, state] = next_state
-                    if invalidates:
-                        peer_base[n, pop, state] = remove
+                    peer_lost[n, pop, state] = invalidates
                     peer_dirty[n, pop, state] = is_hit and _DIRTY_OF[state]
             for cmd, (_b, _e, op, _h, _m, _f) in enumerate(_CMD_TAB):
                 if op == _LOCAL_CASTOUT or op == _LOCAL_WRITE:
@@ -239,7 +254,7 @@ class SetLanes:
         self.local_next = local_next.ravel()
         self.local_inv = local_inv.ravel()
         self.hit_pop = hit_pop.ravel()
-        self.peer_base = peer_base.ravel()
+        self.peer_lost = peer_lost.ravel()
         self.peer_next = peer_next.ravel()
         self.peer_dirty = peer_dirty.ravel()
         self.peer_offset = np.arange(n_nodes, dtype=np.intp) * pshape[1] * pshape[2]
@@ -366,10 +381,14 @@ class SetLanes:
         last = self.complete.shape[1] - 1
         for n, node in enumerate(self.nodes):
             directory = node.directory
-            states = np.minimum(directory._states[sets], last)
-            ok &= np.all(
-                (directory._tags[sets] < 0) | self.complete[n, states], axis=1
-            )
+            # ``take`` along the set axis, and a reduction column by
+            # column: indexing or reducing rows this short runs numpy's
+            # inner loop once per set.
+            states = np.minimum(directory._states.take(sets, axis=0), last)
+            good = directory._tags.take(sets, axis=0) < 0
+            good |= self.complete[n].take(states)
+            for j in range(self.assoc):
+                ok &= good[:, j]
             if self.touch is not None:
                 meta = directory._meta[sets]
                 ok &= (meta >= 0) & (meta < 1 << self.assoc)
@@ -406,8 +425,6 @@ class SetLanes:
         width = assoc + 2
         spare = assoc
         n_lanes = depths.shape[0]
-        tags3 = tags.reshape(n_lanes, n_nodes, width)
-        states3 = states.reshape(n_lanes, n_nodes, width)
         tags_flat = tags.reshape(-1)
         states_flat = states.reshape(-1)
 
@@ -451,6 +468,7 @@ class SetLanes:
         home = np.where(is_mapped, node, 0)  # an unmapped tenure's stand-in
         local_row = lane * np.int32(n_nodes) + home
         del lane
+        local_base = local_row * np.int32(width)
         node_cmd = home * np.int32(_N_CMDS) + cmd
         del home
         local_key = node_cmd * np.int32(_N_STATES)
@@ -458,28 +476,45 @@ class SetLanes:
         fill_alone = self.fill_alone[node_cmd]
         del node_cmd
         miss_pop = self.miss_pop[(~is_mapped) * _N_CMDS + cmd]
+        n_rows = n_lanes * n_nodes
+        # A mapped tenure's own row, which is no peer; an unmapped
+        # tenure's stand-in row is, so it names a row past the lanes.
+        own_row = np.where(is_mapped, local_row, n_rows)
 
         n = chunk_of.shape[0]
         hit_out = np.empty(n, dtype=bool)
         state_out = np.empty(n, dtype=np.int8)
         victim_out = np.empty(n, dtype=np.int8)
         pop_out = np.empty(n, dtype=np.int8)
-        dirty_out = np.empty((n, n_nodes), dtype=bool)
-        inv_out = np.empty((n, n_nodes), dtype=bool)
+        # Peer outcomes by (tenure, node); only the rows holding the line
+        # are written.
+        dirty_out = np.zeros((n, n_nodes), dtype=bool)
+        inv_out = np.zeros((n, n_nodes), dtype=bool)
+        dirty_flat = dirty_out.reshape(-1)
+        inv_flat = inv_out.reshape(-1)
 
-        row_base = np.arange(n_lanes * n_nodes, dtype=np.intp) * width
-        gather_buf = np.empty((n_lanes * n_nodes, assoc), dtype=np.intp)
-        tag_buf = np.empty((n_lanes * n_nodes, assoc), dtype=tags.dtype)
-        state_buf = np.empty((n_lanes * n_nodes, assoc), dtype=states.dtype)
-        node_ids = np.arange(n_nodes, dtype=np.int8)
+        # By row: the lane (the tenure's position in its step) and the
+        # node's offset into the peer tables.
+        row_lane = np.repeat(np.arange(n_lanes, dtype=np.intp), n_nodes)
+        row_offset = np.tile(self.peer_offset, n_lanes)
+        # Step buffers, allocated once: fresh arrays this size cost page
+        # faults on every step.  ``way_buf`` has one more entry, the own
+        # row of unmapped tenures.
+        way_buf = np.empty(n_rows + 1, dtype=np.int8)
+        match = np.empty(n_rows, dtype=bool)
+        shared = np.empty(n_lanes, dtype=bool)
+        gather_buf = np.empty((n_rows, width), dtype=np.intp)
+        tag_buf = np.empty((n_rows, width), dtype=tags.dtype)
+        state_buf = np.empty((n_rows, width), dtype=states.dtype)
+        tag_rows, state_rows = _as_rows(tags), _as_rows(states)
+        tag_buf_rows, state_buf_rows = _as_rows(tag_buf), _as_rows(state_buf)
         src = self.src
         local_next, local_inv = self.local_next, self.local_inv
-        hit_pop, local_base = self.hit_pop, self.local_base
-        peer_base, peer_next = self.peer_base, self.peer_next
-        peer_dirty, peer_offset = self.peer_dirty, self.peer_offset
+        hit_pop, local_code = self.hit_pop, self.local_code
+        peer_lost, peer_next = self.peer_lost, self.peer_next
+        peer_dirty = self.peer_dirty
         touch, victim = self.touch, self.victim
         remove = self.remove
-        identity = spare  # PUT(assoc)
         for k in range(max_depth):
             m = int(live[k])
             b0 = int(step_start[k])
@@ -488,42 +523,67 @@ class SetLanes:
             probe = tag[b0:b1]
             mapped = is_mapped[b0:b1]
             lr = local_row[b0:b1]
-            lr_base = lr * width
+            lr_base = local_base[b0:b1]
+            spare_at = lr_base + spare
 
-            # Probe every node: the spare matches when no way does.
-            tags3[:m, :, spare] = probe[:, None]
-            way = (tags3[:m, :, :spare + 1] == probe[:, None, None]).argmax(2)
-            way_flat = way.reshape(-1)
-            state = states_flat[row_base[:rows_m] + way_flat]
+            # Probe every row, last way first, so that the first copy of
+            # a duplicated tag wins; ``assoc`` is a miss.
+            way = way_buf[:rows_m]
+            way.fill(assoc)
+            row_probe = np.repeat(probe, n_nodes)
+            found = match[:rows_m]
+            for j in range(assoc - 1, -1, -1):
+                np.equal(tags[:rows_m, j], row_probe, out=found)
+                np.copyto(way, j, where=found)
+            # Install codes copy the new line from the spare column.
+            tags_flat[spare_at] = probe
 
-            # The local tenure.
-            local_way = way_flat[lr]
-            local_state = state[lr]
+            # The local tenure reads its own row only.
+            local_way = way[lr]
+            local_state = states_flat[lr_base + local_way]
             hit = (local_way < assoc) & mapped
             key = local_key[b0:b1] + local_state
             next_state = local_next[key]
             invalidates = local_inv[key]
             pop = np.where(hit, hit_pop[key], miss_pop[b0:b1])
 
-            # Peer snoops.
-            snoop = ((way < assoc) & (node[b0:b1, None] != node_ids)
-                     & (pop != _POP_NONE)[:, None])
-            peer_key = (state.reshape(m, n_nodes)
-                        + (pop.astype(np.intp) * _N_STATES)[:, None]
-                        + peer_offset)
-            base = peer_base[peer_key]
-            code = np.where(snoop, base + way, identity)
-            dirty = peer_dirty[peer_key] & snoop
-            fill = np.where(snoop.any(1), fill_shared[b0:b1],
+            # Peer snoops: the rows that hold the line, less the mapped
+            # tenures' own rows.  A tenure that broadcasts nothing looks
+            # its peers up under ``_POP_NONE``, which leaves them as they
+            # are; its fill does not depend on them.
+            way_buf[own_row[b0:b1]] = assoc
+            peer = np.flatnonzero(way < assoc)
+            owner = row_lane[peer]
+            peer_way = way[peer]
+            peer_at = peer * width
+            peer_at += peer_way
+            peer_key = row_offset[peer]
+            peer_key += pop[owner] * _N_STATES
+            peer_key += states_flat[peer_at]
+            lost = peer_lost[peer_key]
+            # A peer that keeps the line changes its state in place.
+            kept = ~lost
+            states_flat[peer_at[kept]] = peer_next[peer_key[kept]]
+            at = peer + b0 * n_nodes
+            dirty_flat[at] = peer_dirty[peer_key]
+            inv_flat[at] = lost
+            shared[:m] = False
+            shared[owner] = True
+            fill = np.where(shared[:m], fill_shared[b0:b1],
                             fill_alone[b0:b1])
 
-            # The local row: its code, its allocation and victim.
+            # The local row: its allocation and victim.
             if touch is None:
                 alloc_way = local_way
                 full = tags_flat[lr_base + (assoc - 1)] >= 0
                 victim_col = assoc - 1
             else:
-                filled = (tags[lr, :assoc] >= 0).sum(1)
+                # Lines are a prefix of the row: count them column by
+                # column (a row sum this short is slow).
+                present = tags.take(lr, axis=0) >= 0
+                filled = present[:, 0].astype(np.intp)
+                for j in range(1, assoc):
+                    filled += present[:, j]
                 full = filled == assoc
                 local_meta = meta[lr]
                 victim_col = np.where(full, victim[local_meta], filled)
@@ -536,37 +596,30 @@ class SetLanes:
             victim_state = np.where(
                 evicted, states_flat[lr_base + victim_col], -1
             )
-            code_flat = code.reshape(-1)
-            code_flat[lr] = np.where(
-                mapped, local_base[hit * 2 + invalidates] + alloc_way,
-                code_flat[lr],
-            )
-            states3[:m, :, spare] = peer_next[peer_key]
-            spare_at = lr_base + spare
-            states_flat[spare_at] = np.where(
-                mapped, np.where(hit, next_state, fill), states_flat[spare_at]
-            )
+            states_flat[spare_at] = np.where(hit, next_state, fill)
 
-            # Apply every changed row's code with one gather (into
-            # buffers allocated once: fresh arrays this size cost page
-            # faults on every step).
-            changed = np.flatnonzero(code_flat != identity)
-            count = changed.shape[0]
+            # Mapped local rows and invalidated peers take their new
+            # contents through one gather.
+            code = local_code[hit * 2 + invalidates] + alloc_way
+            rows = np.concatenate((lr[mapped], peer[lost]))
+            code = np.concatenate((code[mapped], remove + peer_way[lost]))
+            # Every index is in range by construction; ``clip`` spares
+            # ``take`` the copy through a buffer it makes to check them.
+            count = rows.shape[0]
             gather = gather_buf[:count]
-            np.take(src, code_flat[changed], axis=0, out=gather)
-            gather += row_base[changed, None]
-            np.take(tags_flat, gather, out=tag_buf[:count])
-            np.take(states_flat, gather, out=state_buf[:count])
-            tags[changed, :assoc] = tag_buf[:count]
-            states[changed, :assoc] = state_buf[:count]
+            np.take(src, code, axis=0, out=gather, mode="clip")
+            gather += (rows * width)[:, None]
+            np.take(tags_flat, gather, out=tag_buf[:count], mode="clip")
+            np.take(states_flat, gather, out=state_buf[:count], mode="clip")
+            tag_rows[rows] = tag_buf_rows[:count]
+            state_rows[rows] = state_buf_rows[:count]
 
             hit_out[b0:b1] = hit
             state_out[b0:b1] = np.where(hit, local_state, fill)
             victim_out[b0:b1] = victim_state
             pop_out[b0:b1] = pop
-            dirty_out[b0:b1] = dirty
-            inv_out[b0:b1] = snoop & (base == remove)
-        del tag, local_row, local_key, fill_shared, fill_alone, miss_pop
+        del tag, local_row, local_base, local_key, own_row
+        del fill_shared, fill_alone, miss_pop
 
         return self._tally(node, cmd, resp, hit_out, state_out, victim_out,
                            pop_out, dirty_out, inv_out, chunk_of, nows)

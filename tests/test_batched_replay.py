@@ -70,16 +70,18 @@ def full_mix_words(
     return encode_arrays(cpu_ids, commands, addresses, responses)
 
 
-def machine_for(kind: str, replacement: str = "lru"):
+def machine_for(kind: str, replacement: str = "lru", protocol: str = "mesi"):
     config = CacheNodeConfig(
-        size=128 * 1024, assoc=4, line_size=128, replacement=replacement
+        size=128 * 1024, assoc=4, line_size=128, replacement=replacement,
+        protocol=protocol,
     )
     if kind == "single":
         return single_node_machine(config, N_CPUS)
     if kind == "split":
         return split_smp_machine(config, N_CPUS, 2)
     other = CacheNodeConfig(
-        size=64 * 1024, assoc=2, line_size=64, replacement=replacement
+        size=64 * 1024, assoc=2, line_size=64, replacement=replacement,
+        protocol=protocol,
     )
     return multi_config_machine([config, other], N_CPUS)
 
@@ -507,6 +509,87 @@ class TestSetLockstep:
             lambda: board_for_machine(machine, seed=3), words
         )
         assert len(forced_lockstep) == 3
+
+    @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
+    def test_every_protocol(self, forced_lockstep, protocol, replacement):
+        """Peer transitions are what protocols differ in (OWNED supplies
+        dirty data, a write hit on SHARED or OWNED invalidates the
+        peers); the lanes replay each protocol as scalar does, with
+        unmapped masters and I/O bridges snooping, and leave no set to
+        the loop."""
+        # 512 lines, fewer than one node holds: lines are shared and hit
+        # in every state, OWNED included.
+        words = full_mix_words(4000, seed=7, max_cpu=20, address_space=1 << 16)
+        machine = machine_for("split", replacement, protocol)
+        assert_lanes_identical(
+            lambda: board_for_machine(machine, seed=3), words
+        )
+        assert len(forced_lockstep) == 3
+        assert forced_lockstep.leftover == 0
+
+    def test_one_step_keeps_loses_and_stands_in(self, forced_lockstep):
+        """One lockstep step holding every kind of peer snoop: a peer
+        that keeps the line (a read snoop on MODIFIED), a peer that
+        loses it (a write snoop on EXCLUSIVE), and unmapped masters
+        whose snoops hit node 0, the row that stands in for their local
+        node (one read, one write)."""
+        machine = machine_for("split")
+        read, rwitm = 0, 1
+        unmapped = 12  # past the machine's 8 CPUs
+        line = lambda set_index, tag: tag << 15 | set_index << 7
+
+        def records(*triples):
+            cpus, cmds, addrs = zip(*triples)
+            return encode_arrays(
+                np.array(cpus, dtype=np.uint64),
+                np.array(cmds, dtype=np.uint64),
+                np.array(addrs, dtype=np.uint64),
+            )
+
+        def make_board():
+            board = board_for_machine(machine, seed=3)
+            board.batched_replay = False
+            board.replay_words(records(
+                (2, rwitm, line(1, 1)),  # node 1: MODIFIED
+                (2, read, line(2, 1)),   # node 1: EXCLUSIVE
+                (0, read, line(3, 1)),   # node 0: EXCLUSIVE
+                (0, read, line(4, 1)),   # node 0: two lines in set 4
+                (0, read, line(4, 2)),
+            ))
+            board.batched_replay = True
+            return board
+
+        # One tenure per set: all of them play in the first step.
+        words = records(
+            (0, read, line(1, 1)),
+            (0, rwitm, line(2, 1)),
+            (unmapped, read, line(3, 1)),
+            (unmapped, rwitm, line(4, 1)),
+        )
+        scalar = make_board()
+        scalar.batched_replay = False
+        scalar.replay_words(words)
+        lanes = make_board()
+        replay_forced_lanes(lanes, words)
+        assert forced_lockstep == [4]
+        assert forced_lockstep.leftover == 0
+        assert scalar.statistics() == lanes.statistics()
+        assert scalar.checkpoint() == lanes.checkpoint()
+
+        node0, node1 = (node.directory for node in lanes.firmware.nodes[:2])
+        shared, invalid = 1, 0
+        assert node1.lookup_state(line(1, 1)) == shared  # kept
+        assert node0.lookup_state(line(1, 1)) == shared
+        assert node1.lookup_state(line(2, 1)) == invalid  # lost
+        assert node0.lookup_state(line(3, 1)) == shared  # kept, stand-in
+        assert node0.lookup_state(line(4, 1)) == invalid  # lost, stand-in
+        assert node0.set_tags(4) == [2]
+        stats = lanes.statistics()
+        assert stats["node1.remote.supplied_dirty"] == 1
+        assert stats["node0.intervention.from_peer"] == 1
+        assert stats["node1.remote.invalidated"] == 1
+        assert stats["node0.remote.invalidated"] == 1
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
     def test_flipped_duplicate_tags(self, forced_lockstep, replacement):
