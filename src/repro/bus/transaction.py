@@ -95,7 +95,7 @@ def combine_snoop_responses(responses: Iterable[SnoopResponse]) -> SnoopResponse
     return combined
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BusTransaction:
     """One address tenure observed on the bus.
 

@@ -35,7 +35,8 @@ discharged in the engine's module docstring and test suite):
     global order.  No engine requires it either: where it is granted
     :func:`~repro.memories.compiled.replay_words_compiled` settles
     buffers in this closed form per chunk, and where it is denied it
-    replays every buffer offer in tenure order instead.
+    replays ``firmware.process`` per tenure, every buffer offer in
+    tenure order.
 """
 
 from __future__ import annotations

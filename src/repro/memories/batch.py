@@ -18,9 +18,11 @@ board's "fast datapath": it replays a packed trace in chunks with
 * a runner that plays protocol transitions **only for admitted
   tenures**.
 
-Which runner that is — the cache-protocol runner in closed form or in
-per-tenure admission mode, or the generic ``firmware.process`` runner —
-is chosen by :func:`repro.memories.compiled.replay_words_compiled`.
+Which runner that is — the cache-protocol runner (its closed-form loop
+or its set lanes) when the stock firmware's buffers are decoupled, or
+the generic ``firmware.process`` runner for coupled or backlogged
+buffers and every other firmware — is chosen by
+:func:`repro.memories.compiled.replay_words_compiled`.
 
 Bit-identity with :meth:`MemoriesBoard._replay_words_scalar` is the
 contract, enforced by the property suite in ``tests/test_batched_replay``:
@@ -57,8 +59,11 @@ def _generic_runner(firmware):
     Used for firmware images the cache-protocol runner does not take
     (tracer, hot-spot profiler, NUMA directory, remote-cache, and cache
     nodes that are SDRAM-priced, ECC-protected or use a custom policy
-    class): the vectorised pre-pass still removes filtered tenures,
-    filter/global bookkeeping and the clock from the Python loop.
+    class) and for stock cache firmware whose buffers are slower than
+    the bus tenure or hold a backlog, where ``process`` replays every
+    buffer offer and refusal exactly: the vectorised pre-pass still
+    removes filtered tenures, filter/global bookkeeping and the clock
+    from the Python loop.
     """
     process = firmware.process
     commands = _COMMANDS

@@ -4,40 +4,36 @@
 (:func:`repro.memories.batch.replay_with_runner`): vectorised decode and
 admit mask, bulk filter and global-counter updates, the ``cumsum``
 clock, chunks split at telemetry countdowns.  It is also the one place
-that picks what runs per admitted tenure.  For the stock cache-emulation
-firmware that is the runner built here by :func:`_protocol_runner`;
-any image it refuses (SDRAM-priced or ECC nodes, custom replacement
-classes, the tracer and the other firmware) runs
-:func:`~repro.memories.batch._generic_runner`, ``firmware.process``
-per admitted tenure.  The protocol runner works on one view per node
-controller (:class:`_CompiledNode`): the directory rows it borrowed for
-the call (:class:`_Loan`), a dense ``(op, state)`` transition table,
-cpu-indexed routing, and an integer-indexed counter accumulator over a
-fixed counter vocabulary (:data:`COUNTER_NAMES`).
+that picks what runs per admitted tenure, once per call, from three
+regimes:
 
-The protocol runner serves two transaction-buffer regimes.  The engine
-picks one per call (:func:`_buffers_decoupled`); the user never does.
+* **the closed-form loop** (:func:`_closed_form_run`), for the stock
+  cache-emulation firmware when its buffers are decoupled;
+* **the set lanes** (:mod:`repro.memories.lockstep`), which the same
+  runner takes for a deep chunk of a single group;
+* **the generic runner** (:func:`~repro.memories.batch._generic_runner`),
+  ``firmware.process`` per admitted tenure, for everything else: images
+  the protocol runner refuses (SDRAM-priced or ECC nodes, custom
+  replacement classes, the tracer and the other firmware) and stock
+  boards whose buffers are coupled, which the scalar firmware replays
+  exactly whatever the buffer timing.
 
-* **Per-tenure admission**, for buffers slower than the bus tenure or
-  holding a backlog.  Every tenure replays
-  ``CacheEmulationFirmware.process``.  First a drain-and-reject
-  pre-check across every group, so a refused tenure has no side effects
-  and counts as a retry.  Then the local offer.  Each peer or
-  unmapped-master snoop counts ``remote.*``, offers to the target's
-  buffer and probes only when the offer is accepted.  Finish times are
-  the same IEEE-754 sums, in the same order, as
-  :meth:`~repro.memories.tx_buffer.TransactionBuffer.offer`; the buffer
-  scalars live in the view for the chunk (:meth:`_CompiledNode.load` /
-  :meth:`_CompiledNode.store`).
-* **Closed form**, the common case.  It needs
-  ``NO_GLOBAL_ORDER_COUPLING``: no service time above the bus tenure.
-  Float addition is monotone, so every finish time is at most the next
-  tenure's time and each admission finds its queue drained.  A chunk's
-  admissions then leave ``accepted += n`` and the single finish time
-  ``t_last + service`` (:meth:`_CompiledNode.settle`), so the runner
-  only tallies admissions per issuer.  Both the capability and a drained
-  starting queue are checked on entry (:func:`_buffers_decoupled`);
-  otherwise the call replays in admission mode.
+The protocol runner works on one view per node controller
+(:class:`_CompiledNode`): the directory rows it borrowed for the call
+(:class:`_Loan`), a dense ``(op, state)`` transition table, cpu-indexed
+routing, and an integer-indexed counter accumulator over a fixed counter
+vocabulary (:data:`COUNTER_NAMES`).
+
+Its buffers settle in closed form.  That needs
+``NO_GLOBAL_ORDER_COUPLING``: no service time above the bus tenure.
+Float addition is monotone, so every finish time is at most the next
+tenure's time and each admission finds its queue drained.  A chunk's
+admissions then leave ``accepted += n`` and the single finish time
+``t_last + service`` (:meth:`_CompiledNode.settle`), so the runner only
+tallies admissions per issuer.  Both the capability and a drained
+starting queue are checked on entry (:func:`_buffers_decoupled`); a
+board that fails either (buffers slower than the tenure, a restored or
+injected backlog) replays the call on the generic runner.
 
 Bit-identity with the scalar loop, per structure:
 
@@ -58,9 +54,9 @@ Bit-identity with the scalar loop, per structure:
   can look.
 
 The transition logic exists in three forms: the scalar
-``NodeController``, :func:`_process_local`, which every fast runner
-calls once per local tenure whatever the group shape and buffer regime,
-and its set-lockstep form (:mod:`repro.memories.lockstep`).  The
+``NodeController``, :func:`_process_local`, which the closed-form loop
+calls once per local tenure whatever the group shape, and its
+set-lockstep form (:mod:`repro.memories.lockstep`).  The
 bit-identity suite in ``tests/test_batched_replay.py`` holds them in
 lock-step.
 
@@ -72,8 +68,8 @@ nothing else, so each set's history depends only on its own tenures,
 in their order.  Counters are sums and the closed-form tallies are
 counts and maxima of rising tenure times, so neither depends on the
 interleaving of sets.  Per chunk, :func:`_closed_form_run` takes the
-lanes when the chunk has enough admitted tenures per touched set, and
-the loop otherwise.
+lanes when the chunk has at least :data:`LOCKSTEP_MIN_TENURES` admitted
+tenures, and the loop otherwise.
 """
 
 from __future__ import annotations
@@ -212,22 +208,15 @@ class _CompiledNode:
     integer-indexed counter accumulator (one slot per
     :data:`COUNTER_NAMES` entry).
 
-    Admission mode snapshots the buffer scalars (``last_finish``,
-    ``accepted``, ``rejected``, ``high_water``) in :meth:`load` and
-    writes them back in :meth:`store`; within a chunk only the runner
-    touches them, and the board reads them only between chunks.
-
-    The closed form keeps the chunk's admission tallies instead (reset by
-    :meth:`begin`): ``local_n`` / ``local_t`` count this node's own
-    tenures and hold the time of the last; ``snoop_rd`` / ``snoop_wr``
-    count the read and write snoops it broadcast to its peers and
-    ``snoop_t`` holds the time of the last.
+    For the closed-form buffer settlement it keeps the chunk's admission
+    tallies (reset by :meth:`begin`): ``local_n`` / ``local_t`` count
+    this node's own tenures and hold the time of the last; ``snoop_rd``
+    / ``snoop_wr`` count the read and write snoops it broadcast to its
+    peers and ``snoop_t`` holds the time of the last.
     """
 
     __slots__ = (
-        "buffer", "ft", "capacity", "service", "last_finish",
-        "accepted", "rejected", "high_water",
-        "directory", "tags", "states", "meta", "lent",
+        "buffer", "service", "directory", "tags", "states", "meta", "lent",
         "off_bits", "set_mask", "tag_shift",
         "trans", "fill_write", "fill_read_shared", "fill_read_alone",
         "policy_code", "assoc", "is_lru",
@@ -238,7 +227,6 @@ class _CompiledNode:
     def __init__(self, node) -> None:
         buffer = node.buffer
         self.buffer = buffer
-        self.capacity = buffer.capacity
         self.service = buffer.service_cycles
         directory = node.directory
         self.directory = directory
@@ -319,54 +307,6 @@ class _CompiledNode:
             if value:
                 counters.increment(COUNTER_NAMES[cid], value)
                 accv[cid] = 0
-
-    # -- per-tenure admission ------------------------------------------ #
-
-    def load(self) -> None:
-        """Snapshot the buffer scalars for the coming chunk."""
-        buffer = self.buffer
-        self.ft = buffer._finish_times
-        self.last_finish = buffer._last_finish
-        stats = buffer.stats
-        self.accepted = stats.accepted
-        self.rejected = stats.rejected
-        self.high_water = stats.high_water
-
-    def store(self) -> None:
-        """Write the buffer scalars back and flush the counters."""
-        buffer = self.buffer
-        buffer._last_finish = self.last_finish
-        stats = buffer.stats
-        stats.accepted = self.accepted
-        stats.rejected = self.rejected
-        stats.high_water = self.high_water
-        self.flush_counters()
-
-    def enqueue(self, now: float) -> None:
-        """The accepting half of TransactionBuffer.offer (the queue has
-        been drained at ``now`` and has room)."""
-        last = self.last_finish
-        start = now if now > last else last
-        finish = start + self.service
-        ft = self.ft
-        ft.append(finish)
-        self.last_finish = finish
-        self.accepted += 1
-        if len(ft) > self.high_water:
-            self.high_water = len(ft)
-
-    def offer(self, now: float) -> bool:
-        """TransactionBuffer.offer on the chunk's snapshot."""
-        ft = self.ft
-        while ft and ft[0] <= now:
-            ft.popleft()
-        if len(ft) >= self.capacity:
-            self.rejected += 1
-            return False
-        self.enqueue(now)
-        return True
-
-    # -- closed form ---------------------------------------------------- #
 
     def begin(self) -> None:
         """Reset the admission tallies for the coming chunk."""
@@ -486,40 +426,9 @@ def _snoop_hit(peer: _CompiledNode, op: int, set_index: int, way: int) -> bool:
     return supplied_dirty
 
 
-def _snoop_offered(node: _CompiledNode, op: int, addr: int, now: float):
-    """NodeController.process_remote with its buffer offer (admission).
-
-    Counts the snoop and offers it to the node's buffer; a refused snoop
-    is dropped without a probe.  Returns None when the line is not held
-    or the snoop was refused, else whether dirty data was supplied.
-    """
-    node.accv[_CID_REMOTE_READ if op == _REMOTE_READ else _CID_REMOTE_WRITE] += 1
-    if not node.offer(now):
-        return None
-    set_index = (addr >> node.off_bits) & node.set_mask
-    tags_in_set = node.tags[set_index]
-    tag = addr >> node.tag_shift
-    if tag not in tags_in_set:
-        return None
-    return _snoop_hit(node, op, set_index, tags_in_set.index(tag))
-
-
-def _broadcast_offered(local: _CompiledNode, op, addr, now) -> bool:
-    """Snoop every peer in admission mode; returns whether any held the
-    line, counting dirty read supplies as interventions."""
-    held = False
-    for peer in local.peers:
-        supplied_dirty = _snoop_offered(peer, op, addr, now)
-        if supplied_dirty is not None:
-            held = True
-            if supplied_dirty and op == _REMOTE_READ:
-                local.accv[_CID_INTERVENTION] += 1
-    return held
-
-
 def _broadcast_tallied(local: _CompiledNode, op, addr, now) -> bool:
-    """Snoop every peer in closed form: tally the broadcast for
-    settlement, then probe; returns whether any peer held the line."""
+    """Snoop every peer: tally the broadcast for settlement, then probe;
+    returns whether any peer held the line."""
     if op == _REMOTE_READ:
         local.snoop_rd += 1
     else:
@@ -538,13 +447,11 @@ def _broadcast_tallied(local: _CompiledNode, op, addr, now) -> bool:
     return held
 
 
-def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> None:
-    """One local tenure on a _CompiledNode, after its buffer admission.
+def _process_local(local: _CompiledNode, cmd, addr, resp, now) -> None:
+    """One local tenure on a _CompiledNode.
 
-    ``broadcast(local, op, addr, now)`` snoops the peers in the runner's
-    buffer regime (:func:`_broadcast_offered` or
-    :func:`_broadcast_tallied`).  A node without peers skips the call:
-    nothing would be snooped, and no settlement reads its snoop tallies.
+    A node without peers skips :func:`_broadcast_tallied`: nothing would
+    be snooped, and no settlement reads its snoop tallies.
     """
     accv = local.accv
     base_cid, extra_cid, op, hit_cid, miss_cid, fetches = _CMD_TAB[cmd]
@@ -576,7 +483,7 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
                 meta[set_index] = local.touch_meta(way, meta[set_index])
         if op == _LOCAL_WRITE and (state == _SHARED or state == _OWNED):
             if local.peers:
-                broadcast(local, _REMOTE_WRITE, addr, now)
+                _broadcast_tallied(local, _REMOTE_WRITE, addr, now)
         if fetches:
             accv[_SAT_HIT_CID[resp]] += 1
         return
@@ -587,9 +494,9 @@ def _process_local(local: _CompiledNode, cmd, addr, resp, now, broadcast) -> Non
         fill = local.fill_write
     elif op == _LOCAL_WRITE:
         if local.peers:
-            broadcast(local, _REMOTE_WRITE, addr, now)
+            _broadcast_tallied(local, _REMOTE_WRITE, addr, now)
         fill = local.fill_write
-    elif local.peers and broadcast(local, _REMOTE_READ, addr, now):
+    elif local.peers and _broadcast_tallied(local, _REMOTE_READ, addr, now):
         fill = local.fill_read_shared
     else:
         fill = local.fill_read_alone
@@ -643,15 +550,16 @@ def _install_inline(local: _CompiledNode, set_index, tags_in_set, tag,
     return victim_state
 
 
-def _protocol_runner(firmware, closed_form: bool, set_lanes: bool = False):
+def _protocol_runner(firmware, set_lanes: bool = False):
     """Build the cache-protocol runner, or None when ineligible.
 
     Eligible when the firmware exposes precomputed coherence-group
     routing and every node uses the constant-service transaction buffer
     (no SDRAM timing model), an unprotected directory (no ECC) and a
-    stock replacement policy.  This check is the only place that decides
-    between this runner and the generic one.  ``closed_form`` picks the
-    buffer regime (see the module docstring).
+    stock replacement policy.  With :func:`_buffers_decoupled` this
+    check decides between this runner and the generic one.  The runner
+    settles buffers in closed form, so the caller must have checked
+    that they are decoupled.
     """
     groups = getattr(firmware, "_groups", None)
     if groups is None:
@@ -681,66 +589,8 @@ def _protocol_runner(firmware, closed_form: bool, set_lanes: bool = False):
             (local_table, tuple(compiled_of[id(node)] for node in controllers))
         )
     loan = _Loan(all_nodes)
-    if not closed_form:
-        run = _admission_run(compiled_groups, all_nodes, loan)
-    else:
-        run = _closed_form_run(compiled_groups, all_nodes, set_lanes, loan)
+    run = _closed_form_run(compiled_groups, all_nodes, set_lanes, loan)
     run.loan = loan
-    return run
-
-
-def _admission_run(compiled_groups, all_nodes, loan):
-    """Per-tenure admission: CacheEmulationFirmware.process with every
-    buffer offer replayed; the runner returns the retry count."""
-    process_local = _process_local
-    broadcast = _broadcast_offered
-
-    def run(cpus, cmds, addrs, resps, nows) -> int:
-        loan.take(addrs)
-        for node in all_nodes:
-            node.load()
-        retries = 0
-        for cpu, cmd, addr, resp, now in zip(
-            cpus.tolist(), cmds.tolist(), addrs.tolist(),
-            resps.tolist(), nows.tolist(),
-        ):
-            # Admission pre-check across every group before any state
-            # changes (a refused tenure must be side-effect free).
-            refused = False
-            for local_table, _controllers in compiled_groups:
-                local = local_table[cpu]
-                if local is not None:
-                    ft = local.ft
-                    while ft and ft[0] <= now:
-                        ft.popleft()
-                    if len(ft) >= local.capacity:
-                        local.rejected += 1
-                        refused = True
-            if refused:
-                retries += 1
-                continue
-
-            for local_table, controllers in compiled_groups:
-                local = local_table[cpu]
-                if local is None:
-                    # Unmapped master (see CacheEmulationFirmware.process).
-                    if cmd == _READ:
-                        op = _REMOTE_READ
-                    elif cmd == _CASTOUT and cpu <= MAX_PROCESSOR_ID:
-                        continue
-                    else:
-                        op = _REMOTE_WRITE
-                    for node in controllers:
-                        _snoop_offered(node, op, addr, now)
-                    continue
-                # The pre-check drained this queue at the same `now` and
-                # found room, and nothing has been enqueued since.
-                local.enqueue(now)
-                process_local(local, cmd, addr, resp, now, broadcast)
-        for node in all_nodes:
-            node.store()
-        return retries
-
     return run
 
 
@@ -755,7 +605,6 @@ def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool, loan):
     the loop then replays the sets the lanes cannot.
     """
     process_local = _process_local
-    broadcast = _broadcast_tallied
     snoop_hit = _snoop_hit
     lanes = None
     # Only a single group has lanes; cleared once it turns out to have none.
@@ -778,7 +627,7 @@ def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool, loan):
                 if local is not None:
                     local.local_n += 1
                     local.local_t = now
-                    process_local(local, cmd, addr, resp, now, broadcast)
+                    process_local(local, cmd, addr, resp, now)
                     continue
                 # Unmapped master: probe the group's controllers directly.
                 if cmd == _READ:
@@ -827,7 +676,8 @@ def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool, loan):
 
 
 def _buffers_decoupled(board, proof=None) -> bool:
-    """Whether the closed-form buffer settlement is exact for this call.
+    """Whether the closed-form buffer settlement is exact for this call,
+    and so whether the protocol runner may replay it.
 
     Two conditions.  The static one is the prover's
     ``NO_GLOBAL_ORDER_COUPLING``: every service time is at most the bus
@@ -855,18 +705,18 @@ def replay_words_compiled(board, words: np.ndarray) -> int:
 
     Precondition (proven statically by the engine registry): the board
     grants ``INERT_BACKGROUND_TICK``.  The runner is chosen here, once
-    per call: the protocol runner in closed form when the buffers are
-    decoupled, in per-tenure admission mode otherwise, and the generic
-    runner for firmware the protocol runner refuses.
+    per call: the protocol runner when the buffers are decoupled and the
+    firmware is one it takes, and the generic runner otherwise.
     """
     if int(words.shape[0]) == 0:
         return 0
     proof = prove_capabilities(board)
-    closed_form = _buffers_decoupled(board, proof)
-    runner = _protocol_runner(
-        board.firmware, closed_form=closed_form,
-        set_lanes=proof.grants(Capability.PER_SET_INDEPENDENCE),
-    )
+    runner = None
+    if _buffers_decoupled(board, proof):
+        runner = _protocol_runner(
+            board.firmware,
+            set_lanes=proof.grants(Capability.PER_SET_INDEPENDENCE),
+        )
     if runner is None:
         return replay_with_runner(board, words, _generic_runner(board.firmware))
     return _replay_lent(board, words, runner)

@@ -16,8 +16,8 @@ all sets together, as numpy lanes:
   axis.  Step *k* plays the rank-*k* tenure of every such lane; its
   tenures are one contiguous block, in lane order, and index the lane
   arrays with a slice.
-* **State.**  Each (lane, node) row is gathered from the directory's
-  arrays by fancy indexing, padded to ``assoc + 2`` columns: the ways,
+* **State.**  Each (lane, node) row is taken from the directory's
+  arrays along the set axis, padded to ``assoc + 2`` columns: the ways,
   one spare column for the step's probe tag and the row's new state, and
   one column that stays empty (tag -1).  Lines are a prefix of the ways,
   as in the directory.  At chunk end the rows are scattered straight
@@ -405,8 +405,10 @@ class SetLanes:
         states = np.zeros(shape, dtype=np.int8)
         for n, node in enumerate(self.nodes):
             directory = node.directory
-            tags[:, n, :assoc] = directory._tags[sets]
-            states[:, n, :assoc] = directory._states[sets]
+            # ``take`` along the set axis: a fancy row index runs numpy's
+            # inner loop once per row.
+            tags[:, n, :assoc] = directory._tags.take(sets, axis=0)
+            states[:, n, :assoc] = directory._states.take(sets, axis=0)
         meta = None
         if self.touch is not None:
             meta = np.stack(
@@ -647,14 +649,19 @@ class SetLanes:
             + per_node(victim.astype(np.intp) + 1,
                        self.evict_counters.shape[0]) @ self.evict_counters
         )
-        # Peers supplying dirty data to a read miss are interventions.
+        # Peer by peer: reducing rows this short runs numpy's inner loop
+        # once per row.  Peers supplying dirty data to a read miss are
+        # interventions.
         reads = pop == _POP_READ
-        counts[:, _CID_INTERVENTION] += np.bincount(
-            node[reads], weights=dirty[reads].sum(axis=1), minlength=n_rows,
-        ).astype(np.int64)
+        supplied, lost = [], []
+        for n in range(n_nodes):
+            dirty_n = dirty[:, n]
+            counts[:, _CID_INTERVENTION] += np.bincount(
+                node[reads & dirty_n], minlength=n_rows
+            )
+            supplied.append(int(np.count_nonzero(dirty_n)))
+            lost.append(int(np.count_nonzero(invalidated[:, n])))
         del reads
-        supplied = dirty.sum(axis=0).tolist()
-        lost = invalidated.sum(axis=0).tolist()
 
         issued = per_node(pop, 3)
         # Tenure times rise with the chunk index: the last time is the

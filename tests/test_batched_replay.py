@@ -8,12 +8,13 @@ clock, sampler cursor) to come out equal, across firmware shapes,
 replacement policies, telemetry cadences and degraded starting states;
 a property-based sweep drives randomized mixes through the same
 comparison, and a saturated-buffer sweep pins the rejected-tenure
-accounting parity of the cache-protocol runner's admission mode.  Both
-buffer regimes are held to this standard: the closed form through the
-engine, and per-tenure admission forced past the engine's chooser
-(:func:`replay_admission`).  The set-lockstep form of the closed-form
-runner is forced onto every chunk the same way, and its chooser's
-routing is pinned.
+accounting parity of buffers that refuse work.  Every replay goes
+through the compiled engine's own routing, in both buffer regimes it
+tells apart (:data:`FAST_REGIMES`): decoupled buffers on the protocol
+runner's closed form, and coupled or backlogged buffers on
+``firmware.process`` per tenure; the routing itself is pinned.  The
+set-lockstep form of the closed-form runner is forced onto every chunk
+past the engine's chooser, and that chooser's routing is pinned too.
 """
 
 from __future__ import annotations
@@ -27,8 +28,16 @@ from hypothesis import strategies as st
 
 from repro.bus.trace import encode_arrays
 from repro.engines import ENGINES
-from repro.memories.board import MemoriesBoard, board_for_machine
-from repro.memories.compiled import _protocol_runner, _replay_lent
+from repro.memories.board import (
+    DEFAULT_ASSUMED_UTILIZATION,
+    MemoriesBoard,
+    board_for_machine,
+)
+from repro.memories.compiled import (
+    _buffers_decoupled,
+    _protocol_runner,
+    _replay_lent,
+)
 from repro.memories.config import CacheNodeConfig
 from repro.memories.counters import COUNTER_MASK
 from repro.memories.tx_buffer import TransactionBuffer
@@ -86,37 +95,38 @@ def machine_for(kind: str, replacement: str = "lru", protocol: str = "mesi"):
     return multi_config_machine([config, other], N_CPUS)
 
 
-def replay_admission(board, words):
-    """The protocol runner in per-tenure admission mode, forced past the
-    compiled engine's chooser (which takes it only for buffers slower
-    than the bus tenure or holding a backlog)."""
-    return _replay_lent(
-        board, words, _protocol_runner(board.firmware, closed_form=False)
+#: The utilization of a coupled board: at 90% the bus tenure is shorter
+#: than a node buffer's service time, so queues build up.
+COUPLED_UTILIZATION = 0.9
+
+#: The two buffer regimes the compiled engine tells apart, as boards.
+#: ``compiled``: the stock board, whose buffers keep up with the bus, so
+#: the engine settles them in closed form.  ``coupled``: the same board
+#: at :data:`COUPLED_UTILIZATION`, so the engine replays
+#: ``firmware.process`` per tenure.  The coupled regime's test id,
+#: ``batched``, predates its name.
+FAST_REGIMES = [pytest.param("coupled", id="batched"), "compiled"]
+
+
+def regime_board(regime, machine, seed):
+    """A board for ``machine`` in one of the :data:`FAST_REGIMES`."""
+    coupled = regime == "coupled"
+    board = board_for_machine(
+        machine, seed=seed,
+        assumed_utilization=(
+            COUPLED_UTILIZATION if coupled else DEFAULT_ASSUMED_UTILIZATION
+        ),
     )
-
-
-def fast_replay(engine, board, words):
-    """Replay through a registered engine, or through
-    :func:`replay_admission` when ``engine`` is ``"admission"``."""
-    if engine == "admission":
-        return replay_admission(board, words)
-    return ENGINES[engine].replay(board, words)
-
-
-#: The two buffer regimes the parity tests run: per-tenure admission,
-#: forced, and the compiled engine's own choice (the closed form on an
-#: unmodified board).  The admission regime's test id, ``batched``,
-#: predates its name.
-FAST_REGIMES = [pytest.param("admission", id="batched"), "compiled"]
+    assert _buffers_decoupled(board) is not coupled
+    return board
 
 
 def assert_paths_identical(make_board, words, chunks=None, engine=None):
     """Replay scalar and a fast path; require identical checkpoints.
 
-    ``engine`` names a registered engine to drive explicitly, or
-    ``"admission"`` (:func:`fast_replay`); None uses the board's own
-    routing (``select_board_engine``), which picks the highest-rank
-    eligible engine.
+    ``engine`` names a registered engine to drive explicitly; None uses
+    the board's own routing (``select_board_engine``), which picks the
+    highest-rank eligible engine.
     """
     scalar = make_board()
     scalar.batched_replay = False
@@ -125,7 +135,7 @@ def assert_paths_identical(make_board, words, chunks=None, engine=None):
     replay = (
         other.replay_words
         if engine is None
-        else (lambda part: fast_replay(engine, other, part))
+        else (lambda part: ENGINES[engine].replay(other, part))
     )
     parts = np.array_split(words, chunks) if chunks else [words]
     for part in parts:
@@ -142,19 +152,21 @@ class TestBatchedBitIdentity:
     @pytest.mark.parametrize("kind", ["single", "split", "multi"])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
     def test_every_machine_and_policy(self, kind, replacement):
+        # Coupled buffers: the engine replays firmware.process per tenure.
         words = full_mix_words(4000, seed=7)
         machine = machine_for(kind, replacement)
         assert_paths_identical(
-            lambda: board_for_machine(machine, seed=3), words,
-            engine="admission",
+            lambda: regime_board("coupled", machine, seed=3), words,
+            engine="compiled",
         )
 
     def test_chunked_replay_matches(self):
+        # Coupled buffers carry their queues from call to call.
         words = full_mix_words(3000, seed=11)
         machine = machine_for("split")
         assert_paths_identical(
-            lambda: board_for_machine(machine, seed=1), words, chunks=7,
-            engine="admission",
+            lambda: regime_board("coupled", machine, seed=1), words,
+            chunks=7, engine="compiled",
         )
 
     def test_empty_and_all_filtered_traces(self):
@@ -187,16 +199,16 @@ class TestBatchedBitIdentity:
         assert_paths_identical(make_board, words)
 
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
+    @pytest.mark.parametrize("regime", FAST_REGIMES)
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
-    def test_duplicate_tags_map_to_first_occurrence(self, engine, replacement):
+    def test_duplicate_tags_map_to_first_occurrence(self, regime, replacement):
         """Tag flips can leave two resident lines with one tag; installs
         must keep the scalar way map (first occurrence wins)."""
         words = full_mix_words(2500, seed=5, address_space=1 << 20)
         machine = machine_for("split", replacement)
 
         def make_board():
-            board = board_for_machine(machine, seed=9)
+            board = regime_board(regime, machine, seed=9)
             board.batched_replay = False
             board.replay_words(full_mix_words(3000, seed=21, address_space=1 << 20))
             for node in board.firmware.nodes:
@@ -212,7 +224,7 @@ class TestBatchedBitIdentity:
             board.batched_replay = True
             return board
 
-        assert_paths_identical(make_board, words, engine=engine)
+        assert_paths_identical(make_board, words, engine="compiled")
 
 
 class TestCompiledBitIdentity:
@@ -257,9 +269,7 @@ class TestCompiledBitIdentity:
     def test_injected_burst_falls_back_identically(self):
         # A fault injector's burst leaves finish times queued beyond the
         # next tenure, which the closed-form buffer settlement cannot
-        # express; the occupancy guard must pick the admission regime.
-        from repro.memories.compiled import _buffers_decoupled
-
+        # express; the occupancy guard must pick the generic runner.
         words = full_mix_words(2000, seed=45)
         machine = machine_for("split")
 
@@ -372,7 +382,7 @@ class TestOrderCouplingBoundary:
             for reason in proof.reasons(Capability.NO_GLOBAL_ORDER_COUPLING)
         )
         # The compiled engine still replays the board, bit-identically,
-        # in per-tenure admission mode.
+        # on the generic runner.
         assert select_board_engine(board).name == "compiled"
 
         words = self.back_to_back()
@@ -381,9 +391,7 @@ class TestOrderCouplingBoundary:
         # The divergence is real: the closed form, forced past the
         # guard, reports depth one.
         forced = make_board()
-        _replay_lent(
-            forced, words, _protocol_runner(forced.firmware, closed_form=True)
-        )
+        _replay_lent(forced, words, _protocol_runner(forced.firmware))
         assert forced.firmware.nodes[0].buffer.stats.high_water == 1
         assert forced.checkpoint() != scalar.checkpoint()
 
@@ -468,14 +476,14 @@ def forced_lockstep(monkeypatch, lockstep_calls):
 
 def replay_forced_lanes(board, words):
     """The closed-form runner with set lanes, past the engine's guards."""
-    runner = _protocol_runner(board.firmware, closed_form=True, set_lanes=True)
+    runner = _protocol_runner(board.firmware, set_lanes=True)
     return _replay_lent(board, words, runner)
 
 
 def assert_lanes_identical(make_board, words, chunks=3):
     """Scalar against the forced set lanes, chunk by chunk; a last part
-    replays in admission mode, whose probes read the rows the lanes
-    wrote back."""
+    replays through the engine with the lanes off, on the closed-form
+    loop, whose probes read the rows the lanes wrote back."""
     scalar = make_board()
     scalar.batched_replay = False
     lanes = make_board()
@@ -484,7 +492,9 @@ def assert_lanes_identical(make_board, words, chunks=3):
         scalar.replay_words(part)
         replay_forced_lanes(lanes, part)
     scalar.replay_words(tail)
-    replay_admission(lanes, tail)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.memories.compiled.LOCKSTEP_MIN_TENURES", math.inf)
+        ENGINES["compiled"].replay(lanes, tail)
     assert scalar.statistics() == lanes.statistics()
     assert scalar.now_cycle == lanes.now_cycle
     assert scalar.checkpoint() == lanes.checkpoint()
@@ -688,8 +698,8 @@ class TestSetLockstep:
             return board
 
         assert_paths_identical(make_board, words, chunks=4, engine="compiled")
-        # The first call drains the burst in admission mode; the lanes
-        # take the rest once the closed form applies again.
+        # The first call drains the burst on the generic runner; the
+        # lanes take the rest once the closed form applies again.
         assert len(forced_lockstep) == 3
 
     def test_deep_telemetry_cadence_jsonl_identical(self, lockstep_calls):
@@ -814,7 +824,7 @@ class TestLockstepChooser:
 
 
 class TestTelemetryChunking:
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
+    @pytest.mark.parametrize("regime", FAST_REGIMES)
     @pytest.mark.parametrize(
         ("cadence", "kind", "max_cpu"),
         [
@@ -830,12 +840,12 @@ class TestTelemetryChunking:
         ],
         ids=["1", "7", "64", "1024", "37-split-unmapped", "37-multi-unmapped"],
     )
-    def test_transaction_cadence_identical(self, cadence, kind, max_cpu, engine):
+    def test_transaction_cadence_identical(self, cadence, kind, max_cpu, regime):
         words = full_mix_words(2000, seed=17, max_cpu=max_cpu)
         machine = machine_for(kind)
 
         def make_board(sink):
-            board = board_for_machine(machine, seed=2)
+            board = regime_board(regime, machine, seed=2)
             board.attach_telemetry(
                 CounterSampler(sink, every_transactions=cadence)
             )
@@ -846,7 +856,7 @@ class TestTelemetryChunking:
         scalar.batched_replay = False
         fast = make_board(fast_sink)
         scalar.replay_words(words)
-        fast_replay(engine, fast, words)
+        ENGINES["compiled"].replay(fast, words)
         scalar.telemetry.finish(scalar)
         fast.telemetry.finish(fast)
         assert scalar_sink.records == fast_sink.records
@@ -923,21 +933,55 @@ class TestEngineSelection:
         assert_paths_identical(make_board, words)
 
     def test_stock_cache_firmware_bypasses_process(self, monkeypatch):
-        """Stock cache firmware replays on the protocol runner's admission
-        mode, never through ``firmware.process`` per tenure."""
+        """The engine's buffer routing, both ways.  A decoupled board
+        replays on the protocol runner and never calls
+        ``firmware.process``; a coupled board and a backlogged one each
+        replay on the generic runner, ``firmware.process`` per tenure.
+        All three match scalar down to the checkpoint and the retries."""
+        from repro.memories import compiled
+
         machine = machine_for("split")
         words = full_mix_words(1500, seed=83)
-        scalar = board_for_machine(machine, seed=2)
-        scalar.batched_replay = False
-        scalar.replay_words(words)
-        fast = board_for_machine(machine, seed=2)
+        built = []
+        generic_runner = compiled._generic_runner
+
+        def counted(firmware):
+            built.append(firmware)
+            return generic_runner(firmware)
+
+        monkeypatch.setattr(compiled, "_generic_runner", counted)
 
         def refuse(*_args):
             raise AssertionError("firmware.process ran per tenure")
 
-        monkeypatch.setattr(fast.firmware, "process", refuse)
-        assert replay_admission(fast, words) == len(words)
-        assert fast.checkpoint() == scalar.checkpoint()
+        def decoupled():
+            return board_for_machine(machine, seed=2)
+
+        def coupled():
+            return regime_board("coupled", machine, seed=2)
+
+        def backlogged():
+            board = board_for_machine(machine, seed=2)
+            board.firmware.nodes[1].buffer.inject_occupancy(
+                board.now_cycle, 40
+            )
+            return board
+
+        for make_board, generic in (
+            (decoupled, False), (coupled, True), (backlogged, True),
+        ):
+            scalar = make_board()
+            scalar.batched_replay = False
+            scalar.replay_words(words)
+            fast = make_board()
+            if not generic:
+                monkeypatch.setattr(fast.firmware, "process", refuse)
+            built.clear()
+            assert ENGINES["compiled"].replay(fast, words) == len(words)
+            assert built == ([fast.firmware] if generic else [])
+            assert fast.statistics() == scalar.statistics()
+            assert fast.retries_posted == scalar.retries_posted
+            assert fast.checkpoint() == scalar.checkpoint()
 
     def test_tracer_firmware_generic_runner(self):
         from repro.memories.firmware.tracer import TraceCollectorFirmware
@@ -959,14 +1003,14 @@ class TestZeroCountdownRegression:
     """A sampler countdown at (or below) zero on entry must not produce
     an empty chunk (this used to crash ``_run_chunk`` on ``steps[0]``)."""
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
+    @pytest.mark.parametrize("regime", FAST_REGIMES)
     @pytest.mark.parametrize("countdown", [0, -3])
-    def test_zero_countdown_entry_matches_scalar(self, engine, countdown):
+    def test_zero_countdown_entry_matches_scalar(self, regime, countdown):
         words = full_mix_words(300, seed=53)
         machine = machine_for("split")
 
         def make_board(sink):
-            board = board_for_machine(machine, seed=2)
+            board = regime_board(regime, machine, seed=2)
             board.attach_telemetry(
                 CounterSampler(sink, every_transactions=50)
             )
@@ -980,7 +1024,7 @@ class TestZeroCountdownRegression:
         scalar.batched_replay = False
         fast = make_board(fast_sink)
         scalar.replay_words(words)
-        fast_replay(engine, fast, words)
+        ENGINES["compiled"].replay(fast, words)
         assert scalar_sink.records == fast_sink.records
         assert scalar.statistics() == fast.statistics()
         assert scalar.checkpoint() == fast.checkpoint()
@@ -991,17 +1035,19 @@ class TestZeroCountdownRegression:
             CounterSampler(MemorySink(), every_transactions=10)
         )
         board.telemetry._countdown = 0
-        assert replay_admission(board, full_mix_words(25, seed=1)) == 25
+        assert ENGINES["compiled"].replay(board, full_mix_words(25, seed=1)) == 25
 
 
 class TestRejectedParity:
     """Rejected-tenure accounting parity under saturated buffers.
 
-    The runner's admission pre-check drains every group's local queue and
-    increments ``rejected`` only on the full ones; scalar
-    ``CacheEmulationFirmware.process`` must account identically, proven
-    here with deliberately tiny capacities and service times far above
-    the tenure spacing so refusals actually occur.
+    Saturated buffers are coupled, so the compiled engine replays them
+    on ``CacheEmulationFirmware.process`` per tenure, whose admission
+    pre-check drains every group's local queue and increments
+    ``rejected`` only on the full ones.  The chunk loop around it must
+    keep that accounting and the retry count exactly as scalar does,
+    proven here with deliberately tiny capacities and service times far
+    above the tenure spacing so refusals actually occur.
     """
 
     def saturate(self, board, capacity, service):
@@ -1013,7 +1059,7 @@ class TestRejectedParity:
             node.buffer.stats = stats
         return board
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
+    @pytest.mark.parametrize("engine", ["compiled"])
     @pytest.mark.parametrize("kind", ["split", "multi"])
     def test_saturated_buffers_identical(self, engine, kind):
         words = full_mix_words(2000, seed=59)
@@ -1035,7 +1081,7 @@ class TestRejectedParity:
         assert rejected > 0, "saturation did not produce refusals"
         assert scalar.retries_posted > 0
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
+    @pytest.mark.parametrize("engine", ["compiled"])
     def test_refused_snoop_skips_probe(self, engine):
         """A snoop that its target's full buffer refuses is dropped
         before the probe: the target's copy of the line stays as it was."""
@@ -1063,11 +1109,10 @@ class TestRejectedParity:
         seed=st.integers(0, 2**16),
         capacity=st.integers(1, 3),
         service=st.sampled_from([100.0, 3e3, 5e4]),
-        engine=st.sampled_from(["admission", "compiled"]),
         replacement=st.sampled_from(["lru", "fifo", "plru", "random"]),
     )
     def test_rejected_accounting_property(
-        self, seed, capacity, service, engine, replacement
+        self, seed, capacity, service, replacement
     ):
         words = full_mix_words(700, seed=seed)
         machine = machine_for("multi", replacement)
@@ -1079,14 +1124,14 @@ class TestRejectedParity:
                 service=service,
             )
 
-        assert_paths_identical(make_board, words, engine=engine)
+        assert_paths_identical(make_board, words, engine="compiled")
 
 class TestEdgeChunks:
     """Chunk-shape edges: all-filtered chunks, chunk size 1, boundaries
     landing exactly on the countdown, wrap-adjacent 40-bit counters."""
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
-    def test_all_filtered_chunks_with_telemetry(self, engine):
+    @pytest.mark.parametrize("regime", FAST_REGIMES)
+    def test_all_filtered_chunks_with_telemetry(self, regime):
         # Every record is filtered (IO/interrupt/sync): chunks contain
         # zero admitted tenures but must still advance clock, filter
         # stats and the sampler cursor exactly.
@@ -1100,31 +1145,31 @@ class TestEdgeChunks:
         machine = machine_for("single")
 
         def make_board():
-            board = board_for_machine(machine)
+            board = regime_board(regime, machine, seed=0)
             board.attach_telemetry(
                 CounterSampler(MemorySink(), every_transactions=3)
             )
             return board
 
-        assert_paths_identical(make_board, words, engine=engine)
+        assert_paths_identical(make_board, words, engine="compiled")
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
-    def test_single_record_chunks(self, engine):
+    @pytest.mark.parametrize("regime", FAST_REGIMES)
+    def test_single_record_chunks(self, regime):
         # Cadence 1 makes every chunk exactly one record long.
         words = full_mix_words(120, seed=67)
         machine = machine_for("split")
 
         def make_board():
-            board = board_for_machine(machine, seed=2)
+            board = regime_board(regime, machine, seed=2)
             board.attach_telemetry(
                 CounterSampler(MemorySink(), every_transactions=1)
             )
             return board
 
-        assert_paths_identical(make_board, words, engine=engine)
+        assert_paths_identical(make_board, words, engine="compiled")
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
-    def test_boundary_exactly_on_countdown(self, engine):
+    @pytest.mark.parametrize("regime", FAST_REGIMES)
+    def test_boundary_exactly_on_countdown(self, regime):
         # Trace length an exact multiple of the cadence: the final chunk
         # ends on the countdown and on_countdown fires at the last record.
         cadence = 64
@@ -1135,19 +1180,19 @@ class TestEdgeChunks:
         def make_board():
             sink = MemorySink()
             sinks.append(sink)
-            board = board_for_machine(machine, seed=2)
+            board = regime_board(regime, machine, seed=2)
             board.attach_telemetry(
                 CounterSampler(sink, every_transactions=cadence)
             )
             return board
 
-        assert_paths_identical(make_board, words, engine=engine)
+        assert_paths_identical(make_board, words, engine="compiled")
         scalar_sink, fast_sink = sinks
         assert scalar_sink.records == fast_sink.records
         assert len(fast_sink.records) == 5
 
-    @pytest.mark.parametrize("engine", FAST_REGIMES)
-    def test_wrap_adjacent_global_counters(self, engine):
+    @pytest.mark.parametrize("regime", FAST_REGIMES)
+    def test_wrap_adjacent_global_counters(self, regime):
         # Seed the global bank just below the 40-bit mask so
         # record_batch wraps mid-replay; masked readouts and the
         # wrapped-counter report must match scalar exactly.
@@ -1155,13 +1200,15 @@ class TestEdgeChunks:
         machine = machine_for("split")
 
         def make_board():
-            board = board_for_machine(machine, seed=2)
+            board = regime_board(regime, machine, seed=2)
             bank = board.global_counter.counters
             bank.increment("bus.cycles", COUNTER_MASK - 500)
             bank.increment("bus.tenures", COUNTER_MASK - 3)
             return board
 
-        scalar, fast = assert_paths_identical(make_board, words, engine=engine)
+        scalar, fast = assert_paths_identical(
+            make_board, words, engine="compiled"
+        )
         bank = fast.global_counter.counters
         assert bank.wrapped("bus.cycles") and bank.wrapped("bus.tenures")
         assert bank.read("bus.tenures") == bank.read_raw("bus.tenures") & COUNTER_MASK
@@ -1175,16 +1222,17 @@ class TestBatchedProperty:
         kind=st.sampled_from(["single", "split", "multi"]),
         replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
         cadence=st.sampled_from([None, 1, 13, 256]),
-        engine=st.sampled_from([None, "admission", "compiled"]),
+        engine=st.sampled_from([None, "compiled"]),
+        regime=st.sampled_from(["coupled", "compiled"]),
     )
     def test_randomized_mix_identical(
-        self, seed, n, kind, replacement, cadence, engine
+        self, seed, n, kind, replacement, cadence, engine, regime
     ):
         words = full_mix_words(n, seed=seed)
         machine = machine_for(kind, replacement)
 
         def make_board():
-            board = board_for_machine(machine, seed=seed % 17)
+            board = regime_board(regime, machine, seed=seed % 17)
             if cadence is not None:
                 board.attach_telemetry(
                     CounterSampler(MemorySink(), every_transactions=cadence)

@@ -50,7 +50,7 @@ def refuses_dense_state(board):
     """True when the cache-protocol runner (dense per-node protocol
     state) refuses the board's firmware, so compiled replays it on the
     generic runner."""
-    return _protocol_runner(board.firmware, closed_form=True) is None
+    return _protocol_runner(board.firmware) is None
 
 
 # ---------------------------------------------------------------------- #
