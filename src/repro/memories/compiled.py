@@ -370,7 +370,7 @@ class _Loan:
             geometry = (node.off_bits, node.set_mask)
             sets = sets_of.get(geometry)
             if sets is None:
-                sets = sets_of[geometry] = np.unique(
+                sets = sets_of[geometry] = _distinct(
                     (addrs >> np.uint64(node.off_bits))
                     & np.uint64(node.set_mask)
                 )
@@ -380,6 +380,19 @@ class _Loan:
         """Return every borrowed row."""
         for node in self.nodes:
             node.give_back()
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``values``, by sort and neighbour compare.
+
+    ``np.unique`` gives the same array, but first checks for a masked
+    array, which imports ``numpy.ma`` on first use: a forked service
+    worker would pay that import on its first loop chunk, every
+    session."""
+    values = np.sort(values)
+    keep = np.ones(values.shape[0], dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _settle_group(controllers, unmapped) -> None:

@@ -52,10 +52,14 @@ from repro.telemetry.histogram import Histogram, split_histogram_states
 from repro.telemetry.sampler import CounterSampler
 from repro.telemetry.spans import RunTrace
 
-# The registry imports the replay engines, which replay loads lazily, so
-# a process that imports the supervisor holds them before it forks:
-# workers inherit them instead of importing them per session (about
-# 70 ms on a 2-vCPU host).
+# The rule: the fork parent holds every module a worker needs, and a
+# worker's session imports nothing, since every forked session would pay
+# each import again.  The registry imports the replay engines, which
+# replay loads lazily, so a process that imports the supervisor holds
+# them before it forks (about 70 ms a session on a 2-vCPU host).  Library
+# calls count too: the compiled loop avoids np.unique, which imports
+# numpy.ma on first use.  TestWarmWorker in tests/test_supervisor.py pins
+# the rule.
 importlib.import_module("repro.engines.registry")
 
 #: Records replayed per chunk when a chaos kill must land mid-segment.

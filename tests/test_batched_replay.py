@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bus.trace import encode_arrays
+from repro.bus.trace import decode_arrays, encode_arrays
 from repro.engines import ENGINES
 from repro.memories.board import (
     DEFAULT_ASSUMED_UTILIZATION,
@@ -35,6 +35,7 @@ from repro.memories.board import (
 )
 from repro.memories.compiled import (
     _buffers_decoupled,
+    _distinct,
     _protocol_runner,
     _replay_lent,
 )
@@ -821,6 +822,90 @@ class TestLockstepChooser:
         assert_paths_identical(make_board, words, engine="compiled")
         assert forced_lockstep
         assert forced_lockstep.leftover > 0
+
+
+def sweep4_machine():
+    """Four cache geometries, each its own coherence group."""
+    return multi_config_machine(
+        [
+            CacheNodeConfig(size=512 << 10, assoc=2, line_size=128),
+            CacheNodeConfig(size=1 << 20, assoc=4, line_size=128,
+                            replacement="plru"),
+            CacheNodeConfig(size=2 << 20, assoc=8, line_size=128,
+                            replacement="fifo"),
+            CacheNodeConfig(size=4 << 20, assoc=4, line_size=128),
+        ],
+        N_CPUS,
+    )
+
+
+class TestLoanTake:
+    """A loop chunk borrows, on every node, the sorted distinct set
+    indices its tenures address."""
+
+    @staticmethod
+    def borrowed(machine, addrs):
+        """``(borrowed sets, expected sets)`` of each node, after checking
+        that ``_distinct`` gives what ``np.unique`` gives."""
+        board = board_for_machine(machine, seed=1)
+        runner = _protocol_runner(board.firmware)
+        runner.loan.take(addrs)
+        pairs = []
+        for node in runner.loan.nodes:
+            sets = (addrs >> np.uint64(node.off_bits)) & np.uint64(node.set_mask)
+            expected = np.unique(sets).tolist()
+            assert _distinct(sets).tolist() == expected
+            pairs.append((list(node.tags), expected))
+        runner.loan.give_back()
+        return pairs
+
+    def test_split4_chunk_with_repeated_sets(self):
+        # 500 tenures over 64 lines: every set they touch repeats.
+        rng = np.random.default_rng(11)
+        addrs = rng.integers(0, 64, 500).astype(np.uint64) * np.uint64(128)
+        machine = TestLockstepChooser.split4()
+        pairs = self.borrowed(machine, addrs)
+        assert len(pairs) == 4
+        for borrowed, expected in pairs:
+            assert borrowed == expected
+            assert len(expected) < addrs.shape[0]
+
+    def test_sweep4_geometries(self):
+        words = full_mix_words(3000, seed=13, address_space=16 << 20)
+        addrs = decode_arrays(words)[2]
+        pairs = self.borrowed(sweep4_machine(), addrs)
+        # Three of the four nodes have 2048 sets of 128 B lines and share
+        # one dedupe; the 4 MB node has 8192.
+        assert len(pairs) == 4
+        assert len({len(expected) for _b, expected in pairs}) == 2
+        for borrowed, expected in pairs:
+            assert borrowed == expected
+
+    def test_one_address_chunk(self):
+        addrs = np.array([0x12345680], dtype=np.uint64)
+        for borrowed, expected in self.borrowed(sweep4_machine(), addrs):
+            assert borrowed == expected
+            assert len(borrowed) == 1
+
+    def test_loop_replays_stay_bit_identical(self, monkeypatch):
+        # Every chunk on the loop, the one-record first chunk of a fresh
+        # sampler and its cadence cuts included.
+        monkeypatch.setattr(
+            "repro.memories.compiled.LOCKSTEP_MIN_TENURES", math.inf
+        )
+        words = full_mix_words(6000, seed=17, address_space=8 << 20)
+        for machine in (TestLockstepChooser.split4(), sweep4_machine()):
+
+            def make_board():
+                board = board_for_machine(machine, seed=3)
+                board.attach_telemetry(
+                    CounterSampler(MemorySink(), every_transactions=2500)
+                )
+                return board
+
+            assert_paths_identical(
+                make_board, words, chunks=3, engine="compiled"
+            )
 
 
 class TestTelemetryChunking:

@@ -1,6 +1,10 @@
 """Tests for repro.supervisor: journal WAL, checkpoints, crash-safe runs."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import zlib
 from pathlib import Path
 
@@ -641,6 +645,112 @@ class TestOfflineNode:
         assert node.ecc_self_check() == 1
         assert node.ecc_self_check() == 1
         assert board.statistics() == damaged
+
+
+# ---------------------------------------------------------------------- #
+# Forked workers replay warm: a session imports nothing
+# ---------------------------------------------------------------------- #
+
+#: Runs in a fresh interpreter, which holds what a service process holds
+#: when it forks a worker: ``repro.supervisor`` and what staging a run
+#: needs.  One session of the board shape named in ``argv[1]`` then runs
+#: through ``worker_main`` in-process; the modules it imported print as
+#: JSON, with the kinds of message the worker sent and whether the pipe
+#: drained.  ``argv[2]`` is the directory the run is staged in.
+_SESSION_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import multiprocessing
+    import sys
+    import threading
+    from pathlib import Path
+
+    import numpy as np
+
+    from repro.bus.trace import encode_arrays
+    from repro.bus.transaction import BusCommand
+    from repro.memories.config import CacheNodeConfig
+    from repro.supervisor import RunSupervisor, SupervisedRunSpec
+    from repro.supervisor.worker import worker_main
+    from repro.target.configs import multi_config_machine, split_smp_machine
+
+    RECORDS, SEGMENT = 20_000, 5_000
+
+    def node(size, assoc, replacement="lru"):
+        return CacheNodeConfig(size=size, assoc=assoc, line_size=128,
+                               replacement=replacement)
+
+    def split4(replacement="lru"):
+        return split_smp_machine(node(64 << 10, 4, replacement),
+                                 n_cpus=8, procs_per_node=2)
+
+    shape = sys.argv[1]
+    if shape == "sweep4":
+        machine = multi_config_machine(
+            [node(32 << 10, 2), node(64 << 10, 4, "plru"),
+             node(128 << 10, 8, "fifo"), node(256 << 10, 4)],
+            n_cpus=8,
+        )
+    else:
+        machine = split4("random" if shape == "random" else "lru")
+    spec = SupervisedRunSpec(machine=machine, seed=3,
+                             segment_records=SEGMENT, ecc=shape == "ecc")
+
+    rng = np.random.default_rng(1)
+    commands = rng.choice(
+        [int(BusCommand.READ), int(BusCommand.RWITM),
+         int(BusCommand.CASTOUT)], size=RECORDS, p=[0.7, 0.2, 0.1])
+    words = encode_arrays(
+        rng.integers(0, 8, RECORDS).astype(np.uint64),
+        commands.astype(np.uint64),
+        (rng.integers(0, 8192, RECORDS) * 128).astype(np.uint64),
+    )
+    run_dir = Path(sys.argv[2]) / "run"
+    RunSupervisor.create(spec, words, run_dir)
+
+    supervisor_end, worker_end = multiprocessing.Pipe()
+    for index in range(RECORDS // SEGMENT):
+        supervisor_end.send(("segment", index, False))
+    supervisor_end.send(("finish",))
+    kinds = []
+
+    def drain():
+        try:
+            while True:
+                kinds.append(supervisor_end.recv()[0])
+        except EOFError:
+            pass
+
+    drainer = threading.Thread(target=drain)
+    drainer.start()
+    before = set(sys.modules)
+    worker_main(worker_end, str(run_dir), spec.to_dict(), None, 0, None)
+    imported = sorted(set(sys.modules) - before)
+    drainer.join(60)
+    print(json.dumps({"imported": imported, "kinds": sorted(set(kinds)),
+                      "drained": not drainer.is_alive()}))
+    """
+)
+
+
+class TestWarmWorker:
+    """The fork parent holds every module a worker needs, so a worker's
+    session imports nothing: an import there is paid again by every
+    forked session."""
+
+    @pytest.mark.parametrize("shape", ["split4", "sweep4", "random", "ecc"])
+    def test_session_imports_nothing(self, shape, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _SESSION_SCRIPT, shape, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["drained"] and "final" in report["kinds"]
+        assert not {"fatal", "error"} & set(report["kinds"])
+        assert report["imported"] == []
 
 
 # ---------------------------------------------------------------------- #
