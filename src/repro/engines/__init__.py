@@ -3,11 +3,8 @@
 The repo replays one captured trace through two engines — the scalar
 reference loop and the vectorised compiled engine — under one contract:
 **bit-identical statistics**.  The compiled engine's correctness argument
-only holds for configurations with certain properties (inert background
-machinery), and its runner choice depends on more (per-set independence,
-no global order coupling).  Historically each engine checked its own
-preconditions in scattered, ad-hoc refusal branches; this package
-replaces them with a single auditable decision:
+only holds for configurations whose background machinery is inert;
+this package makes that one auditable decision:
 
 * :mod:`repro.engines.capabilities` — the capability vocabulary and the
   **static prover**: evaluate a programmed board and return which
@@ -20,9 +17,9 @@ replaces them with a single auditable decision:
   missing capability), so "why was this engine rejected?" is a stored
   artifact, not a debugging session.
 
-A new backend plugs in by registering an
-:class:`~repro.engines.registry.EngineSpec`; it inherits the prover, the
-CLI (``verify engines``) and the selection logic unchanged.
+Everything else the compiled engine decides — closed-form loop, set
+lanes or generic runner — is its own choice, made per call in
+:mod:`repro.memories.compiled`, and never changes a result.
 """
 
 from repro.engines.capabilities import (
@@ -36,7 +33,6 @@ from repro.engines.registry import (
     EngineSpec,
     decide,
     decide_all,
-    register_engine,
     select_board_engine,
 )
 
@@ -49,6 +45,5 @@ __all__ = [
     "decide",
     "decide_all",
     "prove_capabilities",
-    "register_engine",
     "select_board_engine",
 ]

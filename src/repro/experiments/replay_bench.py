@@ -91,8 +91,8 @@ def _timed_board_engine(
     machine, trace: BusTrace, seed: int, engine: str, repeats: int
 ) -> tuple:
     """Best-of-``repeats`` timing of one engine, forced explicitly (the
-    registry would otherwise route every eligible board to the
-    highest-rank engine, making the scalar row unmeasurable)."""
+    registry would otherwise route every eligible board to the compiled
+    engine, making the scalar row unmeasurable)."""
     from repro.engines import ENGINES
 
     spec = ENGINES[engine]

@@ -349,8 +349,8 @@ class MemoriesBoard:
         # alternate firmware images need not implement it.
         self._firmware_tick = getattr(firmware, "tick", None)
         # Offline-replay engine preference.  True lets the engine registry
-        # (repro.engines) pick the best engine whose capabilities this
-        # board provably grants (normally the compiled engine);
+        # (repro.engines) pick the compiled engine when this board
+        # provably grants the capabilities it requires;
         # False restricts selection to the scalar reference path (tests,
         # A/B benchmarks).  Correctness never depends on this flag — the
         # registry's capability prover handles that.
@@ -467,9 +467,9 @@ class MemoriesBoard:
 
     def _replay_words(self, words: np.ndarray) -> int:
         # Engine selection is the registry's job (repro.engines): the
-        # static capability prover picks the best engine whose
-        # bit-identity preconditions this board provably grants, honouring
-        # the batched_replay preference flag.  No refusal logic lives here.
+        # compiled engine when the static capability prover grants its
+        # bit-identity preconditions and the batched_replay preference
+        # flag is set, scalar otherwise.  No refusal logic lives here.
         from repro.engines.registry import select_board_engine
 
         return select_board_engine(self).replay(self, words)

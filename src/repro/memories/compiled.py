@@ -24,15 +24,14 @@ The protocol runner works on one view per node controller
 routing, and an integer-indexed counter accumulator over a fixed counter
 vocabulary (:data:`COUNTER_NAMES`).
 
-Its buffers settle in closed form.  That needs
-``NO_GLOBAL_ORDER_COUPLING``: no service time above the bus tenure.
-Float addition is monotone, so every finish time is at most the next
-tenure's time and each admission finds its queue drained.  A chunk's
-admissions then leave ``accepted += n`` and the single finish time
-``t_last + service`` (:meth:`_CompiledNode.settle`), so the runner only
-tallies admissions per issuer.  Both the capability and a drained
-starting queue are checked on entry (:func:`_buffers_decoupled`); a
-board that fails either (buffers slower than the tenure, a restored or
+Its buffers settle in closed form.  That needs no service time above
+the bus tenure.  Float addition is monotone, so every finish time is at
+most the next tenure's time and each admission finds its queue drained.
+A chunk's admissions then leave ``accepted += n`` and the single finish
+time ``t_last + service`` (:meth:`_CompiledNode.settle`), so the runner
+only tallies admissions per issuer.  Both the service bound and a
+drained starting queue are checked on entry (:func:`_buffers_decoupled`);
+a board that fails either (buffers slower than the tenure, a restored or
 injected backlog) replays the call on the generic runner.
 
 Bit-identity with the scalar loop, per structure:
@@ -61,15 +60,19 @@ bit-identity suite in ``tests/test_batched_replay.py`` holds them in
 lock-step.
 
 The lockstep form replays a deep chunk of a single group set by set,
-all sets at once.  It is sound when the board grants
-``per_set_independence`` and every node of the group maps an address to
-the same set: a tenure then reads and writes one set on every node and
-nothing else, so each set's history depends only on its own tenures,
-in their order.  Counters are sums and the closed-form tallies are
-counts and maxima of rising tenure times, so neither depends on the
-interleaving of sets.  Per chunk, :func:`_closed_form_run` takes the
-lanes when the chunk has at least :data:`LOCKSTEP_MIN_TENURES` admitted
-tenures, and the loop otherwise.
+all sets at once.  It is sound when every node of the group maps an
+address to the same set and picks victims from its own set's history
+(LRU, FIFO or PLRU; :func:`lockstep.plan <repro.memories.lockstep.plan>`
+refuses ``random``, whose draws come from one board-wide stream in
+global order).  Nothing else couples the sets on this runner: it refuses
+SDRAM-priced nodes, whose service times depend on global access order,
+and its buffers settle in closed form.  A tenure then reads and writes
+one set on every node and nothing else, so each set's history depends
+only on its own tenures, in their order.  Counters are sums and the
+closed-form tallies are counts and maxima of rising tenure times, so
+neither depends on the interleaving of sets.  Per chunk,
+:func:`_closed_form_run` takes the lanes when the chunk has at least
+:data:`LOCKSTEP_MIN_TENURES` admitted tenures, and the loop otherwise.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.bus.transaction import MAX_PROCESSOR_ID, BusCommand
-from repro.engines.capabilities import Capability, prove_capabilities
 from repro.memories.batch import _generic_runner, replay_with_runner
 from repro.memories.cache_model import EMPTY_TAG
 from repro.memories.protocol_table import CacheOp, LineState
@@ -563,7 +565,7 @@ def _install_inline(local: _CompiledNode, set_index, tags_in_set, tag,
     return victim_state
 
 
-def _protocol_runner(firmware, set_lanes: bool = False):
+def _protocol_runner(firmware):
     """Build the cache-protocol runner, or None when ineligible.
 
     Eligible when the firmware exposes precomputed coherence-group
@@ -602,26 +604,25 @@ def _protocol_runner(firmware, set_lanes: bool = False):
             (local_table, tuple(compiled_of[id(node)] for node in controllers))
         )
     loan = _Loan(all_nodes)
-    run = _closed_form_run(compiled_groups, all_nodes, set_lanes, loan)
+    run = _closed_form_run(compiled_groups, all_nodes, loan)
     run.loan = loan
     return run
 
 
-def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool, loan):
+def _closed_form_run(compiled_groups, all_nodes, loan):
     """Closed form: one local tenure per coherence group that maps the
     cpu, and a probe of every controller of a group that does not.
 
     A chunk of a single group may instead replay on
-    :mod:`repro.memories.lockstep`, when ``set_lanes`` holds (the board
-    grants ``per_set_independence``), the group has a lockstep form and
-    the chunk has at least :data:`LOCKSTEP_MIN_TENURES` admitted tenures;
-    the loop then replays the sets the lanes cannot.
+    :mod:`repro.memories.lockstep`, when the group has a lockstep form
+    and the chunk has at least :data:`LOCKSTEP_MIN_TENURES` admitted
+    tenures; the loop then replays the sets the lanes cannot.
     """
     process_local = _process_local
     snoop_hit = _snoop_hit
     lanes = None
     # Only a single group has lanes; cleared once it turns out to have none.
-    may_step_sets = set_lanes and len(compiled_groups) == 1
+    may_step_sets = len(compiled_groups) == 1
 
     def loop(cpus, cmds, addrs, resps, nows):
         """Replay admitted tenures one by one; returns each group's
@@ -688,27 +689,29 @@ def _closed_form_run(compiled_groups, all_nodes, set_lanes: bool, loan):
 # ---------------------------------------------------------------------------
 
 
-def _buffers_decoupled(board, proof=None) -> bool:
+def _buffers_decoupled(board) -> bool:
     """Whether the closed-form buffer settlement is exact for this call,
     and so whether the protocol runner may replay it.
 
-    Two conditions.  The static one is the prover's
-    ``NO_GLOBAL_ORDER_COUPLING``: every service time is at most the bus
-    tenure, so a finish time never outlives the next tenure and queue
-    depth never exceeds one.  The dynamic one is the occupancy guard: no
-    queued finish time may lie beyond the call's first tenure, which a
-    fault injector's burst (``TransactionBuffer.inject_occupancy``) or a
-    restored checkpoint can otherwise leave behind.
+    Two conditions on every node buffer.  The static one: its service
+    time is at most the bus tenure, so a finish time never outlives the
+    next tenure and queue depth never exceeds one.  The dynamic one is
+    the occupancy guard: no queued finish time may lie beyond the call's
+    first tenure, which a fault injector's burst
+    (``TransactionBuffer.inject_occupancy``) or a restored checkpoint can
+    otherwise leave behind.
+
+    The address filter's buffer is not checked: neither runner touches
+    it, and the chunk loop's ``offer_batch`` replays it exactly at any
+    spacing.
     """
-    if proof is None:
-        proof = prove_capabilities(board)
-    if not proof.grants(Capability.NO_GLOBAL_ORDER_COUPLING):
-        return False
+    tenure = board.cycles_per_tenure
+    first_tenure = board.now_cycle + tenure
     # Finish times are appended in ascending order and _last_finish is
     # the latest, so it bounds every queued one.
-    first_tenure = board.now_cycle + board.cycles_per_tenure
     return all(
-        node.buffer._last_finish <= first_tenure
+        node.buffer.service_cycles <= tenure
+        and node.buffer._last_finish <= first_tenure
         for node in getattr(board.firmware, "nodes", ())
     )
 
@@ -723,13 +726,9 @@ def replay_words_compiled(board, words: np.ndarray) -> int:
     """
     if int(words.shape[0]) == 0:
         return 0
-    proof = prove_capabilities(board)
     runner = None
-    if _buffers_decoupled(board, proof):
-        runner = _protocol_runner(
-            board.firmware,
-            set_lanes=proof.grants(Capability.PER_SET_INDEPENDENCE),
-        )
+    if _buffers_decoupled(board):
+        runner = _protocol_runner(board.firmware)
     if runner is None:
         return replay_with_runner(board, words, _generic_runner(board.firmware))
     return _replay_lent(board, words, runner)

@@ -5,8 +5,10 @@ The closed-form runner
 tenures one interpreter iteration at a time.  When every node of the
 coherence group maps an address to the same set, a tenure reads and
 writes that one set on every node and nothing else: its local probe,
-its peer snoops and its install.  Cache sets are then independent
-(``per_set_independence``), so a chunk may be replayed in any
+its peer snoops and its install.  That runner takes no SDRAM-priced
+node and settles its buffers in closed form, and :func:`plan` takes no
+``random`` group (its victims come from one board-wide RNG stream), so
+cache sets are then independent: a chunk may be replayed in any
 interleaving that keeps each set's own tenure order.  This module steps
 all sets together, as numpy lanes:
 

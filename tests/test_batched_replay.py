@@ -30,6 +30,7 @@ from repro.bus.trace import decode_arrays, encode_arrays
 from repro.engines import ENGINES
 from repro.memories.board import (
     DEFAULT_ASSUMED_UTILIZATION,
+    CacheEmulationFirmware,
     MemoriesBoard,
     board_for_machine,
 )
@@ -41,7 +42,7 @@ from repro.memories.compiled import (
 )
 from repro.memories.config import CacheNodeConfig
 from repro.memories.counters import COUNTER_MASK
-from repro.memories.tx_buffer import TransactionBuffer
+from repro.memories.tx_buffer import FILTER_BUFFER_ENTRIES, TransactionBuffer
 from repro.target.configs import (
     multi_config_machine,
     single_node_machine,
@@ -125,9 +126,9 @@ def regime_board(regime, machine, seed):
 def assert_paths_identical(make_board, words, chunks=None, engine=None):
     """Replay scalar and a fast path; require identical checkpoints.
 
-    ``engine`` names a registered engine to drive explicitly; None uses
-    the board's own routing (``select_board_engine``), which picks the
-    highest-rank eligible engine.
+    ``engine`` names an engine of ``ENGINES`` to drive explicitly; None
+    uses the board's own routing (``select_board_engine``), which picks
+    compiled wherever the board grants what it requires.
     """
     scalar = make_board()
     scalar.batched_replay = False
@@ -305,14 +306,14 @@ class TestCompiledBitIdentity:
 
 
 class TestOrderCouplingBoundary:
-    """Soundness witness for ``no_global_order_coupling``.
+    """Soundness witness for the service bound of ``_buffers_decoupled``.
 
     The compiled engine settles buffers in closed form (depth at most
     one), which is exact whenever no service time exceeds the bus tenure.
-    At the boundary the capability is granted and compiled stays
-    bit-identical; one ulp past it the capability is denied, and scalar
-    replay really does queue two operations, which the closed form
-    could never report.
+    At the boundary the protocol runner takes the board and stays
+    bit-identical; one ulp past it the engine refuses the closed form,
+    and scalar replay really does queue two operations, which the closed
+    form could never report.
 
     Rounding can absorb that ulp (at the default 10-cycle tenure every
     ``t + service`` rounds back onto the next tenure), so the witness
@@ -339,7 +340,6 @@ class TestOrderCouplingBoundary:
 
     def test_service_equal_to_tenure_is_granted(self):
         from repro.engines import select_board_engine
-        from repro.engines.capabilities import Capability, prove_capabilities
 
         machine = machine_for("split")
 
@@ -350,9 +350,7 @@ class TestOrderCouplingBoundary:
             return self.retime(board, board.cycles_per_tenure)
 
         board = make_board()
-        assert prove_capabilities(board).grants(
-            Capability.NO_GLOBAL_ORDER_COUPLING
-        )
+        assert _buffers_decoupled(board)
         assert select_board_engine(board).name == "compiled"
         words = np.concatenate(
             [self.back_to_back(), full_mix_words(2000, seed=79)]
@@ -364,7 +362,6 @@ class TestOrderCouplingBoundary:
 
     def test_one_ulp_slower_is_denied_and_diverges(self):
         from repro.engines import select_board_engine
-        from repro.engines.capabilities import Capability, prove_capabilities
 
         machine = machine_for("split")
 
@@ -376,12 +373,7 @@ class TestOrderCouplingBoundary:
             return self.retime(board, service)
 
         board = make_board()
-        proof = prove_capabilities(board)
-        assert not proof.grants(Capability.NO_GLOBAL_ORDER_COUPLING)
-        assert any(
-            "exceeds the bus tenure" in reason
-            for reason in proof.reasons(Capability.NO_GLOBAL_ORDER_COUPLING)
-        )
+        assert not _buffers_decoupled(board)
         # The compiled engine still replays the board, bit-identically,
         # on the generic runner.
         assert select_board_engine(board).name == "compiled"
@@ -396,6 +388,52 @@ class TestOrderCouplingBoundary:
         assert forced.firmware.nodes[0].buffer.stats.high_water == 1
         assert forced.checkpoint() != scalar.checkpoint()
 
+    def test_slow_filter_buffer_keeps_the_closed_form(self, monkeypatch):
+        """The address filter's buffer is outside the regime: neither
+        runner touches it and ``offer_batch`` replays it exactly at any
+        spacing, so a filter slower than the tenure leaves the protocol
+        runner in charge and the replay exact."""
+        from repro.memories import compiled
+
+        def refuse(*_args):
+            raise AssertionError("the generic runner was built")
+
+        monkeypatch.setattr(compiled, "_generic_runner", refuse)
+        machine = TestLockstepChooser.split4()
+
+        def make_board():
+            board = board_for_machine(machine, seed=3)
+            board.address_filter.buffer = TransactionBuffer(
+                capacity=FILTER_BUFFER_ENTRIES,
+                service_cycles=3 * board.cycles_per_tenure,
+            )
+            return board
+
+        assert _buffers_decoupled(make_board())
+        words = full_mix_words(20_000, seed=89, address_space=4 << 20)
+        scalar, _fast = assert_paths_identical(
+            make_board, words, engine="compiled"
+        )
+        assert scalar.address_filter.buffer.stats.high_water > 1
+
+
+class UnhintedTickFirmware(CacheEmulationFirmware):
+    """Stock cache emulation with a tick that counts itself into the
+    checkpoint, and no ``tick_active()`` hint to prove it idle."""
+
+    tick_active = None
+
+    def __init__(self, machine, seed: int = 0) -> None:
+        super().__init__(machine, seed=seed)
+        self.ticks = 0
+
+    def tick(self, now_cycle: float) -> None:
+        super().tick(now_cycle)
+        self.ticks += 1
+
+    def state_dict(self) -> dict:
+        return dict(super().state_dict(), ticks=self.ticks)
+
 
 class TestInertTickBoundary:
     """Soundness witness for ``inert_background_tick``, the one
@@ -405,7 +443,8 @@ class TestInertTickBoundary:
     loop.  The compiled engine's chunk loop never ticks, so forced onto
     such a board it reproduces every statistic yet leaves the scrubber
     where it started: the checkpoints differ, and the denial that routes
-    the board to scalar is real.
+    the board to scalar is real.  The same holds for a firmware tick
+    hook with no ``tick_active()`` hint, the prover's other denial.
     """
 
     def test_active_scrubber_is_denied_and_diverges(self):
@@ -434,6 +473,34 @@ class TestInertTickBoundary:
         assert forced.statistics() == scalar.statistics()
         assert scalar.firmware.nodes[0].directory.ecc_stats.scrub_passes > 0
         assert forced.firmware.nodes[0].directory.ecc_stats.scrub_passes == 0
+        assert forced.checkpoint() != scalar.checkpoint()
+
+    def test_unhinted_tick_is_denied_and_diverges(self):
+        # A tick hook without a tick_active() hint cannot be proven idle;
+        # this one is not, so forcing compiled past the denial loses it.
+        from repro.engines import select_board_engine
+        from repro.engines.capabilities import Capability, prove_capabilities
+
+        machine = machine_for("split")
+
+        def make_board():
+            return MemoriesBoard(UnhintedTickFirmware(machine, seed=3))
+
+        proof = prove_capabilities(make_board())
+        assert not proof.grants(Capability.INERT_BACKGROUND_TICK)
+        assert any(
+            "no tick_active() hint" in reason
+            for reason in proof.reasons(Capability.INERT_BACKGROUND_TICK)
+        )
+        assert select_board_engine(make_board()).name == "scalar"
+
+        words = full_mix_words(2000, seed=97)
+        scalar, routed = assert_paths_identical(make_board, words)
+        assert routed.firmware.ticks == scalar.firmware.ticks > 0
+        forced = make_board()
+        ENGINES["compiled"].replay(forced, words)
+        assert forced.statistics() == scalar.statistics()
+        assert forced.firmware.ticks == 0
         assert forced.checkpoint() != scalar.checkpoint()
 
 
@@ -477,7 +544,7 @@ def forced_lockstep(monkeypatch, lockstep_calls):
 
 def replay_forced_lanes(board, words):
     """The closed-form runner with set lanes, past the engine's guards."""
-    runner = _protocol_runner(board.firmware, set_lanes=True)
+    runner = _protocol_runner(board.firmware)
     return _replay_lent(board, words, runner)
 
 
@@ -771,12 +838,7 @@ class TestLockstepChooser:
         assert loop.checkpoint() == lanes.checkpoint()
 
     def test_random_has_no_lanes(self, forced_lockstep):
-        from repro.engines.capabilities import Capability, prove_capabilities
-
         machine = machine_for("split", "random")
-        board = board_for_machine(machine)
-        denials = prove_capabilities(board).denials
-        assert Capability.PER_SET_INDEPENDENCE in denials
         words = full_mix_words(3000, seed=43)
         assert_paths_identical(
             lambda: board_for_machine(machine, seed=3), words,

@@ -12,11 +12,9 @@ from repro.common.errors import ConfigurationError
 from repro.engines import (
     ENGINES,
     Capability,
-    EngineSpec,
     decide,
     decide_all,
     prove_capabilities,
-    register_engine,
     select_board_engine,
 )
 from repro.memories.board import board_for_machine
@@ -71,32 +69,9 @@ class TestCapabilityProver:
             for reason in proof.reasons(Capability.INERT_BACKGROUND_TICK)
         )
 
-    def test_random_replacement_denies_per_set_independence(self):
-        board = board_for_machine(machine_for("split", "random"))
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.PER_SET_INDEPENDENCE)
-        assert any("random" in reason for reason in reasons)
-
-    def test_sdram_denies_per_set_independence(self):
-        board = default_board()
-        board.firmware.nodes[0].sdram = SdramModel()
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.PER_SET_INDEPENDENCE)
-        assert any("SDRAM" in reason for reason in reasons)
-
-    def test_slow_buffer_denies_order_freedom(self):
-        board = default_board(assumed_utilization=0.9)
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.NO_GLOBAL_ORDER_COUPLING)
-        assert any("service" in reason for reason in reasons)
-
     def test_capability_names_are_stable_strings(self):
         assert str(Capability.INERT_BACKGROUND_TICK) == "inert_background_tick"
-        assert {str(c) for c in Capability} == {
-            "inert_background_tick",
-            "per_set_independence",
-            "no_global_order_coupling",
-        }
+        assert {str(c) for c in Capability} == {"inert_background_tick"}
 
     # Dense protocol state is decided by ``_protocol_runner`` alone, not
     # by a capability: the prover denies compiled nothing for these
@@ -129,21 +104,12 @@ class TestCapabilityProver:
 
 class TestRegistry:
     def test_builtin_engines_registered_in_rank_order(self):
+        # The scalar fallback first, then the one fast engine.
         assert list(ENGINES) == ["scalar", "compiled"]
-        assert ENGINES["scalar"].rank < ENGINES["compiled"].rank
         assert ENGINES["scalar"].requires == frozenset()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_engine(
-                EngineSpec(
-                    name="scalar",
-                    description="imposter",
-                    requires=frozenset(),
-                    rank=0,
-                    replay=ENGINES["scalar"].replay,
-                )
-            )
+        assert ENGINES["compiled"].requires == {
+            Capability.INERT_BACKGROUND_TICK
+        }
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
@@ -245,3 +211,35 @@ class TestSelectBoardEngine:
         spec = select_board_engine(board)
         words = full_mix_words(500, seed=11)
         assert spec.replay(board, words) == len(words)
+
+
+class TestOneProofPerCall:
+    """Selection proves the board once; the engine it picks proves
+    nothing more."""
+
+    @pytest.mark.parametrize("kind", ["stock", "coupled", "ecc"])
+    def test_replay_words_proves_once(self, kind, monkeypatch):
+        import sys
+
+        from tests.test_batched_replay import full_mix_words
+
+        board = {
+            "stock": default_board,
+            "coupled": lambda: default_board(assumed_utilization=0.9),
+            "ecc": lambda: default_board(ecc=True, scrub_interval=500.0),
+        }[kind]()
+        calls = []
+
+        def counted(subject):
+            calls.append(subject)
+            return prove_capabilities(subject)
+
+        # Every repro module's reference, so no call site escapes.
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "repro":
+                for attribute, value in list(vars(module).items()):
+                    if value is prove_capabilities:
+                        monkeypatch.setattr(module, attribute, counted)
+        words = full_mix_words(2000, seed=11)
+        assert board.replay_words(words) == len(words)
+        assert calls == [board]

@@ -15,9 +15,11 @@ ERROR findings.  Two corpora are exercised:
   the rules neither miss nor cry wolf.
 * ``ENGINE_CORPUS`` — board configurations against the engine
   registry's capability prover: each feature that breaks an engine's
-  bit-identity argument (random replacement, SDRAM pricing, ECC
-  directories) must deny exactly the expected capability, and the stock
-  configuration must stay eligible.
+  bit-identity argument (an active ECC patrol scrubber, a tick hook that
+  cannot be proven idle) must deny exactly the expected capability, and
+  the configurations the compiled engine replays on one of its own
+  runners (random replacement, SDRAM pricing, a custom policy, slow
+  buffers) must stay eligible.
 
 Exit status is non-zero on any miss.
 """
@@ -343,6 +345,8 @@ ENGINE_CORPUS: List[Tuple[str, str, str, object]] = [
      "sdram", "compiled", None),
     ("ECC patrol scrubber blocks the compiled engine",
      "ecc", "compiled", "inert_background_tick"),
+    ("a tick hook without a tick_active() hint blocks the compiled engine",
+     "unhinted-tick", "compiled", "inert_background_tick"),
     ("compiled keeps replaying slow-buffer boards",
      "slow-buffer", "compiled", None),
 ]
@@ -360,6 +364,15 @@ def _engine_board(feature: str):
     machine = split_smp_machine(config, n_cpus=8, procs_per_node=2)
     if feature == "ecc":
         return board_for_machine(machine, ecc=True, scrub_interval=500.0)
+    if feature == "unhinted-tick":
+        from repro.memories.board import CacheEmulationFirmware, MemoriesBoard
+
+        class UnhintedTick(CacheEmulationFirmware):
+            """A tick hook the prover cannot prove idle."""
+
+            tick_active = None
+
+        return MemoriesBoard(UnhintedTick(machine))
     if feature == "slow-buffer":
         # At 90% utilization a tenure is 2.2 cycles, shorter than the
         # 4.8-cycle directory service: queues can grow past depth one.
