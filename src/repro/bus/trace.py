@@ -113,12 +113,24 @@ def encode_arrays(
 
 
 def decode_arrays(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised unpack: returns (cpu_ids, commands, addresses, responses)."""
+    """Vectorised unpack: returns (cpu_ids, commands, addresses, responses).
+
+    Each field comes back at the width of its data: ``cpu_ids``,
+    ``commands`` and ``responses`` as ``uint8``, ``addresses`` as
+    ``uint64``.  The three narrow fields share the top 14 bits, which
+    are shifted down once and split as 16-bit integers, so only the
+    shift and the address mask pass over 64-bit words.  Arithmetic on
+    the narrow fields stays narrow (and wraps) under numpy's casting
+    rules: cast to a wide enough dtype before multiplying or adding.
+    """
     words = np.asarray(words, dtype=np.uint64)
-    cpu_ids = (words >> np.uint64(_CPU_SHIFT)) & np.uint64(_CPU_MASK)
-    commands = (words >> np.uint64(_CMD_SHIFT)) & np.uint64(_CMD_MASK)
+    top = (words >> np.uint64(_CMD_SHIFT)).astype(np.uint16)
+    cpu_ids = (top >> (_CPU_SHIFT - _CMD_SHIFT)).astype(np.uint8)
+    commands = (top & _CMD_MASK).astype(np.uint8)
+    responses = ((top >> (_RESP_SHIFT - _CMD_SHIFT)) & _RESP_MASK).astype(
+        np.uint8
+    )
     addresses = words & np.uint64(_ADDRESS_MASK)
-    responses = (words >> np.uint64(_RESP_SHIFT)) & np.uint64(_RESP_MASK)
     return cpu_ids, commands, addresses, responses
 
 

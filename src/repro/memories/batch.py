@@ -89,6 +89,9 @@ def replay_with_runner(board, words: np.ndarray, runner, flush=None) -> int:
     chunk, chunk boundaries aligned with the sampler countdown.  ``runner``
     receives the admitted tenures of one chunk as numpy arrays
     ``(cpus, cmds, addrs, resps, nows)`` and returns the retry count.
+    The fields keep the decoder's widths (:func:`decode_arrays`): cpus,
+    commands and responses ``uint8``, addresses ``uint64``, and the
+    times ``float64``.
 
     ``flush``, when given, is called before every ``on_countdown``.  The
     engine passes none: its runners flush their counters at chunk end.
@@ -168,11 +171,11 @@ def _run_chunk(
     # left to right with the same per-step IEEE rounding, so seeding the
     # first step with the current clock reproduces every intermediate
     # `now` bit for bit.
-    steps = np.full(chunk, cycles_per_tenure, dtype=np.float64)
-    steps[0] = board.now_cycle + cycles_per_tenure
-    nows = np.cumsum(steps)
+    nows = np.full(chunk, cycles_per_tenure, dtype=np.float64)
+    nows[0] = board.now_cycle + cycles_per_tenure
+    np.cumsum(nows, out=nows)
 
-    admitted = np.nonzero(admit)[0]
+    admitted = np.flatnonzero(admit)
     n_admitted = int(admitted.shape[0])
 
     stats = board.address_filter.stats
@@ -184,16 +187,18 @@ def _run_chunk(
     stats.forwarded += n_admitted
 
     if n_admitted:
-        admitted_nows = nows[admitted]
+        admitted_nows = nows.take(admitted)
+        admitted_cpus = cpu_ids.take(admitted)
+        admitted_commands = commands.take(admitted)
         board.address_filter.buffer.offer_batch(admitted_nows)
         board.global_counter.record_batch(
-            cpu_ids[admitted], commands[admitted], cycles_per_tenure
+            admitted_cpus, admitted_commands, cycles_per_tenure
         )
         board.retries_posted += runner(
-            cpu_ids[admitted],
-            commands[admitted],
-            addresses[admitted],
-            responses[admitted],
+            admitted_cpus,
+            admitted_commands,
+            addresses.take(admitted),
+            responses.take(admitted),
             admitted_nows,
         )
     board.now_cycle = float(nows[-1])

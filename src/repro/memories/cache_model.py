@@ -305,10 +305,10 @@ def _pack_ints(values: np.ndarray) -> dict:
     values = np.asarray(values)
     if values.size and values.min() < 0:
         raise EmulationError("negative value in a packed directory array")
-    array = values.astype(np.uint64)
-    top = int(array.max()) if array.size else 0
+    top = int(values.max()) if values.size else 0
     width = next(w for w in _PACK_WIDTHS if top >> (8 * w) == 0)
-    data = array.astype(f"<u{width}").tobytes()
+    # Every value is non-negative and fits the width: one cast, exact.
+    data = values.astype(f"<u{width}").tobytes()
     return {"width": width, "data": base64.b64encode(data).decode("ascii")}
 
 
@@ -338,8 +338,13 @@ def pack_directory(tags: np.ndarray, states: np.ndarray, meta) -> dict:
     exactly when the directory contents do.
     """
     resident = tags >= 0
+    # Column by column: reducing rows this short runs numpy's inner loop
+    # once per set.
+    ways = np.zeros(resident.shape[0], dtype=np.intp)
+    for j in range(resident.shape[1]):
+        ways += resident[:, j]
     return {
-        "ways": _pack_ints(np.count_nonzero(resident, axis=1)),
+        "ways": _pack_ints(ways),
         "tags": _pack_ints(tags[resident]),
         "states": _pack_ints(states[resident]),
         "meta": _pack_ints(meta),

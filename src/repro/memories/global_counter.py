@@ -64,15 +64,20 @@ class GlobalEventsCounter:
         counters = self.counters
         counters.increment("bus.tenures", count)
         counters.increment("bus.cycles", count * int(cycles_per_tenure))
-        command_counts = np.bincount(
-            commands.astype(np.int64), minlength=len(_COMMAND_COUNTER_BY_INT)
-        )
+        # One bincount by (cpu, command): the decoded fields are 8 and 4
+        # bits wide (repro.bus.trace.decode_arrays), so the key fits
+        # uint16, and each counter is a sum over one axis.
+        key = cpu_ids.astype(np.uint16)
+        key <<= 4
+        key |= commands
+        counts = np.bincount(key, minlength=256 << 4).reshape(-1, 16)
+        command_counts = counts.sum(axis=0).tolist()
         for command, name in enumerate(_COMMAND_COUNTER_BY_INT):
             if name is not None and command_counts[command]:
-                counters.increment(name, int(command_counts[command]))
-        cpu_counts = np.bincount(cpu_ids.astype(np.int64))
-        for cpu_id in np.nonzero(cpu_counts)[0].tolist():
-            counters.increment(f"cpu.{cpu_id}", int(cpu_counts[cpu_id]))
+                counters.increment(name, command_counts[command])
+        for cpu_id, cpu_count in enumerate(counts.sum(axis=1).tolist()):
+            if cpu_count:
+                counters.increment(f"cpu.{cpu_id}", cpu_count)
 
     def read_write_ratio(self) -> float:
         """Reads per write-intent tenure (RWITM + DCLAIM)."""

@@ -17,7 +17,15 @@ all sets together, as numpy lanes:
   lanes that still have a tenure at rank *k* are a prefix of the lane
   axis.  Step *k* plays the rank-*k* tenure of every such lane; its
   tenures are one contiguous block, in lane order, and index the lane
-  arrays with a slice.
+  arrays with a slice.  One sort of (lane, chunk index) keys orders the
+  tenures; their step positions follow from the lanes' depths alone.
+* **Kinds.**  Each tenure carries one packed ``int16`` key, its kind:
+  its issuer's slot (a node of the group, an unmapped processor or
+  another unmapped master), its command and its response.  Small
+  per-kind tables, built once per group, give by one ``take`` each
+  whether the lanes take the tenure, whether it is mapped, its home
+  node, its key into the local tables, its two fills and its miss
+  broadcast.
 * **State.**  Each (lane, node) row is taken from the directory's
   arrays along the set axis, padded to ``assoc + 2`` columns: the ways,
   one spare column for the step's probe tag and the row's new state, and
@@ -37,10 +45,12 @@ all sets together, as numpy lanes:
   append and PLRU replace, and are written back whole.  PLRU tree bits
   move through touch and victim tables built from the policy's own
   methods.
-* **Counters and buffers.**  Per-tenure outcomes go into int8 arrays;
-  counters are bincounts at chunk end.  The closed-form buffer tallies
-  need, per issuer, a count and the time of the last admission, which is
-  the maximum because tenure times rise.
+* **Counters and buffers.**  Per-tenure outcomes go into int8 arrays.
+  At chunk end one bincount by (kind, hit, outcome state, victim state)
+  gives every local counter and broadcast count as sums over its axes;
+  peer outcomes, which are sparse, are counted from their indices.  The
+  closed-form buffer tallies need, per issuer, a count and the time of
+  the last admission, which is the maximum because tenure times rise.
 
 Sets the lanes cannot represent exactly replay on the loop instead, in
 their own order; they share no state with the lanes.  These are sets
@@ -101,6 +111,20 @@ _N_CMDS = len(_CMD_TAB)
 _N_RESPS = len(_SAT_HIT_CID)
 #: Counter slot that absorbs "no counter" outcomes.
 _NO_COUNTER = len(COUNTER_NAMES)
+#: A tenure's kind packs its slot, command and response into one small
+#: integer, ``slot << _SLOT_SHIFT | command * _N_RESPS + response``, over
+#: the raw 4-bit command and 2-bit response fields, so every field value
+#: has a kind of its own.
+_CMD_VALUES = 16
+_SLOT_SHIFT = (_CMD_VALUES * _N_RESPS - 1).bit_length()
+_KINDS_PER_SLOT = 1 << _SLOT_SHIFT
+#: The kinds in a slot whose command the address filter admits.
+_ADMITTED_KINDS = _N_CMDS * _N_RESPS
+#: A lane tenure's outcome: hit, the state it leaves or fills, and its
+#: victim's state plus one (0: nothing evicted), coded in the narrowest
+#: integer type that holds every code.
+_OUTCOMES = 2 * _N_STATES * (_N_STATES + 1)
+_OUTCOME_TYPE = np.min_scalar_type(-_OUTCOMES)
 
 
 def _src_table(assoc: int) -> np.ndarray:
@@ -204,12 +228,21 @@ class SetLanes:
         }[first.policy_code]
         self.local_code = np.array(bases, dtype=np.intp)
 
+        # A tenure's kind: its slot (the group's nodes, then unmapped
+        # processors, whose castouts touch nothing, see the loop, then
+        # the other unmapped masters, I/O bridges, whose castouts snoop as
+        # writes), its command and its response.
         index_of = {id(node): i for i, node in enumerate(nodes)}
-        node_of_cpu = np.full(len(local_table), n_nodes, dtype=np.int8)
+        unmapped_cpu, unmapped_other = n_nodes, n_nodes + 1
+        n_slots = n_nodes + 2
+        self.n_slots = n_slots
+        slot_of_cpu = np.full(len(local_table), unmapped_other, dtype=np.int16)
+        slot_of_cpu[:MAX_PROCESSOR_ID + 1] = unmapped_cpu
         for cpu, node in enumerate(local_table):
             if node is not None:
-                node_of_cpu[cpu] = index_of[id(node)]
-        self.node_of_cpu = node_of_cpu
+                slot_of_cpu[cpu] = index_of[id(node)]
+        # At most 258 slots of 64 kinds: int16 holds every kind.
+        self.kind_of_cpu = slot_of_cpu << _SLOT_SHIFT
 
         # By (node, cmd, state): the local next state, whether it
         # invalidates, and the write snoop of a write hit on SHARED/OWNED.
@@ -227,10 +260,30 @@ class SetLanes:
         peer_dirty = np.zeros(pshape, dtype=bool)
         # One more column, always False, for states outside the table.
         complete = np.zeros((n_nodes, _N_STATES + 1), dtype=bool)
-        # By (node, cmd): the fill when a peer holds the line, and when
-        # none does (castouts and writes fill the same either way).
-        fill_shared = np.zeros((n_nodes, _N_CMDS), dtype=np.int8)
-        fill_alone = np.zeros((n_nodes, _N_CMDS), dtype=np.int8)
+        # By kind: whether the lanes take it, whether it is mapped, its
+        # home node (an unmapped tenure's stand-in is node 0), its key
+        # into the local tables, its fill when a peer holds the line and
+        # when none does (castouts and writes fill the same either way),
+        # and what its miss broadcasts: castouts nothing, writes a write
+        # snoop, reads a read snoop; unmapped masters read or write.
+        # Commands the address filter never admits keep zeros.
+        kinds = (n_slots, _CMD_VALUES, _N_RESPS)
+        keep = np.ones(kinds, dtype=bool)
+        keep[unmapped_cpu, _CASTOUT] = False
+        mapped = np.zeros(kinds, dtype=bool)
+        mapped[:n_nodes] = True
+        home = np.zeros(kinds, dtype=np.intp)
+        home[:n_nodes] = np.arange(n_nodes)[:, None, None]
+        local_key = np.zeros(kinds, dtype=np.intp)
+        fill_shared = np.zeros(kinds, dtype=np.int8)
+        fill_alone = np.zeros(kinds, dtype=np.int8)
+        miss_pop = np.zeros(kinds, dtype=np.int8)
+        for cmd, (_b, _e, op, _h, _m, _f) in enumerate(_CMD_TAB):
+            miss_pop[:n_nodes, cmd] = (_POP_NONE if op == _LOCAL_CASTOUT
+                                       else _POP_WRITE if op == _LOCAL_WRITE
+                                       else _POP_READ)
+            miss_pop[n_nodes:, cmd] = (_POP_READ if cmd == _READ
+                                       else _POP_WRITE)
         for n, node in enumerate(nodes):
             for state in _complete_states(node):
                 complete[n, state] = True
@@ -248,6 +301,7 @@ class SetLanes:
                     peer_lost[n, pop, state] = invalidates
                     peer_dirty[n, pop, state] = is_hit and _DIRTY_OF[state]
             for cmd, (_b, _e, op, _h, _m, _f) in enumerate(_CMD_TAB):
+                local_key[n, cmd] = (n * _N_CMDS + cmd) * _N_STATES
                 if op == _LOCAL_CASTOUT or op == _LOCAL_WRITE:
                     fill_shared[n, cmd] = fill_alone[n, cmd] = node.fill_write
                 else:
@@ -261,17 +315,12 @@ class SetLanes:
         self.peer_dirty = peer_dirty.ravel()
         self.peer_offset = np.arange(n_nodes, dtype=np.intp) * pshape[1] * pshape[2]
         self.complete = complete
+        self.keep = keep.ravel()
+        self.mapped = mapped.ravel()
+        self.home = home.ravel()
+        self.local_key = local_key.ravel()
         self.fill_shared = fill_shared.ravel()
         self.fill_alone = fill_alone.ravel()
-        # A miss broadcasts by (unmapped, cmd): castouts nothing, writes a
-        # write snoop, reads a read snoop; unmapped masters (their
-        # processors' castouts never reach the lanes) read or write.
-        miss_pop = np.zeros((2, _N_CMDS), dtype=np.int8)
-        for cmd, (_b, _e, op, _h, _m, _f) in enumerate(_CMD_TAB):
-            miss_pop[0, cmd] = (_POP_NONE if op == _LOCAL_CASTOUT
-                                else _POP_WRITE if op == _LOCAL_WRITE
-                                else _POP_READ)
-            miss_pop[1, cmd] = _POP_READ if cmd == _READ else _POP_WRITE
         self.miss_pop = miss_pop.ravel()
 
         # PLRU tree bits: touch[meta * assoc + way] and victim[meta]
@@ -288,16 +337,17 @@ class SetLanes:
                 [first.victim_way(meta) for meta in metas], dtype=np.intp
             )
 
-        # How many of each counter one outcome adds, by (cmd, hit, resp):
-        # primary, secondary, hit or miss, inclusion, satisfaction.
-        events = np.zeros((_N_CMDS, 2, _N_RESPS, _NO_COUNTER + 1),
+        # The tally counts outcomes by (kind, hit, outcome state).  How
+        # many of each counter one adds, by (cmd, resp, hit): primary,
+        # secondary, hit or miss, inclusion, satisfaction.
+        events = np.zeros((_CMD_VALUES, _N_RESPS, 2, _NO_COUNTER + 1),
                           dtype=np.int64)
         for cmd, (base, extra, op, hit_cid, miss_cid, fetches) in enumerate(
             _CMD_TAB
         ):
-            for hit in (0, 1):
-                for resp in range(_N_RESPS):
-                    row = events[cmd, hit, resp]
+            for resp in range(_N_RESPS):
+                for hit in (0, 1):
+                    row = events[cmd, resp, hit]
                     row[base] += 1
                     if extra >= 0:
                         row[extra] += 1
@@ -307,7 +357,7 @@ class SetLanes:
                     sat = (_SAT_HIT_CID if hit else _SAT_MISS_CID)[resp]
                     if fetches and sat >= 0:
                         row[sat] += 1
-        self.event_counters = events.reshape(-1, _NO_COUNTER + 1)
+        self.event_counters = events[:_N_CMDS].reshape(-1, _NO_COUNTER + 1)
         # By hit * states + outcome state: fill.X on a miss, hit_state.X
         # on a hit.
         self.state_counters = _one_hot(list(_FILL_CID) + list(_HIT_STATE_CID))
@@ -318,6 +368,17 @@ class SetLanes:
                 for s in range(_N_STATES)
             ]
         )
+        # What each outcome broadcasts, by (hit, state, slot, kind in
+        # slot): a miss its kind's, a hit the write snoop of a write on
+        # SHARED/OWNED (unmapped tenures never hit).
+        broadcast = np.zeros((2, _N_STATES) + kinds, dtype=np.int8)
+        broadcast[0] = miss_pop
+        broadcast[1, :, :n_nodes, :_N_CMDS] = hit_pop.transpose(2, 0, 1)[
+            ..., None
+        ]
+        broadcast = broadcast.reshape(2, _N_STATES, n_slots, _KINDS_PER_SLOT)
+        self.reads_from = (broadcast == _POP_READ).astype(np.int64)
+        self.writes_from = (broadcast == _POP_WRITE).astype(np.int64)
 
     # -- one chunk ------------------------------------------------------------ #
 
@@ -329,22 +390,31 @@ class SetLanes:
         it replays the tenures of the sets the lanes cannot represent.
         Node counters and admission tallies are updated in place, and the
         lanes' rows go straight back into the directories' arrays.
+        ``cpus``, ``cmds`` and ``resps`` are the decoder's ``uint8``
+        fields; a command times ``_N_RESPS`` plus a response is at most
+        63, so their packing stays in ``uint8``.
         """
         n_nodes = len(self.nodes)
-        sets = ((addrs >> np.uint64(self.off_bits))
-                & np.uint64(self.set_mask)).astype(np.intp)
-        local = self.node_of_cpu[cpus]
-        # An unmapped processor's castout touches nothing (see the loop).
-        keep = ~((local == n_nodes) & (cmds == _CASTOUT)
-                 & (cpus <= MAX_PROCESSOR_ID))
-        depth = np.bincount(sets[keep], minlength=self.set_mask + 1)
+        # Set indices are below 2**63: reading them as intp is exact.
+        sets = addrs >> np.uint64(self.off_bits)
+        sets &= np.uint64(self.set_mask)
+        sets = sets.view(np.intp)
+        kind = self.kind_of_cpu.take(cpus)
+        cmd_resp = cmds * np.uint8(_N_RESPS)
+        cmd_resp += resps
+        kind += cmd_resp
+        del cmd_resp
+        keep = self.keep.take(kind)
+        depth = np.bincount(sets if keep.all() else sets[keep],
+                            minlength=self.set_mask + 1)
         touched = np.flatnonzero(depth)
         # Deepest first, so the lanes live at each step are a prefix.
         touched = touched[np.argsort(-depth[touched], kind="stable")]
         lane_sets = touched[self._representable(touched)]
-        lane_of_set = np.full(self.set_mask + 1, -1, dtype=np.int32)
+        lane_of_set = np.full(self.set_mask + 1, -1, dtype=np.intp)
         lane_of_set[lane_sets] = np.arange(lane_sets.shape[0])
-        lanes = lane_of_set[sets]
+        lanes = lane_of_set.take(sets)
+        del sets
         on_lanes = keep & (lanes >= 0)
 
         # The loop goes first: it sets the tallies' last times outright,
@@ -358,8 +428,7 @@ class SetLanes:
             tags, states, meta = self._gather(lane_sets)
             reads, writes, last = self._replay(
                 tags, states, meta, depth[lane_sets],
-                np.flatnonzero(on_lanes), lanes, local, cmds, addrs, resps,
-                nows,
+                np.flatnonzero(on_lanes), lanes, kind, addrs, nows,
             )
             # Scatter every lane row back (row = lane * nodes + node).
             assoc = self.assoc
@@ -419,8 +488,8 @@ class SetLanes:
         return (tags.reshape(-1, assoc + 2), states.reshape(-1, assoc + 2),
                 meta)
 
-    def _replay(self, tags, states, meta, depths, picked, lanes, local,
-                cmds, addrs, resps, nows):
+    def _replay(self, tags, states, meta, depths, picked, lanes, kind,
+                addrs, nows):
         """Step the lanes (their rows updated in place) through the
         tenures ``picked`` (chunk indices, in chunk order); returns the
         unmapped-master tallies."""
@@ -433,59 +502,53 @@ class SetLanes:
         states_flat = states.reshape(-1)
 
         # Step k holds the rank-k tenure of lanes 0..live[k]-1, in lane
-        # order, at step_start[k] onwards.  Index fields are int32 and
-        # die as soon as they are used: the chunk's decoded inputs are
-        # still alive.
-        lane = lanes[picked]
-        # A 16-bit key sorts by radix, several times faster.
-        by_lane = np.argsort(
-            lane.astype(np.uint16) if n_lanes <= 1 << 16 else lane,
-            kind="stable",
-        )
-        chunk_of = picked[by_lane].astype(np.int32)
+        # order, at step_start[k] onwards.  One sort of (lane, chunk
+        # index) keys, unique and so stable, lists each lane's tenures in
+        # chunk order from lane_start[lane] on; step position p then
+        # holds lane p - step_start[k] at rank k.
+        n = picked.shape[0]
+        index_bits = int(picked[-1]).bit_length()
+        key_type = (np.uint32 if (n_lanes - 1).bit_length() + index_bits <= 32
+                    else np.uint64)
+        key = lanes.take(picked).astype(key_type)
+        key <<= key_type(index_bits)
+        key |= picked.astype(key_type)
         del picked
-        lane = lane[by_lane]
-        del by_lane
-        lane_start = np.zeros(n_lanes, dtype=np.int32)
+        key.sort()
+        key &= key_type((1 << index_bits) - 1)  # the chunk indices
+        lane_start = np.zeros(n_lanes, dtype=np.intp)
         np.cumsum(depths[:-1], out=lane_start[1:])
         max_depth = int(depths[0])
         live = np.searchsorted(-depths, -np.arange(max_depth), side="left")
-        step_start = np.zeros(max_depth + 1, dtype=np.int32)
+        step_start = np.zeros(max_depth + 1, dtype=np.intp)
         np.cumsum(live, out=step_start[1:])
-        position = np.arange(lane.shape[0], dtype=np.int32)
-        position -= lane_start[lane]  # the rank within the lane
-        position = step_start[position]
-        position += lane
-        # Scatter into step order.
-        order = np.empty_like(position)
-        order[position] = np.arange(position.shape[0], dtype=np.int32)
-        del position
-        chunk_of = chunk_of[order]
-        lane = lane[order]
-        del order
+        lane = np.arange(n, dtype=np.intp)
+        lane -= np.repeat(step_start[:-1], live)
+        at = np.repeat(np.arange(max_depth, dtype=np.intp), live)
+        at += lane_start.take(lane)
+        chunk_of = key.take(at).astype(np.intp)
+        del key, at
 
-        node = local[chunk_of]
-        cmd = cmds[chunk_of].astype(np.int8)
-        resp = resps[chunk_of].astype(np.int8)
-        tag = (addrs[chunk_of] >> np.uint64(self.tag_shift)).astype(np.int64)
-        is_mapped = node < n_nodes
-        home = np.where(is_mapped, node, 0)  # an unmapped tenure's stand-in
-        local_row = lane * np.int32(n_nodes) + home
-        del lane
-        local_base = local_row * np.int32(width)
-        node_cmd = home * np.int32(_N_CMDS) + cmd
-        del home
-        local_key = node_cmd * np.int32(_N_STATES)
-        fill_shared = self.fill_shared[node_cmd]
-        fill_alone = self.fill_alone[node_cmd]
-        del node_cmd
-        miss_pop = self.miss_pop[(~is_mapped) * _N_CMDS + cmd]
+        # Per tenure, each by one take of a per-kind table.
+        kind = kind.take(chunk_of).astype(np.intp)
+        # Tags are below 2**50: reading them as int64 is exact.
+        tag = addrs.take(chunk_of)
+        tag >>= np.uint64(self.tag_shift)
+        tag = tag.view(np.int64)
+        is_mapped = self.mapped.take(kind)
+        local_row = lane
+        local_row *= n_nodes
+        local_row += self.home.take(kind)
+        local_base = local_row * width
+        local_key = self.local_key.take(kind)
+        fill_shared = self.fill_shared.take(kind)
+        fill_alone = self.fill_alone.take(kind)
+        miss_pop = self.miss_pop.take(kind)
         n_rows = n_lanes * n_nodes
         # A mapped tenure's own row, which is no peer; an unmapped
         # tenure's stand-in row is, so it names a row past the lanes.
         own_row = np.where(is_mapped, local_row, n_rows)
 
-        n = chunk_of.shape[0]
         hit_out = np.empty(n, dtype=bool)
         state_out = np.empty(n, dtype=np.int8)
         victim_out = np.empty(n, dtype=np.int8)
@@ -623,60 +686,76 @@ class SetLanes:
             victim_out[b0:b1] = victim_state
             pop_out[b0:b1] = pop
         del tag, local_row, local_base, local_key, own_row
-        del fill_shared, fill_alone, miss_pop
+        del fill_shared, fill_alone, miss_pop, is_mapped
 
-        return self._tally(node, cmd, resp, hit_out, state_out, victim_out,
-                           pop_out, dirty_out, inv_out, chunk_of, nows)
+        return self._tally(kind, hit_out, state_out, victim_out, pop_out,
+                           dirty_out, inv_out, chunk_of, nows)
 
-    def _tally(self, node, cmd, resp, hit, state, victim, pop, dirty,
-               invalidated, chunk_of, nows):
+    def _tally(self, kind, hit, state, victim, pop, dirty, invalidated,
+               chunk_of, nows):
         """Counters and admission tallies of the lanes' tenures (in step
         order); returns the unmapped-master tallies."""
         nodes = self.nodes
         n_nodes = len(nodes)
-        # Outcome rows per node, plus one for unmapped masters, whose
-        # local outcomes count nowhere.
-        node = node.astype(np.intp)
-        n_rows = n_nodes + 1
-
-        def per_node(key, n_keys):
-            return np.bincount(node * n_keys + key,
-                               minlength=n_rows * n_keys).reshape(n_rows, -1)
-
-        counts = (
-            per_node((cmd.astype(np.intp) * 2 + hit) * _N_RESPS + resp,
-                     self.event_counters.shape[0]) @ self.event_counters
-            + per_node(hit * _N_STATES + state, self.state_counters.shape[0])
-            @ self.state_counters
-            + per_node(victim.astype(np.intp) + 1,
-                       self.evict_counters.shape[0]) @ self.evict_counters
+        n_slots = self.n_slots
+        n_states = _N_STATES
+        # One bincount by (hit, outcome state, victim state + 1, kind);
+        # every counter is a sum over its axes, the kind axis innermost
+        # so that each sum runs over long rows.
+        outcome = hit.astype(_OUTCOME_TYPE)
+        outcome *= n_states
+        outcome += state
+        outcome *= n_states + 1
+        outcome += victim
+        outcome += 1
+        n_kinds = n_slots * _KINDS_PER_SLOT
+        key = outcome.astype(np.intp)
+        del outcome
+        key *= n_kinds
+        key += kind
+        by_outcome = np.bincount(key, minlength=_OUTCOMES * n_kinds).reshape(
+            2, n_states, n_states + 1, n_slots, _KINDS_PER_SLOT
         )
-        # Peer by peer: reducing rows this short runs numpy's inner loop
-        # once per row.  Peers supplying dirty data to a read miss are
-        # interventions.
-        reads = pop == _POP_READ
-        supplied, lost = [], []
-        for n in range(n_nodes):
-            dirty_n = dirty[:, n]
-            counts[:, _CID_INTERVENTION] += np.bincount(
-                node[reads & dirty_n], minlength=n_rows
-            )
-            supplied.append(int(np.count_nonzero(dirty_n)))
-            lost.append(int(np.count_nonzero(invalidated[:, n])))
-        del reads
+        del key
+        by_state = by_outcome.sum(axis=2)
+        # The nodes' own outcomes; unmapped masters' count nowhere, and
+        # only the commands the filter admits have events.
+        counts = (
+            by_state.sum(axis=1)[:, :n_nodes, :_ADMITTED_KINDS]
+            .transpose(1, 2, 0).reshape(n_nodes, -1) @ self.event_counters
+            + by_state.sum(axis=3)[:, :, :n_nodes].transpose(2, 0, 1)
+            .reshape(n_nodes, -1) @ self.state_counters
+            + by_outcome.sum(axis=(0, 1, 4))[:, :n_nodes].T
+            @ self.evict_counters
+        )
+        tenures = by_state.sum(axis=(0, 1, 3))
+        reads = (by_state * self.reads_from).sum(axis=(0, 1, 3))
+        writes = (by_state * self.writes_from).sum(axis=(0, 1, 3))
+        # Peer outcomes are sparse: count them from their flat indices
+        # (tenure * nodes + peer).  Peers supplying dirty data to a read
+        # miss are interventions.
+        dirty_at = np.flatnonzero(dirty)
+        supplied = np.bincount(dirty_at % n_nodes, minlength=n_nodes).tolist()
+        dirty_at //= n_nodes
+        readers = dirty_at[pop.take(dirty_at) == _POP_READ]
+        counts[:, _CID_INTERVENTION] += np.bincount(
+            kind.take(readers) >> _SLOT_SHIFT, minlength=n_slots
+        )[:n_nodes]
+        lost = np.bincount(np.flatnonzero(invalidated) % n_nodes,
+                           minlength=n_nodes).tolist()
 
-        issued = per_node(pop, 3)
         # Tenure times rise with the chunk index: the last time is the
-        # time of the largest index.
-        last_at = np.full(n_rows, -1, dtype=np.int32)
-        np.maximum.at(last_at, node, chunk_of)
-        snooped = pop != _POP_NONE
-        last_snoop_at = np.full(n_rows, -1, dtype=np.int32)
-        np.maximum.at(last_snoop_at, node[snooped], chunk_of[snooped])
+        # time of the largest index, by (slot, whether it broadcast).
+        last_at = np.full(2 * n_slots, -1, dtype=np.intp)
+        slot_snooped = kind >> _SLOT_SHIFT
+        slot_snooped <<= 1
+        slot_snooped += pop != _POP_NONE
+        np.maximum.at(last_at, slot_snooped, chunk_of)
+        last_at = last_at.reshape(n_slots, 2)
         last, last_snoop = (
             [float(nows[at]) if at >= 0 else float("-inf")
              for at in indices.tolist()]
-            for indices in (last_at, last_snoop_at)
+            for indices in (last_at.max(axis=1), last_at[:, 1])
         )
         for n, compiled in enumerate(nodes):
             accv = compiled.accv
@@ -685,10 +764,10 @@ class SetLanes:
                     accv[cid] += value
             accv[_CID_SUPPLIED_DIRTY] += supplied[n]
             accv[_CID_INVALIDATED] += lost[n]
-            compiled.local_n += int(issued[n].sum())
-            compiled.snoop_rd += int(issued[n, _POP_READ])
-            compiled.snoop_wr += int(issued[n, _POP_WRITE])
+            compiled.local_n += int(tenures[n])
+            compiled.snoop_rd += int(reads[n])
+            compiled.snoop_wr += int(writes[n])
             compiled.local_t = max(compiled.local_t, last[n])
             compiled.snoop_t = max(compiled.snoop_t, last_snoop[n])
-        return (int(issued[n_nodes, _POP_READ]),
-                int(issued[n_nodes, _POP_WRITE]), last[n_nodes])
+        return (int(reads[n_nodes:].sum()), int(writes[n_nodes:].sum()),
+                max(last[n_nodes:]))

@@ -22,8 +22,10 @@ and :meth:`TargetMachine.load`; loading re-validates everything.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -170,8 +172,13 @@ class TargetMachine:
         with a *different* machine is refused outright instead of silently
         mis-replaying (the node counts may match while geometry differs).
         """
-        import hashlib
+        return self._fingerprint
 
+    @cached_property
+    def _fingerprint(self) -> str:
+        # Computed once per machine: the machine, its node specs and their
+        # cache configs are frozen dataclasses of ints, strings and tuples,
+        # so the programming cannot change after construction.
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )

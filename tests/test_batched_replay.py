@@ -26,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bus.trace import decode_arrays, encode_arrays
+from repro.bus.trace import ADDRESS_BITS, decode_arrays, encode_arrays
+from repro.bus.transaction import MAX_PROCESSOR_ID, BusCommand, SnoopResponse
 from repro.engines import ENGINES
 from repro.memories.board import (
     DEFAULT_ASSUMED_UTILIZATION,
@@ -884,6 +885,83 @@ class TestLockstepChooser:
         assert_paths_identical(make_board, words, engine="compiled")
         assert forced_lockstep
         assert forced_lockstep.leftover > 0
+
+
+def extreme_field_words(n: int, seed: int) -> np.ndarray:
+    """Records at the edges of every packed field.
+
+    Masters: the machine's CPUs, unmapped processors up to
+    ``MAX_PROCESSOR_ID`` (their castouts touch nothing) and masters above
+    it up to 255 (I/O bridges, whose castouts snoop).  Every
+    ``BusCommand`` and every ``SnoopResponse``.  Three quarters of the
+    addresses fall in the top 2k lines of the 50-bit field, so tags use
+    its top bits and sets hit, fill and evict; the rest lie anywhere.
+    """
+    rng = np.random.default_rng(seed)
+    masters = np.concatenate((
+        rng.integers(0, N_CPUS, n // 2),
+        rng.integers(N_CPUS, MAX_PROCESSOR_ID + 1, n // 4),
+        rng.integers(MAX_PROCESSOR_ID + 1, 256, n - n // 2 - n // 4),
+    ))
+    rng.shuffle(masters)
+    masters[:3] = (MAX_PROCESSOR_ID, MAX_PROCESSOR_ID + 1, 255)
+    commands = rng.choice([int(command) for command in BusCommand], n)
+    responses = rng.choice([int(response) for response in SnoopResponse], n)
+    top_line = ((1 << ADDRESS_BITS) - 1) >> 7
+    lines = np.where(
+        rng.random(n) < 0.75,
+        rng.integers(top_line - (1 << 11), top_line + 1, n),
+        rng.integers(0, top_line + 1, n),
+    )
+    addresses = (lines << 7) | rng.integers(0, 128, n)
+    addresses[:2] = (1 << ADDRESS_BITS) - 1
+    return encode_arrays(
+        masters.astype(np.uint64), commands.astype(np.uint64),
+        addresses.astype(np.uint64), responses.astype(np.uint64),
+    )
+
+
+class TestFieldExtremes:
+    """The decoder's narrow fields through every path that reads them:
+    scalar, the closed-form loop, the set lanes and the generic runner,
+    equal down to ``checkpoint()`` on records at every field's edge."""
+
+    @pytest.mark.parametrize("replacement", ["lru", "plru"])
+    def test_every_path_equals_scalar(self, forced_lockstep, replacement):
+        words = extreme_field_words(6000, seed=29)
+        assert decode_arrays(words)[2].max() == (1 << ADDRESS_BITS) - 1
+        machine = machine_for("split", replacement)
+        parts = np.array_split(words, 3)
+
+        def replayed(replay, board):
+            for part in parts:
+                replay(board, part)
+            return board
+
+        scalar = board_for_machine(machine, seed=3)
+        scalar.batched_replay = False
+        replayed(MemoriesBoard.replay_words, scalar)
+        lanes = replayed(replay_forced_lanes, board_for_machine(machine, seed=3))
+        assert len(forced_lockstep) == 3
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.memories.compiled.LOCKSTEP_MIN_TENURES",
+                          math.inf)
+            loop = replayed(MemoriesBoard.replay_words,
+                            board_for_machine(machine, seed=3))
+        assert len(forced_lockstep) == 3
+        # The generic runner, against scalar at the same utilization.
+        coupled = replayed(MemoriesBoard.replay_words,
+                           regime_board("coupled", machine, seed=3))
+        coupled_scalar = regime_board("coupled", machine, seed=3)
+        coupled_scalar.batched_replay = False
+        replayed(MemoriesBoard.replay_words, coupled_scalar)
+        for board in (lanes, loop):
+            assert board.statistics() == scalar.statistics()
+            assert board.checkpoint() == scalar.checkpoint()
+        assert coupled.checkpoint() == coupled_scalar.checkpoint()
+        stats = scalar.statistics()
+        assert stats["filter.forwarded"] > 0
+        assert stats["filter.retried"] > 0
 
 
 def sweep4_machine():

@@ -1,5 +1,7 @@
 """Tests for repro.target: CPU-ID partitioning into emulated nodes."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -69,6 +71,29 @@ class TestTargetMachine:
     def test_describe(self):
         text = split_smp_machine(CFG, n_cpus=8, procs_per_node=4).describe()
         assert "node A" in text and "node B" in text
+
+    def test_fingerprint_is_computed_once_and_tracks_the_programming(
+        self, monkeypatch
+    ):
+        """The digest is memoised, which is sound because a machine, its
+        node specs and their configs are all frozen."""
+        machine = split_smp_machine(CFG, n_cpus=8, procs_per_node=4)
+        for frozen in (machine, machine.nodes[0], machine.nodes[0].config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frozen, dataclasses.fields(frozen)[0].name, None)
+        first = machine.fingerprint()
+        monkeypatch.setattr(
+            TargetMachine, "to_dict",
+            lambda self: pytest.fail("fingerprint recomputed"),
+        )
+        assert machine.fingerprint() == first
+        monkeypatch.undo()
+        twin = split_smp_machine(CFG, n_cpus=8, procs_per_node=4)
+        assert twin.fingerprint() == first
+        renamed = dataclasses.replace(machine, name="other")
+        assert renamed.fingerprint() != first
+        regrouped = split_smp_machine(CFG, n_cpus=8, procs_per_node=2)
+        assert regrouped.fingerprint() != first
 
 
 class TestProgrammingFiles:

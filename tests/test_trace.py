@@ -17,6 +17,7 @@ from repro.bus.trace import (
     decode_record,
     encode_arrays,
     encode_record,
+    iter_decoded,
 )
 from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
 from repro.common.errors import TraceFormatError
@@ -81,6 +82,42 @@ class TestVectorCodec:
             np.array([int(txn.snoop_response)], dtype=np.uint64),
         )
         assert int(words[0]) == encode_record(txn)
+
+    def test_field_maxima_roundtrip(self):
+        """Every field at its maximum (cpu 255, command 15, response 3,
+        address 2**50 - 1), alone and next to zeros, decodes exactly."""
+        top_address = (1 << ADDRESS_BITS) - 1
+        cpus = np.array([255, 0, 255, 0, 128], dtype=np.uint64)
+        commands = np.array([15, 0, 0, 15, 8], dtype=np.uint64)
+        addresses = np.array(
+            [top_address, top_address, 0, 0, 1 << (ADDRESS_BITS - 1)],
+            dtype=np.uint64,
+        )
+        responses = np.array([3, 0, 3, 0, 2], dtype=np.uint64)
+        words = encode_arrays(cpus, commands, addresses, responses)
+        c2, m2, a2, r2 = decode_arrays(words)
+        assert c2.tolist() == cpus.tolist()
+        assert m2.tolist() == commands.tolist()
+        assert a2.tolist() == addresses.tolist()
+        assert r2.tolist() == responses.tolist()
+        assert int(words[0]) == (1 << 64) - 1
+
+    def test_decoded_dtypes(self):
+        """Fields come back at the width of their data; the row iterator
+        still yields plain Python ints."""
+        words = encode_arrays(
+            np.array([255], dtype=np.uint64), np.array([15], dtype=np.uint64),
+            np.array([(1 << ADDRESS_BITS) - 1], dtype=np.uint64),
+            np.array([3], dtype=np.uint64),
+        )
+        cpus, commands, addresses, responses = decode_arrays(words)
+        assert cpus.dtype == np.uint8
+        assert commands.dtype == np.uint8
+        assert responses.dtype == np.uint8
+        assert addresses.dtype == np.uint64
+        (row,) = list(iter_decoded(words))
+        assert row == (255, 15, (1 << ADDRESS_BITS) - 1, 3)
+        assert all(type(field) is int for field in row)
 
     def test_wide_address_rejected(self):
         with pytest.raises(TraceFormatError):
