@@ -10,7 +10,7 @@ regimes:
 * **the closed-form loop** (:func:`_closed_form_run`), for the stock
   cache-emulation firmware when its buffers are decoupled;
 * **the set lanes** (:mod:`repro.memories.lockstep`), which the same
-  runner takes for a deep chunk of a single group;
+  runner takes for a deep chunk, on every group at once;
 * **the generic runner** (:func:`~repro.memories.batch._generic_runner`),
   ``firmware.process`` per admitted tenure, for everything else: images
   the protocol runner refuses (SDRAM-priced or ECC nodes, custom
@@ -59,20 +59,20 @@ set-lockstep form (:mod:`repro.memories.lockstep`).  The
 bit-identity suite in ``tests/test_batched_replay.py`` holds them in
 lock-step.
 
-The lockstep form replays a deep chunk of a single group set by set,
-all sets at once.  It is sound when every node of the group maps an
-address to the same set and picks victims from its own set's history
-(LRU, FIFO or PLRU; :func:`lockstep.plan <repro.memories.lockstep.plan>`
-refuses ``random``, whose draws come from one board-wide stream in
-global order).  Nothing else couples the sets on this runner: it refuses
+The lockstep form replays a deep chunk of one group set by set, all
+sets at once.  It is sound when every node of the group maps an address
+to the same set and picks victims from its own set's history (LRU, FIFO
+or PLRU; :func:`lockstep.plan <repro.memories.lockstep.plan>` refuses
+``random``, whose draws come from one board-wide stream in global
+order).  Nothing else couples the sets on this runner: it refuses
 SDRAM-priced nodes, whose service times depend on global access order,
 and its buffers settle in closed form.  A tenure then reads and writes
 one set on every node and nothing else, so each set's history depends
 only on its own tenures, in their order.  Counters are sums and the
 closed-form tallies are counts and maxima of rising tenure times, so
-neither depends on the interleaving of sets.  Per chunk,
-:func:`_closed_form_run` takes the lanes when the chunk has at least
-:data:`LOCKSTEP_MIN_TENURES` admitted tenures, and the loop otherwise.
+neither depends on the interleaving of sets.  Groups share no directory,
+so :func:`_closed_form_run` replays a deep chunk on every group's lanes,
+or the whole chunk on the loop.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ _POLICY_CODE = {
 
 _NEVER = float("-inf")
 
-#: A single-group chunk with at least this many admitted tenures replays
-#: in set lockstep (:mod:`repro.memories.lockstep`); docs/architecture.md
-#: has the measured crossover.
+#: A chunk with at least this many admitted tenures replays in set
+#: lockstep (:mod:`repro.memories.lockstep`) when every group can;
+#: docs/architecture.md has the measured crossover.
 LOCKSTEP_MIN_TENURES = 384
 
 
@@ -613,16 +613,15 @@ def _closed_form_run(compiled_groups, all_nodes, loan):
     """Closed form: one local tenure per coherence group that maps the
     cpu, and a probe of every controller of a group that does not.
 
-    A chunk of a single group may instead replay on
-    :mod:`repro.memories.lockstep`, when the group has a lockstep form
-    and the chunk has at least :data:`LOCKSTEP_MIN_TENURES` admitted
-    tenures; the loop then replays the sets the lanes cannot.
+    A chunk with at least :data:`LOCKSTEP_MIN_TENURES` admitted tenures
+    replays instead on the set lanes of every group
+    (:mod:`repro.memories.lockstep`) when every group has a lockstep form
+    and represents every set the chunk touches.
     """
     process_local = _process_local
     snoop_hit = _snoop_hit
-    lanes = None
-    # Only a single group has lanes; cleared once it turns out to have none.
-    may_step_sets = len(compiled_groups) == 1
+    # Each group's lockstep form, planned on the first deep chunk.
+    plans = None
 
     def loop(cpus, cmds, addrs, resps, nows):
         """Replay admitted tenures one by one; returns each group's
@@ -662,18 +661,22 @@ def _closed_form_run(compiled_groups, all_nodes, loan):
         return [unmapped for _local_table, _controllers, unmapped in groups]
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
-        nonlocal lanes, may_step_sets
+        nonlocal plans
         for node in all_nodes:
             node.begin()
-        on_lanes = may_step_sets and cpus.shape[0] >= LOCKSTEP_MIN_TENURES
-        if on_lanes and lanes is None:
-            lanes = lockstep.plan(*compiled_groups[0])
-            on_lanes = may_step_sets = lanes is not None
-        if on_lanes:
-            loan.give_back()
-            tallies = [lanes.run(cpus, cmds, addrs, resps, nows,
-                                 lambda *chunk: loop(*chunk)[0])]
-        else:
+        tallies = None
+        if cpus.shape[0] >= LOCKSTEP_MIN_TENURES:
+            if plans is None:
+                plans = [lockstep.plan(*group) for group in compiled_groups]
+            if all(plans):
+                # The lanes read the arrays; ordering writes nothing.
+                loan.give_back()
+                orders = [plan.order(cpus, cmds, addrs, resps)
+                          for plan in plans]
+                if None not in orders:
+                    tallies = [plan.replay(order, addrs, nows)
+                               for plan, order in zip(plans, orders)]
+        if tallies is None:
             tallies = loop(cpus, cmds, addrs, resps, nows)
         for (_local_table, controllers), unmapped in zip(
             compiled_groups, tallies

@@ -52,18 +52,18 @@ all sets together, as numpy lanes:
   closed-form buffer tallies need, per issuer, a count and the time of
   the last admission, which is the maximum because tenure times rise.
 
-Sets the lanes cannot represent exactly replay on the loop instead, in
-their own order; they share no state with the lanes.  These are sets
-that hold a state outside the protocol's complete transition rows, or
-whose PLRU bits lie outside the tables.  A set holding a (corrupted)
-duplicate tag stays on the lanes: the probe finds the first copy, as
-the loop's ``list.index`` and the directory's probe do.  Groups with
-mixed set mappings or associativities, or with ``random`` replacement,
-have no lanes at all (:func:`plan`).
-
-The lanes pay a fixed cost per chunk and per step, the loop a fixed
-cost per tenure, so the lanes pay only on chunks long enough; the
-runner chooses (:data:`repro.memories.compiled.LOCKSTEP_MIN_TENURES`).
+A chunk replays in two calls.  :meth:`SetLanes.order` orders it, or
+returns None, having written nothing, when it touches a set the lanes
+cannot represent exactly: one that holds a state outside the protocol's
+complete transition rows, or whose PLRU bits lie outside the tables.
+:meth:`SetLanes.replay` then replays the ordered chunk.  A set holding a
+(corrupted) duplicate tag is representable: the probe finds the first
+copy, as the loop's ``list.index`` and the directory's probe do.  Groups
+with mixed set mappings or associativities, or with ``random``
+replacement, have no lanes at all (:func:`plan`).  The runner decides
+which chunks take the lanes
+(:func:`repro.memories.compiled._closed_form_run`): they pay a fixed
+cost per chunk and per step, the loop a fixed cost per tenure.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def _one_hot(cids) -> np.ndarray:
 
 
 class SetLanes:
-    """Static tables of one group's lockstep form; :meth:`run` replays a
-    chunk.  Built by :func:`plan`."""
+    """Static tables of one group's lockstep form; :meth:`order` and
+    :meth:`replay` replay a chunk.  Built by :func:`plan`."""
 
     def __init__(self, local_table, controllers) -> None:
         nodes = tuple(controllers)
@@ -382,19 +382,15 @@ class SetLanes:
 
     # -- one chunk ------------------------------------------------------------ #
 
-    def run(self, cpus, cmds, addrs, resps, nows, loop):
-        """Replay one chunk's admitted tenures; returns the unmapped-master
-        tallies ``(reads, writes, last time)``, as ``loop`` does.
+    def order(self, cpus, cmds, addrs, resps):
+        """Order one chunk's admitted tenures into lanes, or None when
+        the lanes take none of them or cannot represent a set they touch;
+        writes nothing.
 
-        ``loop(cpus, cmds, addrs, resps, nows)`` is the closed-form loop;
-        it replays the tenures of the sets the lanes cannot represent.
-        Node counters and admission tallies are updated in place, and the
-        lanes' rows go straight back into the directories' arrays.
         ``cpus``, ``cmds`` and ``resps`` are the decoder's ``uint8``
         fields; a command times ``_N_RESPS`` plus a response is at most
         63, so their packing stays in ``uint8``.
         """
-        n_nodes = len(self.nodes)
         # Set indices are below 2**63: reading them as intp is exact.
         sets = addrs >> np.uint64(self.off_bits)
         sets &= np.uint64(self.set_mask)
@@ -405,65 +401,59 @@ class SetLanes:
         kind += cmd_resp
         del cmd_resp
         keep = self.keep.take(kind)
-        depth = np.bincount(sets if keep.all() else sets[keep],
-                            minlength=self.set_mask + 1)
+        depth = np.bincount(sets if keep.all() else sets[keep])
         touched = np.flatnonzero(depth)
+        if not (touched.shape[0] and self._representable(touched)):
+            return None
         # Deepest first, so the lanes live at each step are a prefix.
         touched = touched[np.argsort(-depth[touched], kind="stable")]
-        lane_sets = touched[self._representable(touched)]
         lane_of_set = np.full(self.set_mask + 1, -1, dtype=np.intp)
-        lane_of_set[lane_sets] = np.arange(lane_sets.shape[0])
-        lanes = lane_of_set.take(sets)
-        del sets
-        on_lanes = keep & (lanes >= 0)
+        lane_of_set[touched] = np.arange(touched.shape[0])
+        return (touched, depth[touched], np.flatnonzero(keep),
+                lane_of_set.take(sets), kind)
 
-        # The loop goes first: it sets the tallies' last times outright,
-        # the lanes then take maxima.
-        unmapped = (0, 0, float("-inf"))
-        leftover = keep & ~on_lanes
-        if leftover.any():
-            unmapped = loop(cpus[leftover], cmds[leftover], addrs[leftover],
-                            resps[leftover], nows[leftover])
-        if lane_sets.shape[0]:
-            tags, states, meta = self._gather(lane_sets)
-            reads, writes, last = self._replay(
-                tags, states, meta, depth[lane_sets],
-                np.flatnonzero(on_lanes), lanes, kind, addrs, nows,
-            )
-            # Scatter every lane row back (row = lane * nodes + node).
-            assoc = self.assoc
-            tags = tags.reshape(-1, n_nodes, assoc + 2)
-            states = states.reshape(-1, n_nodes, assoc + 2)
-            for n, node in enumerate(self.nodes):
-                directory = node.directory
-                directory._tags[lane_sets] = tags[:, n, :assoc]
-                directory._states[lane_sets] = states[:, n, :assoc]
-                if meta is not None:
-                    directory._meta[lane_sets] = meta[n::n_nodes]
-            unmapped = (unmapped[0] + reads, unmapped[1] + writes,
-                        max(unmapped[2], last))
+    def replay(self, order, addrs, nows):
+        """Replay the chunk :meth:`order` ordered; returns the
+        unmapped-master tallies ``(reads, writes, last time)``.
+
+        Node counters and admission tallies are set in place, and the
+        lanes' rows go straight back into the directories' arrays.
+        """
+        lane_sets, depths, picked, lanes, kind = order
+        n_nodes = len(self.nodes)
+        tags, states, meta = self._gather(lane_sets)
+        unmapped = self._replay(tags, states, meta, depths, picked, lanes,
+                                kind, addrs, nows)
+        # Scatter every lane row back (row = lane * nodes + node).
+        assoc = self.assoc
+        tags = tags.reshape(-1, n_nodes, assoc + 2)
+        states = states.reshape(-1, n_nodes, assoc + 2)
+        for n, node in enumerate(self.nodes):
+            directory = node.directory
+            directory._tags[lane_sets] = tags[:, n, :assoc]
+            directory._states[lane_sets] = states[:, n, :assoc]
+            if meta is not None:
+                directory._meta[lane_sets] = meta[n::n_nodes]
         return unmapped
 
-    def _representable(self, sets) -> np.ndarray:
-        """Which of ``sets`` the lanes can hold on every node: every line
+    def _representable(self, sets) -> bool:
+        """Whether the lanes can hold ``sets`` on every node: every line
         in a complete state and, under PLRU, tree bits in the tables."""
-        ok = np.ones(sets.shape[0], dtype=bool)
         # States past the table's end index its all-False sentinel column.
         last = self.complete.shape[1] - 1
         for n, node in enumerate(self.nodes):
             directory = node.directory
-            # ``take`` along the set axis, and a reduction column by
-            # column: indexing or reducing rows this short runs numpy's
+            # ``take`` along the set axis: a fancy row index runs numpy's
             # inner loop once per set.
             states = np.minimum(directory._states.take(sets, axis=0), last)
             good = directory._tags.take(sets, axis=0) < 0
             good |= self.complete[n].take(states)
-            for j in range(self.assoc):
-                ok &= good[:, j]
             if self.touch is not None:
-                meta = directory._meta[sets]
-                ok &= (meta >= 0) & (meta < 1 << self.assoc)
-        return ok
+                meta = directory._meta.take(sets)
+                good &= ((meta >= 0) & (meta < 1 << self.assoc))[:, None]
+            if not good.all():
+                return False
+        return True
 
     def _gather(self, sets):
         """The rows of ``sets`` on every node (row = set position * nodes
@@ -764,10 +754,10 @@ class SetLanes:
                     accv[cid] += value
             accv[_CID_SUPPLIED_DIRTY] += supplied[n]
             accv[_CID_INVALIDATED] += lost[n]
-            compiled.local_n += int(tenures[n])
-            compiled.snoop_rd += int(reads[n])
-            compiled.snoop_wr += int(writes[n])
-            compiled.local_t = max(compiled.local_t, last[n])
-            compiled.snoop_t = max(compiled.snoop_t, last_snoop[n])
+            compiled.local_n = int(tenures[n])
+            compiled.snoop_rd = int(reads[n])
+            compiled.snoop_wr = int(writes[n])
+            compiled.local_t = last[n]
+            compiled.snoop_t = last_snoop[n]
         return (int(reads[n_nodes:].sum()), int(writes[n_nodes:].sum()),
                 max(last[n_nodes:]))

@@ -91,11 +91,25 @@ def machine_for(kind: str, replacement: str = "lru", protocol: str = "mesi"):
         return single_node_machine(config, N_CPUS)
     if kind == "split":
         return split_smp_machine(config, N_CPUS, 2)
-    other = CacheNodeConfig(
-        size=64 * 1024, assoc=2, line_size=64, replacement=replacement,
-        protocol=protocol,
-    )
-    return multi_config_machine([config, other], N_CPUS)
+    if kind == "multi":
+        other = CacheNodeConfig(
+            size=64 * 1024, assoc=2, line_size=64, replacement=replacement,
+            protocol=protocol,
+        )
+        return multi_config_machine([config, other], N_CPUS)
+    if kind == "groups4":
+        # sweep4's shape: 2-way (``replacement``, LRU in sweep4), 4-way
+        # PLRU, 8-way FIFO and 4-way LRU, each group its own set count.
+        shapes = ((64 << 10, 2, 128, replacement), (128 << 10, 4, 64, "plru"),
+                  (512 << 10, 8, 64, "fifo"), (1 << 20, 4, 128, "lru"))
+    else:
+        # "dm2", Figure 10's shape: a direct-mapped node beside an 8-way.
+        shapes = ((32 << 10, 1, 128, "lru"), (512 << 10, 8, 128, replacement))
+    return multi_config_machine([
+        CacheNodeConfig(size=size, assoc=assoc, line_size=line,
+                        replacement=policy, protocol=protocol)
+        for size, assoc, line, policy in shapes
+    ], N_CPUS)
 
 
 #: The utilization of a coupled board: at 90% the bus tenure is shorter
@@ -236,7 +250,7 @@ class TestCompiledBitIdentity:
     @pytest.mark.parametrize("kind, loop_only", [
         pytest.param(kind, loop_only, id=kind + ("-loop" if loop_only else ""))
         for loop_only in (False, True)
-        for kind in ("single", "split", "multi")
+        for kind in ("single", "split", "multi", "groups4")
     ])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
     def test_every_machine_and_policy(self, kind, loop_only, replacement,
@@ -505,32 +519,37 @@ class TestInertTickBoundary:
         assert forced.checkpoint() != scalar.checkpoint()
 
 
-class LaneCalls(list):
-    """The length of every chunk replayed on the set lanes; ``leftover``
-    counts the tenures of those chunks the lanes handed to the loop."""
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """The length of every chunk a group replayed on its set lanes, one
+    entry per group and chunk."""
+    from repro.memories import lockstep
 
-    leftover = 0
+    calls = []
+    replay = lockstep.SetLanes.replay
+
+    def counted(self, order, addrs, nows):
+        calls.append(addrs.shape[0])
+        return replay(self, order, addrs, nows)
+
+    monkeypatch.setattr(lockstep.SetLanes, "replay", counted)
+    return calls
 
 
 @pytest.fixture
-def lockstep_calls(monkeypatch):
-    """Counts the chunks replayed on the set lanes."""
-    from repro.memories import lockstep
+def loop_calls(monkeypatch):
+    """Counts the chunks replayed on the closed-form loop, each of which
+    borrows its rows once."""
+    from repro.memories.compiled import _Loan
 
-    calls = LaneCalls()
-    run = lockstep.SetLanes.run
+    calls = []
+    take = _Loan.take
 
-    def counted(self, *args):
-        *chunk, loop = args
-        calls.append(chunk[0].shape[0])
+    def counted(self, addrs):
+        calls.append(addrs.shape[0])
+        return take(self, addrs)
 
-        def counted_loop(*leftover):
-            calls.leftover += leftover[0].shape[0]
-            return loop(*leftover)
-
-        return run(self, *chunk, counted_loop)
-
-    monkeypatch.setattr(lockstep.SetLanes, "run", counted)
+    monkeypatch.setattr(_Loan, "take", counted)
     return calls
 
 
@@ -571,23 +590,31 @@ def assert_lanes_identical(make_board, words, chunks=3):
 
 
 class TestSetLockstep:
-    """The set-lockstep form of the single-group closed-form runner
+    """The set-lockstep form of the closed-form runner
     (:mod:`repro.memories.lockstep`), forced onto every chunk, against
     scalar down to the checkpoint."""
 
-    @pytest.mark.parametrize("kind", ["single", "split"])
+    @pytest.mark.parametrize("kind", ["single", "split", "groups4", "dm2"])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
-    def test_every_machine_and_policy(self, forced_lockstep, kind,
-                                      replacement):
+    def test_every_machine_and_policy(self, forced_lockstep, loop_calls,
+                                      kind, replacement):
+        """Multi-group boards (sweep4's four designs, each with its own
+        set count, and Figure 10's pair with a direct-mapped node) replay
+        every chunk on the lanes of every group."""
         # CPU ids past the machine's: unmapped processors (8..15) snoop
         # every node and their castouts touch nothing; I/O bridges
-        # (16..19) snoop with castouts too.
-        words = full_mix_words(4000, seed=7, max_cpu=20)
+        # (16..19) snoop with castouts too.  1 MB of lines: every node
+        # hits as well as misses.
+        words = full_mix_words(4000, seed=7, max_cpu=20,
+                               address_space=1 << 20)
         machine = machine_for(kind, replacement)
+        groups = len(machine.groups())
         assert_lanes_identical(
             lambda: board_for_machine(machine, seed=3), words
         )
-        assert len(forced_lockstep) == 3
+        assert len(forced_lockstep) == 3 * groups
+        # Only the tail, replayed with the lanes off, ran on the loop.
+        assert len(loop_calls) == 1
 
     @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
@@ -605,7 +632,6 @@ class TestSetLockstep:
             lambda: board_for_machine(machine, seed=3), words
         )
         assert len(forced_lockstep) == 3
-        assert forced_lockstep.leftover == 0
 
     def test_one_step_keeps_loses_and_stands_in(self, forced_lockstep):
         """One lockstep step holding every kind of peer snoop: a peer
@@ -652,7 +678,6 @@ class TestSetLockstep:
         lanes = make_board()
         replay_forced_lanes(lanes, words)
         assert forced_lockstep == [4]
-        assert forced_lockstep.leftover == 0
         assert scalar.statistics() == lanes.statistics()
         assert scalar.checkpoint() == lanes.checkpoint()
 
@@ -697,8 +722,7 @@ class TestSetLockstep:
             return board
 
         _scalar, lanes = assert_lanes_identical(make_board, words)
-        assert forced_lockstep
-        assert forced_lockstep.leftover == 0
+        assert len(forced_lockstep) == 3
         flipped = lanes.firmware.nodes[0].directory
         assert any(
             len(set(tags)) < len(tags)
@@ -736,8 +760,7 @@ class TestSetLockstep:
         _scalar, lanes = assert_lanes_identical(
             make_board, records((0, 1), (1, 3), (0, 3)), chunks=2
         )
-        assert forced_lockstep
-        assert forced_lockstep.leftover == 0
+        assert len(forced_lockstep) == 2
         assert lanes.statistics()["node0.hit_state.EXCLUSIVE"] >= 1
 
     def test_unmapped_masters_on_a_degraded_board(self, forced_lockstep):
@@ -800,10 +823,43 @@ class TestSetLockstep:
         # Two full windows and the tail, each deep enough for the lanes.
         assert len(lockstep_calls) == 3
 
+    def test_sweep4_default_cadence_jsonl_identical(self, lockstep_calls,
+                                                    loop_calls):
+        import io
+
+        from repro.telemetry import JsonlSink
+
+        words = full_mix_words(6000, seed=17, max_cpu=12)
+        machine = machine_for("groups4")
+        streams = []
+
+        def replay(engine):
+            stream = io.StringIO()
+            streams.append(stream)
+            board = board_for_machine(machine, seed=2)
+            board.attach_telemetry(
+                CounterSampler(JsonlSink(stream, deterministic=True))
+            )
+            assert board.telemetry.every_transactions == 1024
+            ENGINES[engine].replay(board, words)
+            board.telemetry.finish(board)
+            return board
+
+        scalar = replay("scalar")
+        fast = replay("compiled")
+        assert streams[0].getvalue() == streams[1].getvalue()
+        assert streams[0].getvalue().count("\n") >= 6
+        assert scalar.checkpoint() == fast.checkpoint()
+        # The sampler's one-record first chunk on the loop; five full
+        # windows and the tail on every group's lanes.
+        assert len(loop_calls) == 1
+        assert len(lockstep_calls) == 4 * 6
+
 
 class TestLockstepChooser:
-    """Which chunks take the set lanes: long ones, on groups that have a
-    lockstep form."""
+    """Which chunks take the set lanes: long ones, on boards where every
+    group has a lockstep form and represents every set the chunk
+    touches.  A chunk replays wholly on the lanes or wholly on the loop."""
 
     @staticmethod
     def split4():
@@ -847,44 +903,85 @@ class TestLockstepChooser:
         )
         assert not forced_lockstep
 
-    def test_mixed_geometry_group_has_no_lanes(self, forced_lockstep):
+    def test_deep_multi_group_chunk_takes_every_groups_lanes(
+        self, lockstep_calls, loop_calls
+    ):
+        from repro.memories.compiled import LOCKSTEP_MIN_TENURES
+
+        machine = machine_for("groups4")
+        words = full_mix_words(2000, seed=71)
+        _scalar, fast = assert_paths_identical(
+            lambda: board_for_machine(machine, seed=3), words
+        )
+        assert fast.statistics()["filter.forwarded"] >= LOCKSTEP_MIN_TENURES
+        assert len(lockstep_calls) == 4
+        assert not loop_calls
+
+    def test_random_group_holds_the_board_on_the_loop(
+        self, forced_lockstep, loop_calls
+    ):
+        machine = machine_for("groups4", "random")
+        words = full_mix_words(3000, seed=43)
+        assert_paths_identical(
+            lambda: board_for_machine(machine, seed=3), words, chunks=3,
+            engine="compiled",
+        )
+        assert not forced_lockstep
+        assert len(loop_calls) == 3
+
+    def test_mixed_geometry_group_has_no_lanes(
+        self, forced_lockstep, loop_calls
+    ):
         from repro.target.mapping import TargetMachine, TargetNodeSpec
 
         big = CacheNodeConfig(size=128 * 1024, assoc=4, line_size=128,
                               procs_per_node=4)
         small = CacheNodeConfig(size=64 * 1024, assoc=2, line_size=64,
                                 procs_per_node=4)
+        whole = CacheNodeConfig(size=128 * 1024, assoc=4, line_size=128,
+                                procs_per_node=N_CPUS)
         machine = TargetMachine(nodes=(
             TargetNodeSpec(config=big, cpus=(0, 1, 2, 3), group=0),
             TargetNodeSpec(config=small, cpus=(4, 5, 6, 7), group=0),
+            TargetNodeSpec(config=whole, cpus=tuple(range(N_CPUS)), group=1),
         ))
         words = full_mix_words(3000, seed=61)
         assert_paths_identical(
-            lambda: board_for_machine(machine, seed=3), words,
+            lambda: board_for_machine(machine, seed=3), words, chunks=3,
             engine="compiled",
         )
         assert not forced_lockstep
+        assert len(loop_calls) == 3
 
     def test_plru_bits_outside_the_tables_replay_on_the_loop(
-        self, forced_lockstep
+        self, forced_lockstep, loop_calls
     ):
-        words = full_mix_words(3000, seed=67)
+        """A chunk that touches a set whose PLRU bits lie outside the
+        tables replays wholly on the loop; a later chunk that touches no
+        such set takes the lanes again."""
         machine = machine_for("split", "plru")
+        bad = 5
+        cpus, cmds, addrs, resps = decode_arrays(
+            full_mix_words(2000, seed=67)
+        )
+        sets = (addrs >> np.uint64(7)) & np.uint64(255)
+        # The first chunk touches the bad set, the second does not.
+        addrs[:1000][sets[:1000] == bad - 1] += np.uint64(128)
+        addrs[1000:][sets[1000:] == bad] += np.uint64(128)
+        words = encode_arrays(cpus, cmds, addrs, resps)
 
         def make_board():
             board = board_for_machine(machine, seed=3)
             board.batched_replay = False
             board.replay_words(full_mix_words(1000, seed=21))
-            for node in board.firmware.nodes:
-                meta = node.directory._meta
-                for set_index in range(0, len(meta), 2):
-                    meta[set_index] |= 1 << 9
+            board.firmware.nodes[1].directory._meta[bad] |= 1 << 9
             board.batched_replay = True
             return board
 
-        assert_paths_identical(make_board, words, engine="compiled")
-        assert forced_lockstep
-        assert forced_lockstep.leftover > 0
+        assert_paths_identical(make_board, words, chunks=2,
+                               engine="compiled")
+        assert len(loop_calls) == 1
+        assert len(forced_lockstep) == 1
 
 
 def extreme_field_words(n: int, seed: int) -> np.ndarray:

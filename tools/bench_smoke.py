@@ -8,6 +8,9 @@ statistics** — plus a throughput floor: compiled must run at least
 ``benchmarks/bench_replay_throughput.py`` asserts too.  The floor proves
 the protocol runner engaged: a silent fallback to the generic runner
 runs only about 1.2x as fast as scalar, the protocol runner over 20x.
+A second, smaller run on sweep4, the multi-configuration board of four
+cache designs each in its own coherence group, requires the same digest
+identity where the compiled engine steps every group's set lanes.
 
 Timings are best-of-``REPEATS`` with every raw sample recorded in
 ``BENCH_replay.json`` (a single-shot number once drifted a recorded
@@ -26,11 +29,38 @@ from pathlib import Path
 from _smoke import SmokeChecks
 
 from repro.experiments.replay_bench import run_replay_benchmark
+from repro.memories.config import CacheNodeConfig
+from repro.target.configs import multi_config_machine
 
 RECORDS = 60_000
 SEED = 2000
 REPEATS = 3
 MIN_SPEEDUP = 3.0
+#: sweep4 replays every record on four caches, so scalar runs it slower.
+MULTI_RECORDS = 20_000
+
+
+def sweep4_machine():
+    """Four cache designs of Figure 4, each in its own coherence group."""
+    return multi_config_machine(
+        [
+            CacheNodeConfig(size=512 << 10, assoc=2, line_size=128),
+            CacheNodeConfig(size=1 << 20, assoc=4, line_size=128,
+                            replacement="plru"),
+            CacheNodeConfig(size=2 << 20, assoc=8, line_size=128,
+                            replacement="fifo"),
+            CacheNodeConfig(size=4 << 20, assoc=4, line_size=128),
+        ],
+        n_cpus=8,
+        name="sweep4",
+    )
+
+
+def digests(report) -> str:
+    return ", ".join(
+        f"{name}={entry['statistics_digest'][:12]}"
+        for name, entry in report["engines"].items()
+    )
 
 
 def main() -> int:
@@ -46,10 +76,15 @@ def main() -> int:
     smoke.check(
         "scalar and compiled statistics bit-identical",
         report["identical"],
-        ", ".join(
-            f"{name}={entry['statistics_digest'][:12]}"
-            for name, entry in report["engines"].items()
-        ),
+        digests(report),
+    )
+    multi = run_replay_benchmark(
+        MULTI_RECORDS, seed=SEED, machine=sweep4_machine()
+    )
+    smoke.check(
+        "sweep4: scalar and compiled statistics bit-identical",
+        multi["identical"],
+        digests(multi),
     )
     smoke.check(
         f"compiled path at least {MIN_SPEEDUP:g}x faster than scalar",
