@@ -17,8 +17,8 @@ this package makes that one auditable decision:
   missing capability), so "why was this engine rejected?" is a stored
   artifact, not a debugging session.
 
-Everything else the compiled engine decides — closed-form loop, set
-lanes or generic runner — is its own choice, made per call in
+Everything else the compiled engine decides — set lanes or generic
+runner — is its own choice, made per call in
 :mod:`repro.memories.compiled`, and never changes a result.
 """
 

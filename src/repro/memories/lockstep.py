@@ -1,24 +1,25 @@
-"""Set-lockstep replay: every cache set of a deep chunk stepped at once.
+"""Set-lockstep replay: every cache set of a call stepped at once.
 
-The closed-form runner
-(:func:`repro.memories.compiled._closed_form_run`) replays admitted
-tenures one interpreter iteration at a time.  When every node of the
-coherence group maps an address to the same set, a tenure reads and
-writes that one set on every node and nothing else: its local probe,
-its peer snoops and its install.  That runner takes no SDRAM-priced
-node and settles its buffers in closed form, and :func:`plan` takes no
-``random`` group (its victims come from one board-wide RNG stream), so
-cache sets are then independent: a chunk may be replayed in any
-interleaving that keeps each set's own tenure order.  This module steps
-all sets together, as numpy lanes:
+The protocol runner (:func:`repro.memories.compiled._protocol_runner`)
+hands a coherence group the admitted tenures of one replay call.  When
+every node of the group maps an address to the same set, a tenure reads
+and writes that one set on every node and nothing else: its local
+probe, its peer snoops and its install.  That runner takes no
+SDRAM-priced node and no ``random`` policy (its victims come from one
+board-wide RNG stream) and settles its buffers in closed form, so cache
+sets are then independent: a call may be replayed in any interleaving
+that keeps each set's own tenure order.  This module steps all sets
+together, as numpy lanes:
 
-* **Order.**  The chunk's tenures are stable-sorted by set and ranked
+* **Order.**  The call's tenures are stable-sorted by set and ranked
   within their set.  Lanes are the touched sets, deepest first, so the
   lanes that still have a tenure at rank *k* are a prefix of the lane
   axis.  Step *k* plays the rank-*k* tenure of every such lane; its
   tenures are one contiguous block, in lane order, and index the lane
   arrays with a slice.  One sort of (lane, chunk index) keys orders the
   tenures; their step positions follow from the lanes' depths alone.
+  (A tenure's chunk index is its position among the call's admitted
+  tenures.)
 * **Kinds.**  Each tenure carries one packed ``int16`` key, its kind:
   its issuer's slot (a node of the group, an unmapped processor or
   another unmapped master), its command and its response.  Small
@@ -30,8 +31,8 @@ all sets together, as numpy lanes:
   arrays along the set axis, padded to ``assoc + 2`` columns: the ways,
   one spare column for the step's probe tag and the row's new state, and
   one column that stays empty (tag -1).  Lines are a prefix of the ways,
-  as in the directory.  At chunk end the rows are scattered straight
-  back.
+  as in the directory.  After the last step the rows are scattered
+  straight back.
 * **Step.**  One tag compare per way column, scanned from the last way
   to the first, gives the hit way on every row (``assoc`` is a miss, and
   the first copy of a duplicated tag wins).  The local tenure reads its
@@ -45,25 +46,27 @@ all sets together, as numpy lanes:
   append and PLRU replace, and are written back whole.  PLRU tree bits
   move through touch and victim tables built from the policy's own
   methods.
-* **Counters and buffers.**  Per-tenure outcomes go into int8 arrays.
-  At chunk end one bincount by (kind, hit, outcome state, victim state)
-  gives every local counter and broadcast count as sums over its axes;
-  peer outcomes, which are sparse, are counted from their indices.  The
-  closed-form buffer tallies need, per issuer, a count and the time of
-  the last admission, which is the maximum because tenure times rise.
+* **Counters and buffers.**  Each tenure's outcome is its kind, hit,
+  outcome state and victim state, and which peers supplied dirty data
+  or lost the line.  After the last step every tenure gets the code of
+  its outcome among the call's distinct ones, in chunk order, and each
+  code one row of effects: the counters it adds on every node and the
+  buffers it is admitted to.  :meth:`SetLanes.commit` folds one
+  telemetry window into the nodes' counters as one histogram of the
+  window's codes times those rows.  The closed-form buffer settlement
+  needs, per node, that count of admissions and the time of the last,
+  which is the largest chunk index because tenure times rise.
 
-A chunk replays in two calls.  :meth:`SetLanes.order` orders it, or
+A call replays in three steps.  :meth:`SetLanes.order` orders it, or
 returns None, having written nothing, when it touches a set the lanes
 cannot represent exactly: one that holds a state outside the protocol's
-complete transition rows, or whose PLRU bits lie outside the tables.
-:meth:`SetLanes.replay` then replays the ordered chunk.  A set holding a
+complete transition rows, or whose PLRU bits lie outside the tables;
+the whole call then replays on the generic runner.
+:meth:`SetLanes.replay` replays the ordered call, and
+:meth:`SetLanes.commit` commits it window by window.  A set holding a
 (corrupted) duplicate tag is representable: the probe finds the first
-copy, as the loop's ``list.index`` and the directory's probe do.  Groups
-with mixed set mappings or associativities, or with ``random``
-replacement, have no lanes at all (:func:`plan`).  The runner decides
-which chunks take the lanes
-(:func:`repro.memories.compiled._closed_form_run`): they pay a fixed
-cost per chunk and per step, the loop a fixed cost per tenure.
+copy, as the directory's probe does.  Groups with mixed set mappings or
+associativities have no lanes at all (:func:`plan`).
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ from repro.memories.compiled import (
     _CID_INCLUSION,
     _CID_INTERVENTION,
     _CID_INVALIDATED,
+    _CID_REMOTE_READ,
+    _CID_REMOTE_WRITE,
     _CID_SUPPLIED_DIRTY,
     _CMD_TAB,
     _DIRTY_OF,
@@ -118,8 +123,6 @@ _NO_COUNTER = len(COUNTER_NAMES)
 _CMD_VALUES = 16
 _SLOT_SHIFT = (_CMD_VALUES * _N_RESPS - 1).bit_length()
 _KINDS_PER_SLOT = 1 << _SLOT_SHIFT
-#: The kinds in a slot whose command the address filter admits.
-_ADMITTED_KINDS = _N_CMDS * _N_RESPS
 #: A lane tenure's outcome: hit, the state it leaves or fills, and its
 #: victim's state plus one (0: nothing evicted), coded in the narrowest
 #: integer type that holds every code.
@@ -177,9 +180,8 @@ def _complete_states(node) -> Optional[frozenset]:
 
 def plan(local_table, controllers) -> Optional["SetLanes"]:
     """The lockstep form of one coherence group, or None when its nodes
-    do not share one set mapping, associativity and policy, use
-    ``random``, or run a protocol whose transitions leave its complete
-    states."""
+    do not share one set mapping, associativity and policy, or run a
+    protocol whose transitions leave its complete states."""
     first = controllers[0]
     geometry = (first.off_bits, first.set_mask, first.tag_shift,
                 first.assoc, first.policy_code)
@@ -189,8 +191,6 @@ def plan(local_table, controllers) -> Optional["SetLanes"]:
             return None
         if _complete_states(node) is None:
             return None
-    if first.policy_code not in (_POLICY_LRU, _POLICY_FIFO, _POLICY_PLRU):
-        return None
     return SetLanes(local_table, controllers)
 
 
@@ -203,7 +203,8 @@ def _one_hot(cids) -> np.ndarray:
 
 class SetLanes:
     """Static tables of one group's lockstep form; :meth:`order` and
-    :meth:`replay` replay a chunk.  Built by :func:`plan`."""
+    :meth:`replay` replay a call, :meth:`commit` commits its windows.
+    Built by :func:`plan`."""
 
     def __init__(self, local_table, controllers) -> None:
         nodes = tuple(controllers)
@@ -229,13 +230,16 @@ class SetLanes:
         self.local_code = np.array(bases, dtype=np.intp)
 
         # A tenure's kind: its slot (the group's nodes, then unmapped
-        # processors, whose castouts touch nothing, see the loop, then
+        # processors, whose castouts touch nothing, as in
+        # ``CacheEmulationFirmware.process``, then
         # the other unmapped masters, I/O bridges, whose castouts snoop as
         # writes), its command and its response.
         index_of = {id(node): i for i, node in enumerate(nodes)}
         unmapped_cpu, unmapped_other = n_nodes, n_nodes + 1
         n_slots = n_nodes + 2
         self.n_slots = n_slots
+        #: Outcome keys, by (hit, state, victim state + 1, kind).
+        self.n_keys = _OUTCOMES * n_slots * _KINDS_PER_SLOT
         slot_of_cpu = np.full(len(local_table), unmapped_other, dtype=np.int16)
         slot_of_cpu[:MAX_PROCESSOR_ID + 1] = unmapped_cpu
         for cpu, node in enumerate(local_table):
@@ -312,7 +316,11 @@ class SetLanes:
         self.hit_pop = hit_pop.ravel()
         self.peer_lost = peer_lost.ravel()
         self.peer_next = peer_next.ravel()
-        self.peer_dirty = peer_dirty.ravel()
+        # A peer's outcome flags: bit ``node`` when it supplies dirty
+        # data, bit ``nodes + node`` when it loses the line.
+        node_bit = (1 << np.arange(n_nodes, dtype=np.intp))[:, None, None]
+        self.peer_flag = (peer_dirty * node_bit
+                          + peer_lost * (node_bit << n_nodes)).ravel()
         self.peer_offset = np.arange(n_nodes, dtype=np.intp) * pshape[1] * pshape[2]
         self.complete = complete
         self.keep = keep.ravel()
@@ -337,9 +345,8 @@ class SetLanes:
                 [first.victim_way(meta) for meta in metas], dtype=np.intp
             )
 
-        # The tally counts outcomes by (kind, hit, outcome state).  How
-        # many of each counter one adds, by (cmd, resp, hit): primary,
-        # secondary, hit or miss, inclusion, satisfaction.
+        # How many of each counter one tenure adds, by (cmd, resp, hit):
+        # primary, secondary, hit or miss, inclusion, satisfaction.
         events = np.zeros((_CMD_VALUES, _N_RESPS, 2, _NO_COUNTER + 1),
                           dtype=np.int64)
         for cmd, (base, extra, op, hit_cid, miss_cid, fetches) in enumerate(
@@ -357,7 +364,7 @@ class SetLanes:
                     sat = (_SAT_HIT_CID if hit else _SAT_MISS_CID)[resp]
                     if fetches and sat >= 0:
                         row[sat] += 1
-        self.event_counters = events[:_N_CMDS].reshape(-1, _NO_COUNTER + 1)
+        self.event_counters = events.reshape(-1, _NO_COUNTER + 1)
         # By hit * states + outcome state: fill.X on a miss, hit_state.X
         # on a hit.
         self.state_counters = _one_hot(list(_FILL_CID) + list(_HIT_STATE_CID))
@@ -376,16 +383,15 @@ class SetLanes:
         broadcast[1, :, :n_nodes, :_N_CMDS] = hit_pop.transpose(2, 0, 1)[
             ..., None
         ]
-        broadcast = broadcast.reshape(2, _N_STATES, n_slots, _KINDS_PER_SLOT)
-        self.reads_from = (broadcast == _POP_READ).astype(np.int64)
-        self.writes_from = (broadcast == _POP_WRITE).astype(np.int64)
+        self.broadcast = broadcast.reshape(
+            2, _N_STATES, n_slots, _KINDS_PER_SLOT
+        )
 
-    # -- one chunk ------------------------------------------------------------ #
+    # -- one call ------------------------------------------------------------- #
 
     def order(self, cpus, cmds, addrs, resps):
-        """Order one chunk's admitted tenures into lanes, or None when
-        the lanes take none of them or cannot represent a set they touch;
-        writes nothing.
+        """Order one call's admitted tenures into lanes, or None when the
+        lanes cannot represent a set they touch; writes nothing.
 
         ``cpus``, ``cmds`` and ``resps`` are the decoder's ``uint8``
         fields; a command times ``_N_RESPS`` plus a response is at most
@@ -403,7 +409,7 @@ class SetLanes:
         keep = self.keep.take(kind)
         depth = np.bincount(sets if keep.all() else sets[keep])
         touched = np.flatnonzero(depth)
-        if not (touched.shape[0] and self._representable(touched)):
+        if not self._representable(touched):
             return None
         # Deepest first, so the lanes live at each step are a prefix.
         touched = touched[np.argsort(-depth[touched], kind="stable")]
@@ -412,18 +418,21 @@ class SetLanes:
         return (touched, depth[touched], np.flatnonzero(keep),
                 lane_of_set.take(sets), kind)
 
-    def replay(self, order, addrs, nows):
-        """Replay the chunk :meth:`order` ordered; returns the
-        unmapped-master tallies ``(reads, writes, last time)``.
+    def replay(self, order, addrs):
+        """Replay the tenures :meth:`order` ordered; returns their
+        outcomes, in chunk order, for :meth:`commit` (None when the lanes
+        took no tenure).
 
-        Node counters and admission tallies are set in place, and the
-        lanes' rows go straight back into the directories' arrays.
+        The lanes' rows go straight back into the directories' arrays;
+        nothing the statistics show changes until a window commits.
         """
         lane_sets, depths, picked, lanes, kind = order
+        if not lane_sets.shape[0]:
+            return None
         n_nodes = len(self.nodes)
         tags, states, meta = self._gather(lane_sets)
-        unmapped = self._replay(tags, states, meta, depths, picked, lanes,
-                                kind, addrs, nows)
+        outcomes = self._replay(tags, states, meta, depths, picked, lanes,
+                                kind, addrs)
         # Scatter every lane row back (row = lane * nodes + node).
         assoc = self.assoc
         tags = tags.reshape(-1, n_nodes, assoc + 2)
@@ -434,7 +443,8 @@ class SetLanes:
             directory._states[lane_sets] = states[:, n, :assoc]
             if meta is not None:
                 directory._meta[lane_sets] = meta[n::n_nodes]
-        return unmapped
+        del tags, states, meta
+        return self._outcome(*outcomes, addrs.shape[0])
 
     def _representable(self, sets) -> bool:
         """Whether the lanes can hold ``sets`` on every node: every line
@@ -479,10 +489,11 @@ class SetLanes:
                 meta)
 
     def _replay(self, tags, states, meta, depths, picked, lanes, kind,
-                addrs, nows):
+                addrs):
         """Step the lanes (their rows updated in place) through the
-        tenures ``picked`` (chunk indices, in chunk order); returns the
-        unmapped-master tallies."""
+        tenures ``picked`` (chunk indices, in chunk order); returns their
+        outcomes in step order, and the chunk index of each step
+        position."""
         n_nodes = len(self.nodes)
         assoc = self.assoc
         width = assoc + 2
@@ -542,13 +553,9 @@ class SetLanes:
         hit_out = np.empty(n, dtype=bool)
         state_out = np.empty(n, dtype=np.int8)
         victim_out = np.empty(n, dtype=np.int8)
-        pop_out = np.empty(n, dtype=np.int8)
-        # Peer outcomes by (tenure, node); only the rows holding the line
-        # are written.
-        dirty_out = np.zeros((n, n_nodes), dtype=bool)
-        inv_out = np.zeros((n, n_nodes), dtype=bool)
-        dirty_flat = dirty_out.reshape(-1)
-        inv_flat = inv_out.reshape(-1)
+        # Peer outcome flags by tenure (:attr:`peer_flag`); only the
+        # rows holding the line add theirs.
+        flag_out = np.zeros(n, dtype=np.intp)
 
         # By row: the lane (the tenure's position in its step) and the
         # node's offset into the peer tables.
@@ -569,7 +576,7 @@ class SetLanes:
         local_next, local_inv = self.local_next, self.local_inv
         hit_pop, local_code = self.hit_pop, self.local_code
         peer_lost, peer_next = self.peer_lost, self.peer_next
-        peer_dirty = self.peer_dirty
+        peer_flag = self.peer_flag
         touch, victim = self.touch, self.victim
         remove = self.remove
         for k in range(max_depth):
@@ -621,9 +628,8 @@ class SetLanes:
             # A peer that keeps the line changes its state in place.
             kept = ~lost
             states_flat[peer_at[kept]] = peer_next[peer_key[kept]]
-            at = peer + b0 * n_nodes
-            dirty_flat[at] = peer_dirty[peer_key]
-            inv_flat[at] = lost
+            # Each node of a tenure adds its own bits: adding is or-ing.
+            np.add.at(flag_out, owner + b0, peer_flag[peer_key])
             shared[:m] = False
             shared[owner] = True
             fill = np.where(shared[:m], fill_shared[b0:b1],
@@ -674,90 +680,135 @@ class SetLanes:
             hit_out[b0:b1] = hit
             state_out[b0:b1] = np.where(hit, local_state, fill)
             victim_out[b0:b1] = victim_state
-            pop_out[b0:b1] = pop
         del tag, local_row, local_base, local_key, own_row
         del fill_shared, fill_alone, miss_pop, is_mapped
 
-        return self._tally(kind, hit_out, state_out, victim_out, pop_out,
-                           dirty_out, inv_out, chunk_of, nows)
+        return kind, hit_out, state_out, victim_out, flag_out, chunk_of
 
-    def _tally(self, kind, hit, state, victim, pop, dirty, invalidated,
-               chunk_of, nows):
-        """Counters and admission tallies of the lanes' tenures (in step
-        order); returns the unmapped-master tallies."""
-        nodes = self.nodes
-        n_nodes = len(nodes)
-        n_slots = self.n_slots
+    def _outcome(self, kind, hit, state, victim, flag, chunk_of, n):
+        """The outcomes of the lanes' tenures (given in step order), as
+        codes in chunk order for :meth:`commit`.
+
+        A tenure's outcome is its key (hit, outcome state, victim state +
+        1, kind) and which peers supplied dirty data and which lost the
+        line.  Returns per tenure the code of its outcome among the
+        call's distinct ones, whose effects and issuers :meth:`_effects`
+        lists; tenures the lanes do not take (unmapped processors'
+        castouts) have the code past the last, which has none.
+        """
+        n_nodes = len(self.nodes)
         n_states = _N_STATES
-        # One bincount by (hit, outcome state, victim state + 1, kind);
-        # every counter is a sum over its axes, the kind axis innermost
-        # so that each sum runs over long rows.
         outcome = hit.astype(_OUTCOME_TYPE)
         outcome *= n_states
         outcome += state
         outcome *= n_states + 1
         outcome += victim
         outcome += 1
-        n_kinds = n_slots * _KINDS_PER_SLOT
         key = outcome.astype(np.intp)
         del outcome
-        key *= n_kinds
+        key *= self.n_slots * _KINDS_PER_SLOT
         key += kind
-        by_outcome = np.bincount(key, minlength=_OUTCOMES * n_kinds).reshape(
-            2, n_states, n_states + 1, n_slots, _KINDS_PER_SLOT
-        )
-        del key
-        by_state = by_outcome.sum(axis=2)
-        # The nodes' own outcomes; unmapped masters' count nowhere, and
-        # only the commands the filter admits have events.
-        counts = (
-            by_state.sum(axis=1)[:, :n_nodes, :_ADMITTED_KINDS]
-            .transpose(1, 2, 0).reshape(n_nodes, -1) @ self.event_counters
-            + by_state.sum(axis=3)[:, :, :n_nodes].transpose(2, 0, 1)
-            .reshape(n_nodes, -1) @ self.state_counters
-            + by_outcome.sum(axis=(0, 1, 4))[:, :n_nodes].T
-            @ self.evict_counters
-        )
-        tenures = by_state.sum(axis=(0, 1, 3))
-        reads = (by_state * self.reads_from).sum(axis=(0, 1, 3))
-        writes = (by_state * self.writes_from).sum(axis=(0, 1, 3))
-        # Peer outcomes are sparse: count them from their flat indices
-        # (tenure * nodes + peer).  Peers supplying dirty data to a read
-        # miss are interventions.
-        dirty_at = np.flatnonzero(dirty)
-        supplied = np.bincount(dirty_at % n_nodes, minlength=n_nodes).tolist()
-        dirty_at //= n_nodes
-        readers = dirty_at[pop.take(dirty_at) == _POP_READ]
-        counts[:, _CID_INTERVENTION] += np.bincount(
-            kind.take(readers) >> _SLOT_SHIFT, minlength=n_slots
-        )[:n_nodes]
-        lost = np.bincount(np.flatnonzero(invalidated) % n_nodes,
-                           minlength=n_nodes).tolist()
+        # Number the distinct keys, then the distinct (key, peer flags)
+        # pairs, each by one bincount over its range.
+        peers = 1 << 2 * n_nodes
+        used_keys, key = _numbered(key, self.n_keys)
+        key *= peers
+        key += flag
+        used, code = _numbered(key, used_keys.shape[0] * peers)
+        del key, flag
+        codes = np.full(n, used.shape[0], dtype=np.intp)
+        codes[chunk_of] = code
+        key_of, flags = np.divmod(used, peers)
+        return (codes,) + self._effects(used_keys.take(key_of), flags)
 
-        # Tenure times rise with the chunk index: the last time is the
-        # time of the largest index, by (slot, whether it broadcast).
-        last_at = np.full(2 * n_slots, -1, dtype=np.intp)
-        slot_snooped = kind >> _SLOT_SHIFT
-        slot_snooped <<= 1
-        slot_snooped += pop != _POP_NONE
-        np.maximum.at(last_at, slot_snooped, chunk_of)
-        last_at = last_at.reshape(n_slots, 2)
-        last, last_snoop = (
-            [float(nows[at]) if at >= 0 else float("-inf")
-             for at in indices.tolist()]
-            for indices in (last_at.max(axis=1), last_at[:, 1])
+    def _effects(self, keys, flags):
+        """What one tenure of each outcome (``keys`` and peer ``flags``,
+        as :meth:`_outcome` packs them) does.
+
+        Returns ``effects``, one row per outcome: the counters it adds on
+        every node (its own outcome on its issuer's node, a received
+        snoop and its peer outcome on every other), then whether it is an
+        admission to each node's buffer; and ``issuer``, its slot times
+        two plus whether it broadcast, with ``2 * slots`` for the
+        no-outcome code past the last.
+        """
+        n_nodes = len(self.nodes)
+        n_keys = keys.shape[0]
+        rest, in_slot = np.divmod(keys, _KINDS_PER_SLOT)
+        rest, slot = np.divmod(rest, self.n_slots)
+        rest, victim = np.divmod(rest, _N_STATES + 1)
+        hit, state = np.divmod(rest, _N_STATES)
+        pop = self.broadcast[hit, state, slot, in_slot]
+        # Each adds a few events to each counter: int8 holds them.
+        counters = np.zeros((n_keys, n_nodes, _NO_COUNTER + 1),
+                            dtype=np.int8)
+        own = np.flatnonzero(slot < n_nodes)
+        counters[own, slot[own]] = (
+            self.event_counters[in_slot[own] * 2 + hit[own]]
+            + self.state_counters[hit[own] * _N_STATES + state[own]]
+            + self.evict_counters[victim[own]]
         )
-        for n, compiled in enumerate(nodes):
-            accv = compiled.accv
-            for cid, value in enumerate(counts[n, :_NO_COUNTER].tolist()):
-                if value:
-                    accv[cid] += value
-            accv[_CID_SUPPLIED_DIRTY] += supplied[n]
-            accv[_CID_INVALIDATED] += lost[n]
-            compiled.local_n = int(tenures[n])
-            compiled.snoop_rd = int(reads[n])
-            compiled.snoop_wr = int(writes[n])
-            compiled.local_t = last[n]
-            compiled.snoop_t = last_snoop[n]
-        return (int(reads[n_nodes:].sum()), int(writes[n_nodes:].sum()),
-                max(last[n_nodes:]))
+        # Every other node receives the broadcast: a snoop it admits.
+        others = slot[:, None] != np.arange(n_nodes)
+        counters[:, :, _CID_REMOTE_READ] += others & (pop == _POP_READ)[:, None]
+        counters[:, :, _CID_REMOTE_WRITE] += (
+            others & (pop == _POP_WRITE)[:, None]
+        )
+        # Peers that supplied dirty data or lost the line; a dirty supply
+        # to a node's read miss is an intervention on that node.
+        supplied = flags[:, None] >> np.arange(n_nodes) & 1
+        counters[:, :, _CID_SUPPLIED_DIRTY] += supplied
+        counters[:, :, _CID_INVALIDATED] += (
+            flags[:, None] >> np.arange(n_nodes, 2 * n_nodes) & 1
+        )
+        reader = np.flatnonzero((pop == _POP_READ) & (slot < n_nodes))
+        counters[reader, slot[reader], _CID_INTERVENTION] += (
+            supplied[reader].sum(axis=1)
+        )
+        admitted = ~others | (pop != _POP_NONE)[:, None]
+        effects = np.concatenate(
+            (counters.reshape(n_keys, -1), admitted.astype(np.int8)), axis=1
+        )
+        issuer = np.append(2 * slot + (pop != _POP_NONE), 2 * self.n_slots)
+        return effects, issuer
+
+    def commit(self, outcome, nows, lo, hi) -> None:
+        """Fold the outcomes of tenures ``lo`` up to ``hi`` (chunk
+        indices, timed by ``nows``) into every node's counters and settle
+        its buffer (:meth:`~repro.memories.compiled._CompiledNode.settle`).
+        """
+        if outcome is None:
+            return
+        codes, effects, issuer = outcome
+        nodes = self.nodes
+        n_nodes = len(nodes)
+        n_slots = self.n_slots
+        # The window's effects: one histogram of its outcome codes, over
+        # the codes it holds (usually a few of the call's).
+        histogram = np.bincount(codes[lo:hi], minlength=effects.shape[0] + 1)
+        held = np.flatnonzero(histogram[:-1])
+        window = histogram.take(held) @ effects.take(held, axis=0)
+        columns = n_nodes * (_NO_COUNTER + 1)
+        counts = window[:columns].reshape(n_nodes, -1)[:, :_NO_COUNTER].tolist()
+        admissions = window[columns:].tolist()
+
+        # Tenure times rise with the chunk index: the last admission is
+        # the largest index, by (slot, whether it broadcast).
+        last_at = np.full(2 * n_slots + 1, -1, dtype=np.intp)
+        np.maximum.at(last_at, issuer.take(codes[lo:hi]), np.arange(lo, hi))
+        last_at = last_at[:-1].reshape(n_slots, 2)
+        own = last_at.max(axis=1).tolist()
+        broadcast = last_at[:, 1].tolist()
+        for n, node in enumerate(nodes):
+            # A node with no admission in the window reads no time.
+            at = max([own[n]] + broadcast[:n] + broadcast[n + 1:])
+            node.settle(counts[n], admissions[n], float(nows[at]))
+
+
+def _numbered(values, size):
+    """The distinct ``values`` (each below ``size``), ascending, and each
+    value's index among them."""
+    distinct = np.flatnonzero(np.bincount(values, minlength=size))
+    index_of = np.zeros(size, dtype=np.intp)
+    index_of[distinct] = np.arange(distinct.shape[0])
+    return distinct, index_of.take(values)

@@ -57,7 +57,7 @@ from repro.telemetry.spans import RunTrace
 # each import again.  The registry imports the replay engines, which
 # replay loads lazily, so a process that imports the supervisor holds
 # them before it forks (about 70 ms a session on a 2-vCPU host).  Library
-# calls count too: the compiled loop avoids np.unique, which imports
+# calls count too: the replay path avoids np.unique, which imports
 # numpy.ma on first use.  TestWarmWorker in tests/test_supervisor.py pins
 # the rule.
 importlib.import_module("repro.engines.registry")

@@ -11,10 +11,9 @@ comparison, and a saturated-buffer sweep pins the rejected-tenure
 accounting parity of buffers that refuse work.  Every replay goes
 through the compiled engine's own routing, in both buffer regimes it
 tells apart (:data:`FAST_REGIMES`): decoupled buffers on the protocol
-runner's closed form, and coupled or backlogged buffers on
-``firmware.process`` per tenure; the routing itself is pinned.  The
-set-lockstep form of the closed-form runner is forced onto every chunk
-past the engine's chooser, and that chooser's routing is pinned too.
+runner's set lanes, settled in closed form, and coupled or backlogged
+buffers on ``firmware.process`` per tenure; the routing itself is
+pinned, and so is the routing of boards and calls the lanes refuse.
 """
 
 from __future__ import annotations
@@ -35,12 +34,8 @@ from repro.memories.board import (
     MemoriesBoard,
     board_for_machine,
 )
-from repro.memories.compiled import (
-    _buffers_decoupled,
-    _distinct,
-    _protocol_runner,
-    _replay_lent,
-)
+from repro.memories.batch import _generic_runner, replay_with_runner
+from repro.memories.compiled import _buffers_decoupled, _protocol_runner
 from repro.memories.config import CacheNodeConfig
 from repro.memories.counters import COUNTER_MASK
 from repro.memories.tx_buffer import FILTER_BUFFER_ENTRIES, TransactionBuffer
@@ -123,6 +118,17 @@ COUPLED_UTILIZATION = 0.9
 #: ``firmware.process`` per tenure.  The coupled regime's test id,
 #: ``batched``, predates its name.
 FAST_REGIMES = [pytest.param("coupled", id="batched"), "compiled"]
+
+
+def regimes_on(kind):
+    """:data:`FAST_REGIMES` on a single-group machine ``kind``, under
+    their plain ids, and on ``groups4``, sweep4's four coherence groups,
+    as ``(regime, kind)`` parameters."""
+    return [
+        pytest.param(regime, machine, id=name + suffix)
+        for machine, suffix in ((kind, ""), ("groups4", "-groups4"))
+        for regime, name in (("coupled", "batched"), ("compiled", "compiled"))
+    ]
 
 
 def regime_board(regime, machine, seed):
@@ -247,20 +253,9 @@ class TestBatchedBitIdentity:
 class TestCompiledBitIdentity:
     """The compiled engine (closed-form buffer settlement) vs scalar."""
 
-    @pytest.mark.parametrize("kind, loop_only", [
-        pytest.param(kind, loop_only, id=kind + ("-loop" if loop_only else ""))
-        for loop_only in (False, True)
-        for kind in ("single", "split", "multi", "groups4")
-    ])
+    @pytest.mark.parametrize("kind", ["single", "split", "multi", "groups4"])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
-    def test_every_machine_and_policy(self, kind, loop_only, replacement,
-                                      monkeypatch):
-        if loop_only:
-            # No chunk is deep enough for the set lanes: every one
-            # replays on the closed-form loop.
-            monkeypatch.setattr(
-                "repro.memories.compiled.LOCKSTEP_MIN_TENURES", math.inf
-            )
+    def test_every_machine_and_policy(self, kind, replacement):
         words = full_mix_words(4000, seed=7)
         machine = machine_for(kind, replacement)
         assert_paths_identical(
@@ -269,9 +264,9 @@ class TestCompiledBitIdentity:
         )
 
     def test_random_policy_falls_back_identically(self):
-        # Random victims fall back to the policy object's own install,
-        # so the board-wide RNG is drawn in the scalar order and random
-        # boards route to compiled like every other stock policy.
+        # Random boards route to compiled like every other stock policy
+        # and replay on the generic runner, so the board-wide RNG is
+        # drawn by the policy object itself, in the scalar order.
         from repro.engines import select_board_engine
 
         machine = machine_for("split", "random")
@@ -399,7 +394,7 @@ class TestOrderCouplingBoundary:
         # The divergence is real: the closed form, forced past the
         # guard, reports depth one.
         forced = make_board()
-        _replay_lent(forced, words, _protocol_runner(forced.firmware))
+        replay_forced_lanes(forced, words)
         assert forced.firmware.nodes[0].buffer.stats.high_water == 1
         assert forced.checkpoint() != scalar.checkpoint()
 
@@ -521,57 +516,50 @@ class TestInertTickBoundary:
 
 @pytest.fixture
 def lockstep_calls(monkeypatch):
-    """The length of every chunk a group replayed on its set lanes, one
-    entry per group and chunk."""
+    """The number of admitted tenures of every call a group replayed on
+    its set lanes, one entry per group and call."""
     from repro.memories import lockstep
 
     calls = []
     replay = lockstep.SetLanes.replay
 
-    def counted(self, order, addrs, nows):
+    def counted(self, order, addrs):
         calls.append(addrs.shape[0])
-        return replay(self, order, addrs, nows)
+        return replay(self, order, addrs)
 
     monkeypatch.setattr(lockstep.SetLanes, "replay", counted)
     return calls
 
 
 @pytest.fixture
-def loop_calls(monkeypatch):
-    """Counts the chunks replayed on the closed-form loop, each of which
-    borrows its rows once."""
-    from repro.memories.compiled import _Loan
-
+def process_calls(monkeypatch):
+    """The firmware of every ``CacheEmulationFirmware.process`` call, one
+    entry per tenure: the scalar loop's and the generic runner's."""
     calls = []
-    take = _Loan.take
+    process = CacheEmulationFirmware.process
 
-    def counted(self, addrs):
-        calls.append(addrs.shape[0])
-        return take(self, addrs)
+    def counted(self, *args):
+        calls.append(self)
+        return process(self, *args)
 
-    monkeypatch.setattr(_Loan, "take", counted)
+    monkeypatch.setattr(CacheEmulationFirmware, "process", counted)
     return calls
 
 
-@pytest.fixture
-def forced_lockstep(monkeypatch, lockstep_calls):
-    """Every chunk of a group with a lockstep form runs on the lanes."""
-    monkeypatch.setattr(
-        "repro.memories.compiled.LOCKSTEP_MIN_TENURES", 0
-    )
-    return lockstep_calls
-
-
 def replay_forced_lanes(board, words):
-    """The closed-form runner with set lanes, past the engine's guards."""
-    runner = _protocol_runner(board.firmware)
-    return _replay_lent(board, words, runner)
+    """The protocol runner on its set lanes, past the engine's guards."""
+    return replay_with_runner(board, words, _protocol_runner(board.firmware))
+
+
+def replay_generic(board, words):
+    """The generic runner, ``firmware.process`` per tenure, on any board."""
+    return replay_with_runner(board, words, _generic_runner(board.firmware))
 
 
 def assert_lanes_identical(make_board, words, chunks=3):
-    """Scalar against the forced set lanes, chunk by chunk; a last part
-    replays through the engine with the lanes off, on the closed-form
-    loop, whose probes read the rows the lanes wrote back."""
+    """Scalar against the forced set lanes, call by call; a last part
+    replays on the generic runner, whose probes read the rows the lanes
+    wrote back."""
     scalar = make_board()
     scalar.batched_replay = False
     lanes = make_board()
@@ -580,9 +568,7 @@ def assert_lanes_identical(make_board, words, chunks=3):
         scalar.replay_words(part)
         replay_forced_lanes(lanes, part)
     scalar.replay_words(tail)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.memories.compiled.LOCKSTEP_MIN_TENURES", math.inf)
-        ENGINES["compiled"].replay(lanes, tail)
+    replay_generic(lanes, tail)
     assert scalar.statistics() == lanes.statistics()
     assert scalar.now_cycle == lanes.now_cycle
     assert scalar.checkpoint() == lanes.checkpoint()
@@ -590,17 +576,17 @@ def assert_lanes_identical(make_board, words, chunks=3):
 
 
 class TestSetLockstep:
-    """The set-lockstep form of the closed-form runner
-    (:mod:`repro.memories.lockstep`), forced onto every chunk, against
+    """The set-lockstep form of the protocol runner
+    (:mod:`repro.memories.lockstep`), forced onto every call, against
     scalar down to the checkpoint."""
 
     @pytest.mark.parametrize("kind", ["single", "split", "groups4", "dm2"])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
-    def test_every_machine_and_policy(self, forced_lockstep, loop_calls,
-                                      kind, replacement):
+    def test_every_machine_and_policy(self, lockstep_calls, kind,
+                                      replacement):
         """Multi-group boards (sweep4's four designs, each with its own
         set count, and Figure 10's pair with a direct-mapped node) replay
-        every chunk on the lanes of every group."""
+        every call on the lanes of every group."""
         # CPU ids past the machine's: unmapped processors (8..15) snoop
         # every node and their castouts touch nothing; I/O bridges
         # (16..19) snoop with castouts too.  1 MB of lines: every node
@@ -612,18 +598,16 @@ class TestSetLockstep:
         assert_lanes_identical(
             lambda: board_for_machine(machine, seed=3), words
         )
-        assert len(forced_lockstep) == 3 * groups
-        # Only the tail, replayed with the lanes off, ran on the loop.
-        assert len(loop_calls) == 1
+        # The tail replayed on the generic runner.
+        assert len(lockstep_calls) == 3 * groups
 
     @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
-    def test_every_protocol(self, forced_lockstep, protocol, replacement):
+    def test_every_protocol(self, lockstep_calls, protocol, replacement):
         """Peer transitions are what protocols differ in (OWNED supplies
         dirty data, a write hit on SHARED or OWNED invalidates the
         peers); the lanes replay each protocol as scalar does, with
-        unmapped masters and I/O bridges snooping, and leave no set to
-        the loop."""
+        unmapped masters and I/O bridges snooping."""
         # 512 lines, fewer than one node holds: lines are shared and hit
         # in every state, OWNED included.
         words = full_mix_words(4000, seed=7, max_cpu=20, address_space=1 << 16)
@@ -631,9 +615,9 @@ class TestSetLockstep:
         assert_lanes_identical(
             lambda: board_for_machine(machine, seed=3), words
         )
-        assert len(forced_lockstep) == 3
+        assert len(lockstep_calls) == 3
 
-    def test_one_step_keeps_loses_and_stands_in(self, forced_lockstep):
+    def test_one_step_keeps_loses_and_stands_in(self, lockstep_calls):
         """One lockstep step holding every kind of peer snoop: a peer
         that keeps the line (a read snoop on MODIFIED), a peer that
         loses it (a write snoop on EXCLUSIVE), and unmapped masters
@@ -677,7 +661,7 @@ class TestSetLockstep:
         scalar.replay_words(words)
         lanes = make_board()
         replay_forced_lanes(lanes, words)
-        assert forced_lockstep == [4]
+        assert lockstep_calls == [4]
         assert scalar.statistics() == lanes.statistics()
         assert scalar.checkpoint() == lanes.checkpoint()
 
@@ -696,10 +680,9 @@ class TestSetLockstep:
         assert stats["node0.remote.invalidated"] == 1
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
-    def test_flipped_duplicate_tags(self, forced_lockstep, replacement):
+    def test_flipped_duplicate_tags(self, lockstep_calls, replacement):
         """Sets holding a duplicated tag replay on the lanes like every
-        other set (none is left to the loop), and match scalar down to
-        the checkpoint."""
+        other set, and match scalar down to the checkpoint."""
         words = full_mix_words(2500, seed=5, address_space=1 << 20)
         machine = machine_for("split", replacement)
 
@@ -722,14 +705,14 @@ class TestSetLockstep:
             return board
 
         _scalar, lanes = assert_lanes_identical(make_board, words)
-        assert len(forced_lockstep) == 3
+        assert len(lockstep_calls) == 3
         flipped = lanes.firmware.nodes[0].directory
         assert any(
             len(set(tags)) < len(tags)
             for tags in map(flipped.set_tags, range(flipped.config.num_sets))
         )
 
-    def test_duplicate_tag_follows_the_way_map(self, forced_lockstep):
+    def test_duplicate_tag_follows_the_way_map(self, lockstep_calls):
         """An LRU hit behind two copies of a tag moves both; a probe must
         stay on the first copy, as scalar's does, so a later probe finds
         the same line on every path.  The set replays on the lanes."""
@@ -760,10 +743,10 @@ class TestSetLockstep:
         _scalar, lanes = assert_lanes_identical(
             make_board, records((0, 1), (1, 3), (0, 3)), chunks=2
         )
-        assert len(forced_lockstep) == 2
+        assert len(lockstep_calls) == 2
         assert lanes.statistics()["node0.hit_state.EXCLUSIVE"] >= 1
 
-    def test_unmapped_masters_on_a_degraded_board(self, forced_lockstep):
+    def test_unmapped_masters_on_a_degraded_board(self, lockstep_calls):
         words = full_mix_words(3000, seed=13, max_cpu=20)
         machine = machine_for("split")
 
@@ -776,9 +759,9 @@ class TestSetLockstep:
             return board
 
         assert_lanes_identical(make_board, words)
-        assert forced_lockstep
+        assert lockstep_calls
 
-    def test_injected_burst_hits_the_occupancy_guard(self, forced_lockstep):
+    def test_injected_burst_hits_the_occupancy_guard(self, lockstep_calls):
         words = full_mix_words(2000, seed=45)
         machine = machine_for("split")
 
@@ -792,7 +775,7 @@ class TestSetLockstep:
         assert_paths_identical(make_board, words, chunks=4, engine="compiled")
         # The first call drains the burst on the generic runner; the
         # lanes take the rest once the closed form applies again.
-        assert len(forced_lockstep) == 3
+        assert len(lockstep_calls) == 3
 
     def test_deep_telemetry_cadence_jsonl_identical(self, lockstep_calls):
         import io
@@ -820,11 +803,11 @@ class TestSetLockstep:
         assert streams[0].getvalue() == streams[1].getvalue()
         assert streams[0].getvalue().count("\n") >= 3
         assert scalar.checkpoint() == fast.checkpoint()
-        # Two full windows and the tail, each deep enough for the lanes.
-        assert len(lockstep_calls) == 3
+        # One call: the lanes replay it once, its two full windows and
+        # the tail commit from the outcomes.
+        assert lockstep_calls == [fast.statistics()["filter.forwarded"]]
 
-    def test_sweep4_default_cadence_jsonl_identical(self, lockstep_calls,
-                                                    loop_calls):
+    def test_sweep4_default_cadence_jsonl_identical(self, lockstep_calls):
         import io
 
         from repro.telemetry import JsonlSink
@@ -850,87 +833,75 @@ class TestSetLockstep:
         assert streams[0].getvalue() == streams[1].getvalue()
         assert streams[0].getvalue().count("\n") >= 6
         assert scalar.checkpoint() == fast.checkpoint()
-        # The sampler's one-record first chunk on the loop; five full
-        # windows and the tail on every group's lanes.
-        assert len(loop_calls) == 1
-        assert len(lockstep_calls) == 4 * 6
+        # The sampler's one-record first window, five full ones and the
+        # tail all commit from one replay on every group's lanes.
+        assert len(lockstep_calls) == 4
 
 
 class TestLockstepChooser:
-    """Which chunks take the set lanes: long ones, on boards where every
-    group has a lockstep form and represents every set the chunk
-    touches.  A chunk replays wholly on the lanes or wholly on the loop."""
+    """Which calls take the set lanes: every call of a board whose groups
+    all have a lockstep form, unless it touches a set some group cannot
+    represent.  A call replays wholly on the lanes, once per group, or
+    wholly on the generic runner."""
 
     @staticmethod
     def split4():
         config = CacheNodeConfig(size=1 << 20, assoc=4, line_size=128)
         return split_smp_machine(config, N_CPUS, 2)
 
-    def test_deep_chunk_takes_lanes_shallow_segment_the_loop(
-        self, lockstep_calls, monkeypatch
-    ):
-        from repro.memories.compiled import LOCKSTEP_MIN_TENURES
-
+    def test_every_call_takes_the_lanes(self, lockstep_calls, process_calls):
         machine = self.split4()
         words = full_mix_words(200_000, seed=3, address_space=4 << 20)
         segment = full_mix_words(5_000, seed=4, address_space=4 << 20)
-        short = full_mix_words(400, seed=5, address_space=4 << 20)
+        short = full_mix_words(40, seed=5, address_space=4 << 20)
+        scalar = board_for_machine(machine, seed=1)
+        scalar.batched_replay = False
         lanes = board_for_machine(machine, seed=1)
-        lanes.replay_words(words)
-        assert len(lockstep_calls) == 1
-        lanes.replay_words(segment)  # a warm 5k-record segment: lanes too
-        assert len(lockstep_calls) == 2
-        assert lockstep_calls[1] >= LOCKSTEP_MIN_TENURES
-        lanes.replay_words(short)  # too few admitted tenures: the loop
-        assert len(lockstep_calls) == 2
-        # The loop alone reaches the same state.
-        monkeypatch.setattr(
-            "repro.memories.compiled.LOCKSTEP_MIN_TENURES", float("inf")
-        )
-        loop = board_for_machine(machine, seed=1)
-        loop.replay_words(words)
-        loop.replay_words(segment)
-        loop.replay_words(short)
-        assert len(lockstep_calls) == 2
-        assert loop.checkpoint() == lanes.checkpoint()
+        for calls, part in enumerate((words, segment, short, short[:1]), 1):
+            scalar.replay_words(part)
+            lanes.replay_words(part)
+            assert len(lockstep_calls) == calls
+        assert lanes.firmware not in process_calls
+        assert lanes.checkpoint() == scalar.checkpoint()
 
-    def test_random_has_no_lanes(self, forced_lockstep):
+    def test_random_has_no_lanes(self, lockstep_calls, process_calls):
         machine = machine_for("split", "random")
         words = full_mix_words(3000, seed=43)
-        assert_paths_identical(
+        _scalar, fast = assert_paths_identical(
             lambda: board_for_machine(machine, seed=3), words,
             engine="compiled",
         )
-        assert not forced_lockstep
+        assert not lockstep_calls
+        assert process_calls.count(fast.firmware) == (
+            fast.statistics()["filter.forwarded"]
+        )
 
     def test_deep_multi_group_chunk_takes_every_groups_lanes(
-        self, lockstep_calls, loop_calls
+        self, lockstep_calls
     ):
-        from repro.memories.compiled import LOCKSTEP_MIN_TENURES
-
         machine = machine_for("groups4")
         words = full_mix_words(2000, seed=71)
-        _scalar, fast = assert_paths_identical(
+        assert_paths_identical(
             lambda: board_for_machine(machine, seed=3), words
         )
-        assert fast.statistics()["filter.forwarded"] >= LOCKSTEP_MIN_TENURES
         assert len(lockstep_calls) == 4
-        assert not loop_calls
 
-    def test_random_group_holds_the_board_on_the_loop(
-        self, forced_lockstep, loop_calls
+    def test_random_group_holds_the_board_on_the_generic_runner(
+        self, lockstep_calls, process_calls
     ):
         machine = machine_for("groups4", "random")
         words = full_mix_words(3000, seed=43)
-        assert_paths_identical(
+        _scalar, fast = assert_paths_identical(
             lambda: board_for_machine(machine, seed=3), words, chunks=3,
             engine="compiled",
         )
-        assert not forced_lockstep
-        assert len(loop_calls) == 3
+        assert not lockstep_calls
+        assert process_calls.count(fast.firmware) == (
+            fast.statistics()["filter.forwarded"]
+        )
 
     def test_mixed_geometry_group_has_no_lanes(
-        self, forced_lockstep, loop_calls
+        self, lockstep_calls, process_calls
     ):
         from repro.target.mapping import TargetMachine, TargetNodeSpec
 
@@ -946,26 +917,28 @@ class TestLockstepChooser:
             TargetNodeSpec(config=whole, cpus=tuple(range(N_CPUS)), group=1),
         ))
         words = full_mix_words(3000, seed=61)
-        assert_paths_identical(
+        _scalar, fast = assert_paths_identical(
             lambda: board_for_machine(machine, seed=3), words, chunks=3,
             engine="compiled",
         )
-        assert not forced_lockstep
-        assert len(loop_calls) == 3
+        assert not lockstep_calls
+        assert process_calls.count(fast.firmware) == (
+            fast.statistics()["filter.forwarded"]
+        )
 
-    def test_plru_bits_outside_the_tables_replay_on_the_loop(
-        self, forced_lockstep, loop_calls
+    def test_plru_bits_outside_the_tables_replay_on_the_generic_runner(
+        self, lockstep_calls, process_calls
     ):
-        """A chunk that touches a set whose PLRU bits lie outside the
-        tables replays wholly on the loop; a later chunk that touches no
-        such set takes the lanes again."""
+        """A call that touches a set whose PLRU bits lie outside the
+        tables replays wholly on the generic runner; the next call, which
+        touches no such set, takes the lanes again."""
         machine = machine_for("split", "plru")
         bad = 5
         cpus, cmds, addrs, resps = decode_arrays(
             full_mix_words(2000, seed=67)
         )
         sets = (addrs >> np.uint64(7)) & np.uint64(255)
-        # The first chunk touches the bad set, the second does not.
+        # The first call touches the bad set, the second does not.
         addrs[:1000][sets[:1000] == bad - 1] += np.uint64(128)
         addrs[1000:][sets[1000:] == bad] += np.uint64(128)
         words = encode_arrays(cpus, cmds, addrs, resps)
@@ -978,10 +951,20 @@ class TestLockstepChooser:
             board.batched_replay = True
             return board
 
-        assert_paths_identical(make_board, words, chunks=2,
-                               engine="compiled")
-        assert len(loop_calls) == 1
-        assert len(forced_lockstep) == 1
+        scalar = make_board()
+        scalar.batched_replay = False
+        fast = make_board()
+        process_calls.clear()
+        for part, lanes, generic in ((words[:1000], 0, True),
+                                     (words[1000:], 1, False)):
+            forwarded = fast.statistics()["filter.forwarded"]
+            scalar.replay_words(part)
+            ENGINES["compiled"].replay(fast, part)
+            forwarded = fast.statistics()["filter.forwarded"] - forwarded
+            assert len(lockstep_calls) == lanes
+            assert process_calls.count(fast.firmware) == forwarded * generic
+            process_calls.clear()
+            assert fast.checkpoint() == scalar.checkpoint()
 
 
 def extreme_field_words(n: int, seed: int) -> np.ndarray:
@@ -1020,11 +1003,11 @@ def extreme_field_words(n: int, seed: int) -> np.ndarray:
 
 class TestFieldExtremes:
     """The decoder's narrow fields through every path that reads them:
-    scalar, the closed-form loop, the set lanes and the generic runner,
-    equal down to ``checkpoint()`` on records at every field's edge."""
+    scalar, the set lanes and the generic runner, equal down to
+    ``checkpoint()`` on records at every field's edge."""
 
     @pytest.mark.parametrize("replacement", ["lru", "plru"])
-    def test_every_path_equals_scalar(self, forced_lockstep, replacement):
+    def test_every_path_equals_scalar(self, lockstep_calls, replacement):
         words = extreme_field_words(6000, seed=29)
         assert decode_arrays(words)[2].max() == (1 << ADDRESS_BITS) - 1
         machine = machine_for("split", replacement)
@@ -1039,20 +1022,17 @@ class TestFieldExtremes:
         scalar.batched_replay = False
         replayed(MemoriesBoard.replay_words, scalar)
         lanes = replayed(replay_forced_lanes, board_for_machine(machine, seed=3))
-        assert len(forced_lockstep) == 3
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("repro.memories.compiled.LOCKSTEP_MIN_TENURES",
-                          math.inf)
-            loop = replayed(MemoriesBoard.replay_words,
-                            board_for_machine(machine, seed=3))
-        assert len(forced_lockstep) == 3
-        # The generic runner, against scalar at the same utilization.
+        assert len(lockstep_calls) == 3
+        # The generic runner, on the decoupled board and on a coupled one
+        # against scalar at the same utilization.
+        generic = replayed(replay_generic, board_for_machine(machine, seed=3))
         coupled = replayed(MemoriesBoard.replay_words,
                            regime_board("coupled", machine, seed=3))
         coupled_scalar = regime_board("coupled", machine, seed=3)
         coupled_scalar.batched_replay = False
         replayed(MemoriesBoard.replay_words, coupled_scalar)
-        for board in (lanes, loop):
+        assert len(lockstep_calls) == 3
+        for board in (lanes, generic):
             assert board.statistics() == scalar.statistics()
             assert board.checkpoint() == scalar.checkpoint()
         assert coupled.checkpoint() == coupled_scalar.checkpoint()
@@ -1061,108 +1041,37 @@ class TestFieldExtremes:
         assert stats["filter.retried"] > 0
 
 
-def sweep4_machine():
-    """Four cache geometries, each its own coherence group."""
-    return multi_config_machine(
-        [
-            CacheNodeConfig(size=512 << 10, assoc=2, line_size=128),
-            CacheNodeConfig(size=1 << 20, assoc=4, line_size=128,
-                            replacement="plru"),
-            CacheNodeConfig(size=2 << 20, assoc=8, line_size=128,
-                            replacement="fifo"),
-            CacheNodeConfig(size=4 << 20, assoc=4, line_size=128),
-        ],
-        N_CPUS,
-    )
-
-
-class TestLoanTake:
-    """A loop chunk borrows, on every node, the sorted distinct set
-    indices its tenures address."""
-
-    @staticmethod
-    def borrowed(machine, addrs):
-        """``(borrowed sets, expected sets)`` of each node, after checking
-        that ``_distinct`` gives what ``np.unique`` gives."""
-        board = board_for_machine(machine, seed=1)
-        runner = _protocol_runner(board.firmware)
-        runner.loan.take(addrs)
-        pairs = []
-        for node in runner.loan.nodes:
-            sets = (addrs >> np.uint64(node.off_bits)) & np.uint64(node.set_mask)
-            expected = np.unique(sets).tolist()
-            assert _distinct(sets).tolist() == expected
-            pairs.append((list(node.tags), expected))
-        runner.loan.give_back()
-        return pairs
-
-    def test_split4_chunk_with_repeated_sets(self):
-        # 500 tenures over 64 lines: every set they touch repeats.
-        rng = np.random.default_rng(11)
-        addrs = rng.integers(0, 64, 500).astype(np.uint64) * np.uint64(128)
-        machine = TestLockstepChooser.split4()
-        pairs = self.borrowed(machine, addrs)
-        assert len(pairs) == 4
-        for borrowed, expected in pairs:
-            assert borrowed == expected
-            assert len(expected) < addrs.shape[0]
-
-    def test_sweep4_geometries(self):
-        words = full_mix_words(3000, seed=13, address_space=16 << 20)
-        addrs = decode_arrays(words)[2]
-        pairs = self.borrowed(sweep4_machine(), addrs)
-        # Three of the four nodes have 2048 sets of 128 B lines and share
-        # one dedupe; the 4 MB node has 8192.
-        assert len(pairs) == 4
-        assert len({len(expected) for _b, expected in pairs}) == 2
-        for borrowed, expected in pairs:
-            assert borrowed == expected
-
-    def test_one_address_chunk(self):
-        addrs = np.array([0x12345680], dtype=np.uint64)
-        for borrowed, expected in self.borrowed(sweep4_machine(), addrs):
-            assert borrowed == expected
-            assert len(borrowed) == 1
-
-    def test_loop_replays_stay_bit_identical(self, monkeypatch):
-        # Every chunk on the loop, the one-record first chunk of a fresh
-        # sampler and its cadence cuts included.
-        monkeypatch.setattr(
-            "repro.memories.compiled.LOCKSTEP_MIN_TENURES", math.inf
-        )
-        words = full_mix_words(6000, seed=17, address_space=8 << 20)
-        for machine in (TestLockstepChooser.split4(), sweep4_machine()):
-
-            def make_board():
-                board = board_for_machine(machine, seed=3)
-                board.attach_telemetry(
-                    CounterSampler(MemorySink(), every_transactions=2500)
-                )
-                return board
-
-            assert_paths_identical(
-                make_board, words, chunks=3, engine="compiled"
-            )
+#: Sampler cadences with unmapped masters on the multi-group machines.
+_MULTI_GROUP_CADENCES = [
+    pytest.param(cadence, kind, 20, id=f"{cadence}-{kind}-unmapped")
+    for kind in ("groups4", "dm2")
+    for cadence in (1, 7, 37, 100, 1024)
+]
 
 
 class TestTelemetryChunking:
+    """Sampler records at every cadence, each window committed from one
+    replay per call on the lanes of every group."""
+
     @pytest.mark.parametrize("regime", FAST_REGIMES)
     @pytest.mark.parametrize(
         ("cadence", "kind", "max_cpu"),
         [
-            (1, "split", N_CPUS),
-            (7, "split", N_CPUS),
-            (64, "split", N_CPUS),
-            (1024, "split", N_CPUS),
+            pytest.param(1, "split", N_CPUS, id="1"),
+            pytest.param(7, "split", N_CPUS, id="7"),
+            pytest.param(64, "split", N_CPUS, id="64"),
+            pytest.param(1024, "split", N_CPUS, id="1024"),
             # CPU ids past the machine's: unmapped processors (8..15)
             # snoop every controller and I/O bridges (16..19) DMA, so the
-            # compiled engine settles unmapped-master tallies per chunk.
-            (37, "split", 20),
-            (37, "multi", 20),
+            # compiled engine settles unmapped-master tallies per window.
+            pytest.param(37, "split", 20, id="37-split-unmapped"),
+            pytest.param(100, "split", 20, id="100-split-unmapped"),
+            pytest.param(37, "multi", 20, id="37-multi-unmapped"),
+            *_MULTI_GROUP_CADENCES,
         ],
-        ids=["1", "7", "64", "1024", "37-split-unmapped", "37-multi-unmapped"],
     )
-    def test_transaction_cadence_identical(self, cadence, kind, max_cpu, regime):
+    def test_transaction_cadence_identical(self, cadence, kind, max_cpu,
+                                           regime, lockstep_calls):
         words = full_mix_words(2000, seed=17, max_cpu=max_cpu)
         machine = machine_for(kind)
 
@@ -1185,10 +1094,15 @@ class TestTelemetryChunking:
         assert len(fast_sink.records) > 0
         assert scalar.statistics() == fast.statistics()
         assert scalar.checkpoint() == fast.checkpoint()
+        # Whatever the cadence: one replay per group on the lanes, or the
+        # generic runner for coupled buffers.
+        groups = len(machine.groups())
+        assert len(lockstep_calls) == (groups if regime == "compiled" else 0)
 
-    def test_cycle_cadence_identical(self):
+    @pytest.mark.parametrize("kind", ["single", "groups4", "dm2"])
+    def test_cycle_cadence_identical(self, kind, lockstep_calls):
         words = full_mix_words(1500, seed=19)
-        machine = machine_for("single")
+        machine = machine_for(kind)
         sinks = []
 
         def make_board():
@@ -1202,6 +1116,7 @@ class TestTelemetryChunking:
         scalar_sink, fast_sink = sinks
         assert scalar_sink.records == fast_sink.records
         assert len(fast_sink.records) > 0
+        assert len(lockstep_calls) == 3 * len(machine.groups())
 
 
 class TestEngineSelection:
@@ -1323,13 +1238,14 @@ class TestEngineSelection:
 
 class TestZeroCountdownRegression:
     """A sampler countdown at (or below) zero on entry must not produce
-    an empty chunk (this used to crash ``_run_chunk`` on ``steps[0]``)."""
+    an empty window (this once crashed the chunk loop on ``steps[0]``)."""
 
-    @pytest.mark.parametrize("regime", FAST_REGIMES)
+    @pytest.mark.parametrize("regime, kind", regimes_on("split"))
     @pytest.mark.parametrize("countdown", [0, -3])
-    def test_zero_countdown_entry_matches_scalar(self, regime, countdown):
+    def test_zero_countdown_entry_matches_scalar(self, regime, kind,
+                                                 countdown):
         words = full_mix_words(300, seed=53)
-        machine = machine_for("split")
+        machine = machine_for(kind)
 
         def make_board(sink):
             board = regime_board(regime, machine, seed=2)
@@ -1449,11 +1365,12 @@ class TestRejectedParity:
         assert_paths_identical(make_board, words, engine="compiled")
 
 class TestEdgeChunks:
-    """Chunk-shape edges: all-filtered chunks, chunk size 1, boundaries
-    landing exactly on the countdown, wrap-adjacent 40-bit counters."""
+    """Window-shape edges: all-filtered windows, window size 1,
+    boundaries landing exactly on the countdown, wrap-adjacent 40-bit
+    counters."""
 
-    @pytest.mark.parametrize("regime", FAST_REGIMES)
-    def test_all_filtered_chunks_with_telemetry(self, regime):
+    @pytest.mark.parametrize("regime, kind", regimes_on("single"))
+    def test_all_filtered_chunks_with_telemetry(self, regime, kind):
         # Every record is filtered (IO/interrupt/sync): chunks contain
         # zero admitted tenures but must still advance clock, filter
         # stats and the sampler cursor exactly.
@@ -1464,7 +1381,7 @@ class TestEdgeChunks:
             rng.integers(4, 8, n).astype(np.uint64),
             rng.integers(0, 1 << 20, n).astype(np.uint64),
         )
-        machine = machine_for("single")
+        machine = machine_for(kind)
 
         def make_board():
             board = regime_board(regime, machine, seed=0)
@@ -1475,11 +1392,11 @@ class TestEdgeChunks:
 
         assert_paths_identical(make_board, words, engine="compiled")
 
-    @pytest.mark.parametrize("regime", FAST_REGIMES)
-    def test_single_record_chunks(self, regime):
-        # Cadence 1 makes every chunk exactly one record long.
+    @pytest.mark.parametrize("regime, kind", regimes_on("split"))
+    def test_single_record_chunks(self, regime, kind):
+        # Cadence 1 makes every window exactly one record long.
         words = full_mix_words(120, seed=67)
-        machine = machine_for("split")
+        machine = machine_for(kind)
 
         def make_board():
             board = regime_board(regime, machine, seed=2)
@@ -1490,13 +1407,13 @@ class TestEdgeChunks:
 
         assert_paths_identical(make_board, words, engine="compiled")
 
-    @pytest.mark.parametrize("regime", FAST_REGIMES)
-    def test_boundary_exactly_on_countdown(self, regime):
-        # Trace length an exact multiple of the cadence: the final chunk
+    @pytest.mark.parametrize("regime, kind", regimes_on("split"))
+    def test_boundary_exactly_on_countdown(self, regime, kind):
+        # Trace length an exact multiple of the cadence: the final window
         # ends on the countdown and on_countdown fires at the last record.
         cadence = 64
         words = full_mix_words(cadence * 5, seed=71)
-        machine = machine_for("split")
+        machine = machine_for(kind)
         sinks = []
 
         def make_board():
@@ -1513,13 +1430,13 @@ class TestEdgeChunks:
         assert scalar_sink.records == fast_sink.records
         assert len(fast_sink.records) == 5
 
-    @pytest.mark.parametrize("regime", FAST_REGIMES)
-    def test_wrap_adjacent_global_counters(self, regime):
+    @pytest.mark.parametrize("regime, kind", regimes_on("split"))
+    def test_wrap_adjacent_global_counters(self, regime, kind):
         # Seed the global bank just below the 40-bit mask so
         # record_batch wraps mid-replay; masked readouts and the
         # wrapped-counter report must match scalar exactly.
         words = full_mix_words(1500, seed=73)
-        machine = machine_for("split")
+        machine = machine_for(kind)
 
         def make_board():
             board = regime_board(regime, machine, seed=2)

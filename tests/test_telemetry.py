@@ -13,7 +13,7 @@ from repro.memories.board import board_for_machine
 from repro.memories.config import CacheNodeConfig
 from repro.memories.console import MemoriesConsole
 from repro.memories.counters import COUNTER_MASK
-from repro.target.configs import single_node_machine
+from repro.target.configs import multi_config_machine, single_node_machine
 from repro.telemetry import (
     CounterSampler,
     DEFAULT_EVERY_TRANSACTIONS,
@@ -37,6 +37,23 @@ CFG = CacheNodeConfig(size=64 * 1024, assoc=4, line_size=128)
 
 def machine(n_cpus=4):
     return single_node_machine(CFG, n_cpus=n_cpus)
+
+
+def groups4_machine(n_cpus=4):
+    """sweep4's shape: four cache designs, each its own coherence group,
+    so the compiled engine commits every window on four groups' lanes."""
+    return multi_config_machine([
+        CacheNodeConfig(size=32 * 1024, assoc=2, line_size=128),
+        CacheNodeConfig(size=64 * 1024, assoc=4, line_size=64,
+                        replacement="plru"),
+        CacheNodeConfig(size=128 * 1024, assoc=8, line_size=64,
+                        replacement="fifo"),
+        CFG,
+    ], n_cpus)
+
+
+#: The machines of the windowed-replay tests, by parameter.
+MACHINES = {"single": machine, "groups4": groups4_machine}
 
 
 def synthetic_words(n=2000, n_cpus=4, seed=0):
@@ -333,8 +350,10 @@ class TestBoardIntegration:
         for name, value in totals.items():
             assert stats[name] == value, name
 
-    def test_forced_wrap_flagged_and_corrected(self):
+    @pytest.mark.parametrize("kind", ["single", "groups4"])
+    def test_forced_wrap_flagged_and_corrected(self, kind):
         words = synthetic_words(1200)
+        machine = MACHINES[kind]
         bare = board_for_machine(machine(), seed=0)
         bare.replay_words(words)
         true_reads = bare.statistics()["node0.local.read"]
@@ -382,9 +401,11 @@ class TestBoardIntegration:
 
 
 class TestCheckpointRestore:
-    def test_mid_series_checkpoint_restore_equivalence(self):
+    @pytest.mark.parametrize("kind", ["single", "groups4"])
+    def test_mid_series_checkpoint_restore_equivalence(self, kind):
         words = synthetic_words(2000)
         cadence = 150
+        machine = MACHINES[kind]
 
         straight_sink = MemorySink()
         straight = board_for_machine(machine(), seed=0)

@@ -10,7 +10,10 @@ the protocol runner engaged: a silent fallback to the generic runner
 runs only about 1.2x as fast as scalar, the protocol runner over 20x.
 A second, smaller run on sweep4, the multi-configuration board of four
 cache designs each in its own coherence group, requires the same digest
-identity where the compiled engine steps every group's set lanes.
+identity where the compiled engine steps every group's set lanes, and
+the same records replayed under a 100-transaction sampler (Figure 10's
+profiling mode) must give both engines identical sample records and
+statistics: the compiled engine commits each window from one replay.
 
 Timings are best-of-``REPEATS`` with every raw sample recorded in
 ``BENCH_replay.json`` (a single-shot number once drifted a recorded
@@ -28,9 +31,12 @@ from pathlib import Path
 
 from _smoke import SmokeChecks
 
-from repro.experiments.replay_bench import run_replay_benchmark
+from repro.engines import ENGINES
+from repro.experiments.replay_bench import bench_trace, run_replay_benchmark
+from repro.memories.board import board_for_machine
 from repro.memories.config import CacheNodeConfig
 from repro.target.configs import multi_config_machine
+from repro.telemetry import CounterSampler, MemorySink
 
 RECORDS = 60_000
 SEED = 2000
@@ -38,6 +44,8 @@ REPEATS = 3
 MIN_SPEEDUP = 3.0
 #: sweep4 replays every record on four caches, so scalar runs it slower.
 MULTI_RECORDS = 20_000
+#: The sampler cadence of the profiled sweep4 replay, in transactions.
+PROFILE_EVERY = 100
 
 
 def sweep4_machine():
@@ -63,6 +71,19 @@ def digests(report) -> str:
     )
 
 
+def profiled(engine: str, machine, words):
+    """Replay ``words`` on ``engine`` under a ``PROFILE_EVERY`` sampler;
+    returns the sample records and the board's statistics."""
+    sink = MemorySink()
+    board = board_for_machine(machine, seed=SEED)
+    board.attach_telemetry(
+        CounterSampler(sink, every_transactions=PROFILE_EVERY)
+    )
+    ENGINES[engine].replay(board, words)
+    board.telemetry.finish(board)
+    return sink.records, board.statistics()
+
+
 def main() -> int:
     smoke = SmokeChecks("bench")
     report = run_replay_benchmark(RECORDS, seed=SEED, repeats=REPEATS)
@@ -85,6 +106,17 @@ def main() -> int:
         "sweep4: scalar and compiled statistics bit-identical",
         multi["identical"],
         digests(multi),
+    )
+    words = bench_trace(MULTI_RECORDS, SEED).words
+    (scalar_records, scalar_stats), (fast_records, fast_stats) = (
+        profiled(engine, sweep4_machine(), words)
+        for engine in ("scalar", "compiled")
+    )
+    smoke.check(
+        f"sweep4, {PROFILE_EVERY}-transaction sampler: identical sample "
+        "records and statistics",
+        scalar_records == fast_records and scalar_stats == fast_stats,
+        f"{len(scalar_records)} against {len(fast_records)} records",
     )
     smoke.check(
         f"compiled path at least {MIN_SPEEDUP:g}x faster than scalar",

@@ -337,7 +337,7 @@ CLEAN_CORPUS: List[Tuple[str, ...]] = [
 ENGINE_CORPUS: List[Tuple[str, str, str, object]] = [
     ("stock split board runs the compiled runner",
      "stock", "compiled", None),
-    ("random replacement runs compiled through the policy's own RNG",
+    ("random replacement replays on the generic runner",
      "random", "compiled", None),
     ("a custom replacement policy class replays on the generic runner",
      "custom-policy", "compiled", None),
