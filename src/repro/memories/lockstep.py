@@ -1,15 +1,18 @@
 """Set-lockstep replay: every cache set of a call stepped at once.
 
 The protocol runner (:func:`repro.memories.compiled._protocol_runner`)
-hands a coherence group the admitted tenures of one replay call.  When
-every node of the group maps an address to the same set, a tenure reads
-and writes that one set on every node and nothing else: its local
-probe, its peer snoops and its install.  That runner takes no
-SDRAM-priced node and no ``random`` policy (its victims come from one
-board-wide RNG stream) and settles its buffers in closed form, so cache
-sets are then independent: a call may be replayed in any interleaving
-that keeps each set's own tenure order.  This module steps all sets
-together, as numpy lanes:
+asks :func:`plan` for each coherence group's lanes, built from the
+group's node controllers: this module alone decides whether a group has
+them, and owns the stock firmware's counter vocabulary
+(:data:`COUNTER_NAMES`).  When every node of the group maps an address
+to the same set, a tenure reads and writes that one set on every node
+and nothing else: its local probe, its peer snoops and its install.
+:func:`plan` takes no SDRAM-priced node, no ECC-protected directory and
+no ``random`` policy (its victims come from one board-wide RNG stream),
+and the buffers settle in closed form, so cache sets are then
+independent: a call may be replayed in any interleaving that keeps each
+set's own tenure order.  This module steps all sets together, as numpy
+lanes:
 
 * **Order.**  The call's tenures are stable-sorted by set and ranked
   within their set.  Lanes are the touched sets, deepest first, so the
@@ -53,9 +56,11 @@ together, as numpy lanes:
   code one row of effects: the counters it adds on every node and the
   buffers it is admitted to.  :meth:`SetLanes.commit` folds one
   telemetry window into the nodes' counters as one histogram of the
-  window's codes times those rows.  The closed-form buffer settlement
-  needs, per node, that count of admissions and the time of the last,
-  which is the largest chunk index because tenure times rise.
+  window's codes times those rows, before any observer can look; no
+  statistic reads the directory, so it may run ahead of the windows.
+  The closed-form buffer settlement needs, per node, that count of
+  admissions and the time of the last, which is the largest chunk
+  index because tenure times rise.
 
 A call replays in three steps.  :meth:`SetLanes.order` orders it, or
 returns None, having written nothing, when it touches a set the lanes
@@ -65,53 +70,123 @@ the whole call then replays on the generic runner.
 :meth:`SetLanes.replay` replays the ordered call, and
 :meth:`SetLanes.commit` commits it window by window.  A set holding a
 (corrupted) duplicate tag is representable: the probe finds the first
-copy, as the directory's probe does.  Groups with mixed set mappings or
-associativities have no lanes at all (:func:`plan`).
+copy, as the directory's probe does.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.bus.transaction import MAX_PROCESSOR_ID
+from repro.bus.transaction import MAX_PROCESSOR_ID, BusCommand
 from repro.memories.cache_model import EMPTY_TAG
-from repro.memories.compiled import (
-    _CASTOUT,
-    _CID_EVICT_CLEAN,
-    _CID_EVICT_DIRTY,
-    _CID_INCLUSION,
-    _CID_INTERVENTION,
-    _CID_INVALIDATED,
-    _CID_REMOTE_READ,
-    _CID_REMOTE_WRITE,
-    _CID_SUPPLIED_DIRTY,
-    _CMD_TAB,
-    _DIRTY_OF,
-    _FILL_CID,
-    _HIT_STATE_CID,
-    _LOCAL_CASTOUT,
-    _LOCAL_WRITE,
-    _N_STATES,
-    _OWNED,
-    _POLICY_FIFO,
-    _POLICY_LRU,
-    _POLICY_PLRU,
-    _READ,
-    _REMOTE_READ,
-    _REMOTE_WRITE,
-    _SAT_HIT_CID,
-    _SAT_MISS_CID,
-    _SHARED,
-    COUNTER_NAMES,
+from repro.memories.protocol_table import CacheOp, LineState
+from repro.memories.replacement import FifoPolicy, LruPolicy, PlruPolicy
+
+_READ = int(BusCommand.READ)
+_CASTOUT = int(BusCommand.CASTOUT)
+_LOCAL_WRITE = int(CacheOp.LOCAL_WRITE)
+_LOCAL_CASTOUT = int(CacheOp.LOCAL_CASTOUT)
+_REMOTE_READ = int(CacheOp.REMOTE_READ)
+_REMOTE_WRITE = int(CacheOp.REMOTE_WRITE)
+_INVALID = int(LineState.INVALID)
+_SHARED = int(LineState.SHARED)
+_OWNED = int(LineState.OWNED)
+_N_STATES = max(int(state) for state in LineState) + 1
+_N_OPS = max(int(op) for op in CacheOp) + 1
+#: The packed record's cpu field is 8 bits wide.
+_CPUS = 256
+
+# ---------------------------------------------------------------------------
+# The counter vocabulary.
+# ---------------------------------------------------------------------------
+
+#: Per local command (raw int 0..3): primary counter, secondary counter,
+#: CacheOp, hit counter, miss counter, fetches-data flag — the constants
+#: NodeController.process_local derives per tenure.
+_LOCAL_CMD = [
+    ("local.read", None, int(CacheOp.LOCAL_READ), "hit.read", "miss.read", True),
+    ("local.write", None, _LOCAL_WRITE, "hit.write", "miss.write", True),
+    ("local.write", "local.upgrade", _LOCAL_WRITE, "hit.write", "miss.write", False),
+    ("local.castout", None, _LOCAL_CASTOUT, "hit.castout", "miss.castout", False),
+]
+
+_HIT_STATE_KEY = [f"hit_state.{LineState(i).name}" for i in range(_N_STATES)]
+_FILL_KEY = [f"fill.{LineState(i).name}" for i in range(_N_STATES)]
+_DIRTY_OF = np.array([LineState(i).is_dirty for i in range(_N_STATES)])
+
+#: Figure 12 satisfaction counters by snoop-response int, for hits/misses.
+_SAT_HIT = ["satisfied.l3", "satisfied.shr_int", "satisfied.mod_int", None]
+_SAT_MISS = ["satisfied.memory", "satisfied.shr_int", "satisfied.mod_int", None]
+
+
+def _build_counter_names() -> List[str]:
+    names: List[str] = []
+    for base, extra, _op, hit, miss, _fetches in _LOCAL_CMD:
+        for key in (base, extra, hit, miss):
+            if key is not None and key not in names:
+                names.append(key)
+    names.extend(key for key in _HIT_STATE_KEY if key not in names)
+    names.extend(key for key in _FILL_KEY if key not in names)
+    names.extend(
+        [
+            "inclusion.castout_miss",
+            "intervention.from_peer",
+            "evict.dirty",
+            "evict.clean",
+        ]
+    )
+    for key in _SAT_HIT + _SAT_MISS:
+        if key is not None and key not in names:
+            names.append(key)
+    names.extend(
+        ["remote.read", "remote.write", "remote.supplied_dirty", "remote.invalidated"]
+    )
+    return names
+
+
+#: Every counter name the stock cache-emulation firmware can emit, in a
+#: fixed order; counter id == index into this list == column of the set
+#: lanes' counter tables.
+COUNTER_NAMES = _build_counter_names()
+_CID = {name: cid for cid, name in enumerate(COUNTER_NAMES)}
+
+_CID_INCLUSION = _CID["inclusion.castout_miss"]
+_CID_INTERVENTION = _CID["intervention.from_peer"]
+_CID_EVICT_DIRTY = _CID["evict.dirty"]
+_CID_EVICT_CLEAN = _CID["evict.clean"]
+_CID_REMOTE_READ = _CID["remote.read"]
+_CID_REMOTE_WRITE = _CID["remote.write"]
+_CID_SUPPLIED_DIRTY = _CID["remote.supplied_dirty"]
+_CID_INVALIDATED = _CID["remote.invalidated"]
+
+#: _LOCAL_CMD with names resolved to counter ids (-1 = no counter).
+_CMD_TAB = tuple(
+    (
+        _CID[base],
+        _CID[extra] if extra is not None else -1,
+        op,
+        _CID[hit],
+        _CID[miss],
+        fetches,
+    )
+    for base, extra, op, hit, miss, fetches in _LOCAL_CMD
 )
+_HIT_STATE_CID = tuple(_CID[key] for key in _HIT_STATE_KEY)
+_FILL_CID = tuple(_CID[key] for key in _FILL_KEY)
+_SAT_HIT_CID = tuple(_CID[k] if k is not None else -1 for k in _SAT_HIT)
+_SAT_MISS_CID = tuple(_CID[k] if k is not None else -1 for k in _SAT_MISS)
+
+# ---------------------------------------------------------------------------
+# The lanes' constants.
+# ---------------------------------------------------------------------------
 
 #: What a tenure broadcasts to the peers: nothing, a read, a write snoop.
 _POP_NONE, _POP_READ, _POP_WRITE = 0, 1, 2
-_POP_OPS = (None, _REMOTE_READ, _REMOTE_WRITE)
-_ALL_OPS = sorted({op for _b, _e, op, _h, _m, _f in _CMD_TAB}
-                  | {_REMOTE_READ, _REMOTE_WRITE})
+_PEER_OPS = [_REMOTE_READ, _REMOTE_WRITE]
+#: By local command: its CacheOp.
+_CMD_OPS = [op for _b, _e, op, _h, _m, _f in _CMD_TAB]
 _N_CMDS = len(_CMD_TAB)
 _N_RESPS = len(_SAT_HIT_CID)
 #: Counter slot that absorbs "no counter" outcomes.
@@ -129,6 +204,44 @@ _KINDS_PER_SLOT = 1 << _SLOT_SHIFT
 _OUTCOMES = 2 * _N_STATES * (_N_STATES + 1)
 _OUTCOME_TYPE = np.min_scalar_type(-_OUTCOMES)
 
+#: By local command: what its miss broadcasts from a node of the group
+#: (castouts nothing, writes a write snoop, reads a read snoop) and from
+#: an unmapped master (reads a read snoop, the rest a write snoop).
+_MISS_POP_MAPPED = np.array(
+    [_POP_NONE if op == _LOCAL_CASTOUT
+     else _POP_WRITE if op == _LOCAL_WRITE else _POP_READ
+     for op in _CMD_OPS], dtype=np.int8,
+)
+_MISS_POP_UNMAPPED = np.array(
+    [_POP_READ if cmd == _READ else _POP_WRITE for cmd in range(_N_CMDS)],
+    dtype=np.int8,
+)
+#: By (local command, state): the write snoop of a write hit on
+#: SHARED/OWNED.
+_HIT_POP = np.zeros((_N_CMDS, _N_STATES), dtype=np.int8)
+_HIT_POP[[op == _LOCAL_WRITE for op in _CMD_OPS], _SHARED] = _POP_WRITE
+_HIT_POP[[op == _LOCAL_WRITE for op in _CMD_OPS], _OWNED] = _POP_WRITE
+#: By local command: the columns of its fill when a peer holds the line
+#: and when none does, among a node's (write, read_shared, read_alone)
+#: fills; castouts and writes fill the same either way.
+_FILL_COLUMNS = np.array(
+    [(0, 0) if op in (_LOCAL_CASTOUT, _LOCAL_WRITE) else (1, 2)
+     for op in _CMD_OPS], dtype=np.intp,
+)
+
+#: The local row's operation by hit * 2 + invalidates, per policy the
+#: lanes replay: :func:`_src_table`'s PUT, FRONT or REMOVE block, to
+#: which the row's way is added — the hit way, or ``assoc`` on a miss
+#: (insert-front); PLRU adds its allocation way instead.  ``random``
+#: draws its victims from one board-wide stream in global order, which
+#: no per-set replay can follow: its groups have no lanes.
+_PUT, _FRONT, _REMOVE = 0, 1, 2
+_LOCAL_OPS = {
+    LruPolicy: (_FRONT, _FRONT, _FRONT, _REMOVE),
+    FifoPolicy: (_FRONT, _FRONT, _PUT, _REMOVE),
+    PlruPolicy: (_PUT, _PUT, _PUT, _REMOVE),
+}
+
 
 def _src_table(assoc: int) -> np.ndarray:
     """``SRC[code, j]``: the column ``j`` of a row takes its new content
@@ -139,7 +252,7 @@ def _src_table(assoc: int) -> np.ndarray:
     as it is); then ``FRONT(w)`` for w in 0..assoc (the spare moves to
     way 0 and ways 0..w-1 shift back one, so ``FRONT(assoc)`` is
     insert-front dropping the last way); then ``REMOVE(w)`` for w in
-    0..assoc-1.
+    0..assoc-1.  Block ``b`` thus starts at ``b * (assoc + 1)``.
     """
     spare, empty = assoc, assoc + 1
     rows = [[spare if j == w else j for j in range(assoc)]
@@ -159,41 +272,6 @@ def _as_rows(array: np.ndarray) -> np.ndarray:
     return array.view(row).reshape(-1)
 
 
-def _complete_states(node) -> Optional[frozenset]:
-    """States with a transition for every op on ``node``; None when a
-    fill or a transition leads out of them.  Lanes look transitions up
-    for every row, so they hold only lines whose every lookup is one the
-    loop could make."""
-    trans = node.trans
-    complete = frozenset(
-        state for state in range(_N_STATES)
-        if all(trans[op][state] is not None for op in _ALL_OPS)
-    )
-    reached = {node.fill_write, node.fill_read_shared, node.fill_read_alone}
-    for op in _ALL_OPS:
-        for state in complete:
-            next_state, invalidates, _is_hit = trans[op][state]
-            if not invalidates:
-                reached.add(next_state)
-    return complete if reached <= complete else None
-
-
-def plan(local_table, controllers) -> Optional["SetLanes"]:
-    """The lockstep form of one coherence group, or None when its nodes
-    do not share one set mapping, associativity and policy, or run a
-    protocol whose transitions leave its complete states."""
-    first = controllers[0]
-    geometry = (first.off_bits, first.set_mask, first.tag_shift,
-                first.assoc, first.policy_code)
-    for node in controllers:
-        if (node.off_bits, node.set_mask, node.tag_shift, node.assoc,
-                node.policy_code) != geometry:
-            return None
-        if _complete_states(node) is None:
-            return None
-    return SetLanes(local_table, controllers)
-
-
 def _one_hot(cids) -> np.ndarray:
     """Rows that add one to counter ``cids[i]`` (``_NO_COUNTER``: none)."""
     table = np.zeros((len(cids), _NO_COUNTER + 1), dtype=np.int64)
@@ -201,33 +279,125 @@ def _one_hot(cids) -> np.ndarray:
     return table
 
 
+def _event_counters() -> np.ndarray:
+    """How many of each counter one local tenure adds, by (cmd, resp,
+    hit): primary, secondary, hit or miss, inclusion, satisfaction."""
+    events = np.zeros((_CMD_VALUES, _N_RESPS, 2, _NO_COUNTER + 1),
+                      dtype=np.int64)
+    for cmd, (base, extra, op, hit_cid, miss_cid, fetches) in enumerate(
+        _CMD_TAB
+    ):
+        for resp in range(_N_RESPS):
+            for hit in (0, 1):
+                row = events[cmd, resp, hit]
+                row[base] += 1
+                if extra >= 0:
+                    row[extra] += 1
+                row[hit_cid if hit else miss_cid] += 1
+                if not hit and op == _LOCAL_CASTOUT:
+                    row[_CID_INCLUSION] += 1
+                sat = (_SAT_HIT_CID if hit else _SAT_MISS_CID)[resp]
+                if fetches and sat >= 0:
+                    row[sat] += 1
+    return events.reshape(-1, _NO_COUNTER + 1)
+
+
+_EVENT_COUNTERS = _event_counters()
+#: By hit * states + outcome state: fill.X on a miss, hit_state.X on a hit.
+_STATE_COUNTERS = _one_hot(list(_FILL_CID) + list(_HIT_STATE_CID))
+#: By victim state + 1 (0: nothing evicted).
+_EVICT_COUNTERS = _one_hot(
+    [_NO_COUNTER] + [
+        _CID_EVICT_DIRTY if _DIRTY_OF[s] else _CID_EVICT_CLEAN
+        for s in range(_N_STATES)
+    ]
+)
+
+# ---------------------------------------------------------------------------
+# A group's lockstep form.
+# ---------------------------------------------------------------------------
+
+
+def _transitions(node):
+    """``node``'s protocol table as dense lists by ``op * states +
+    state``, of next states and of whether the transition hits, and
+    whether each state is complete: has a transition for every op.  None
+    when a fill or a transition leads out of the complete states: lanes
+    look transitions up for every row, so they hold only lines whose
+    every lookup is one the loop could make."""
+    table = node._table
+    complete = [all((op, state) in table for op in range(_N_OPS))
+                for state in range(_N_STATES)]
+    fill = node._fill
+    reached = {int(fill.write), int(fill.read_shared), int(fill.read_alone)}
+    next_state = [0] * (_N_OPS * _N_STATES)
+    is_hit = [False] * (_N_OPS * _N_STATES)
+    for (op, state), transition in table.items():
+        target = int(transition.next_state)
+        next_state[op * _N_STATES + state] = target
+        is_hit[op * _N_STATES + state] = transition.is_hit
+        # An invalidated line leaves the row: only kept lines must stay.
+        if complete[state] and target != _INVALID:
+            reached.add(target)
+    if not all(complete[state] for state in reached):
+        return None
+    return next_state, is_hit, complete
+
+
+def plan(local_by_cpu, controllers) -> Optional["SetLanes"]:
+    """The lockstep form of one coherence group, or None when it has none.
+
+    ``controllers`` are the group's node controllers and
+    ``local_by_cpu`` maps its processors to them.  A group has no lanes
+    when a node prices its directory by SDRAM timing or protects it with
+    ECC, when its nodes do not share one set mapping, associativity and
+    replacement policy, or that policy is not one the lanes replay, or
+    when a node's protocol leads out of its complete states
+    (:func:`_transitions`).
+    """
+    first = controllers[0]
+    shape = (first.directory.amap, first.config.assoc,
+             type(first.directory.policy))
+    if shape[2] not in _LOCAL_OPS:
+        return None
+    tables = []
+    for node in controllers:
+        if (node.sdram is not None or node.ecc
+                or (node.directory.amap, node.config.assoc,
+                    type(node.directory.policy)) != shape):
+            return None
+        table = _transitions(node)
+        if table is None:
+            return None
+        tables.append(table)
+    return SetLanes(local_by_cpu, controllers, tables)
+
+
 class SetLanes:
     """Static tables of one group's lockstep form; :meth:`order` and
     :meth:`replay` replay a call, :meth:`commit` commits its windows.
-    Built by :func:`plan`."""
+    Built by :func:`plan` from the group's node controllers and their
+    :func:`_transitions`."""
 
-    def __init__(self, local_table, controllers) -> None:
-        nodes = tuple(controllers)
+    def __init__(self, local_by_cpu, nodes, tables) -> None:
+        nodes = tuple(nodes)
         self.nodes = nodes
         n_nodes = len(nodes)
         first = nodes[0]
-        self.off_bits = first.off_bits
-        self.set_mask = first.set_mask
-        self.tag_shift = first.tag_shift
-        assoc = first.assoc
+        amap = first.directory.amap
+        self.off_bits = amap.offset_bits
+        self.set_mask = amap.num_sets - 1
+        self.tag_shift = amap.offset_bits + amap.index_bits
+        assoc = first.config.assoc
         self.assoc = assoc
         self.src = _src_table(assoc)
-        put, front, remove = 0, assoc + 1, 2 * assoc + 2
-        self.remove = remove
+        policy = first.directory.policy
+        self.remove = _REMOVE * (assoc + 1)
         # Local row code by hit * 2 + invalidates, before the way added to
-        # it: the hit way, or ``assoc`` on a miss (insert-front) — PLRU
-        # adds its allocation way instead.
-        bases = {
-            _POLICY_LRU: (front, front, front, remove),
-            _POLICY_FIFO: (front, front, put, remove),
-            _POLICY_PLRU: (put, put, put, remove),
-        }[first.policy_code]
-        self.local_code = np.array(bases, dtype=np.intp)
+        # it.
+        self.local_code = (
+            np.array(_LOCAL_OPS[type(policy)], dtype=np.intp) * (assoc + 1)
+        )
 
         # A tenure's kind: its slot (the group's nodes, then unmapped
         # processors, whose castouts touch nothing, as in
@@ -240,80 +410,38 @@ class SetLanes:
         self.n_slots = n_slots
         #: Outcome keys, by (hit, state, victim state + 1, kind).
         self.n_keys = _OUTCOMES * n_slots * _KINDS_PER_SLOT
-        slot_of_cpu = np.full(len(local_table), unmapped_other, dtype=np.int16)
+        slot_of_cpu = np.full(_CPUS, unmapped_other, dtype=np.int16)
         slot_of_cpu[:MAX_PROCESSOR_ID + 1] = unmapped_cpu
-        for cpu, node in enumerate(local_table):
-            if node is not None:
+        for cpu, node in local_by_cpu.items():
+            # A cpu the packed cpu field cannot hold issues no tenure.
+            if cpu < _CPUS:
                 slot_of_cpu[cpu] = index_of[id(node)]
         # At most 258 slots of 64 kinds: int16 holds every kind.
         self.kind_of_cpu = slot_of_cpu << _SLOT_SHIFT
 
+        # By (node, op, state): the next state, whether it invalidates
+        # and whether it hits.  Only complete states are ever looked up.
+        shape = (n_nodes, _N_OPS, _N_STATES)
+        next_state = np.array([table[0] for table in tables],
+                              dtype=np.int8).reshape(shape)
+        is_hit = np.array([table[1] for table in tables]).reshape(shape)
+        invalidates = next_state == _INVALID
         # By (node, cmd, state): the local next state, whether it
         # invalidates, and the write snoop of a write hit on SHARED/OWNED.
-        shape = (n_nodes, _N_CMDS, _N_STATES)
-        local_next = np.zeros(shape, dtype=np.int8)
-        local_inv = np.zeros(shape, dtype=bool)
-        hit_pop = np.zeros(shape, dtype=np.int8)
+        self.local_next = next_state[:, _CMD_OPS].ravel()
+        self.local_inv = invalidates[:, _CMD_OPS].ravel()
+        self.hit_pop = np.tile(_HIT_POP.ravel(), n_nodes)
         # By (node, broadcast, state): whether the peer loses the line,
         # its next state and supplied-dirty flag.  No broadcast leaves
         # the peer as it is.
-        pshape = (n_nodes, len(_POP_OPS), _N_STATES)
+        pshape = (n_nodes, _POP_WRITE + 1, _N_STATES)
         peer_lost = np.zeros(pshape, dtype=bool)
-        peer_next = np.zeros(pshape, dtype=np.int8)
+        peer_lost[:, _POP_READ:] = invalidates[:, _PEER_OPS]
+        peer_next = np.empty(pshape, dtype=np.int8)
         peer_next[:, _POP_NONE] = np.arange(_N_STATES)
+        peer_next[:, _POP_READ:] = next_state[:, _PEER_OPS]
         peer_dirty = np.zeros(pshape, dtype=bool)
-        # One more column, always False, for states outside the table.
-        complete = np.zeros((n_nodes, _N_STATES + 1), dtype=bool)
-        # By kind: whether the lanes take it, whether it is mapped, its
-        # home node (an unmapped tenure's stand-in is node 0), its key
-        # into the local tables, its fill when a peer holds the line and
-        # when none does (castouts and writes fill the same either way),
-        # and what its miss broadcasts: castouts nothing, writes a write
-        # snoop, reads a read snoop; unmapped masters read or write.
-        # Commands the address filter never admits keep zeros.
-        kinds = (n_slots, _CMD_VALUES, _N_RESPS)
-        keep = np.ones(kinds, dtype=bool)
-        keep[unmapped_cpu, _CASTOUT] = False
-        mapped = np.zeros(kinds, dtype=bool)
-        mapped[:n_nodes] = True
-        home = np.zeros(kinds, dtype=np.intp)
-        home[:n_nodes] = np.arange(n_nodes)[:, None, None]
-        local_key = np.zeros(kinds, dtype=np.intp)
-        fill_shared = np.zeros(kinds, dtype=np.int8)
-        fill_alone = np.zeros(kinds, dtype=np.int8)
-        miss_pop = np.zeros(kinds, dtype=np.int8)
-        for cmd, (_b, _e, op, _h, _m, _f) in enumerate(_CMD_TAB):
-            miss_pop[:n_nodes, cmd] = (_POP_NONE if op == _LOCAL_CASTOUT
-                                       else _POP_WRITE if op == _LOCAL_WRITE
-                                       else _POP_READ)
-            miss_pop[n_nodes:, cmd] = (_POP_READ if cmd == _READ
-                                       else _POP_WRITE)
-        for n, node in enumerate(nodes):
-            for state in _complete_states(node):
-                complete[n, state] = True
-                for cmd, (_b, _e, op, _h, _m, _f) in enumerate(_CMD_TAB):
-                    next_state, invalidates, _is_hit = node.trans[op][state]
-                    local_next[n, cmd, state] = next_state
-                    local_inv[n, cmd, state] = invalidates
-                    if op == _LOCAL_WRITE and state in (_SHARED, _OWNED):
-                        hit_pop[n, cmd, state] = _POP_WRITE
-                for pop in (_POP_READ, _POP_WRITE):
-                    next_state, invalidates, is_hit = (
-                        node.trans[_POP_OPS[pop]][state]
-                    )
-                    peer_next[n, pop, state] = next_state
-                    peer_lost[n, pop, state] = invalidates
-                    peer_dirty[n, pop, state] = is_hit and _DIRTY_OF[state]
-            for cmd, (_b, _e, op, _h, _m, _f) in enumerate(_CMD_TAB):
-                local_key[n, cmd] = (n * _N_CMDS + cmd) * _N_STATES
-                if op == _LOCAL_CASTOUT or op == _LOCAL_WRITE:
-                    fill_shared[n, cmd] = fill_alone[n, cmd] = node.fill_write
-                else:
-                    fill_shared[n, cmd] = node.fill_read_shared
-                    fill_alone[n, cmd] = node.fill_read_alone
-        self.local_next = local_next.ravel()
-        self.local_inv = local_inv.ravel()
-        self.hit_pop = hit_pop.ravel()
+        peer_dirty[:, _POP_READ:] = is_hit[:, _PEER_OPS] & _DIRTY_OF
         self.peer_lost = peer_lost.ravel()
         self.peer_next = peer_next.ravel()
         # A peer's outcome flags: bit ``node`` when it supplies dirty
@@ -322,7 +450,39 @@ class SetLanes:
         self.peer_flag = (peer_dirty * node_bit
                           + peer_lost * (node_bit << n_nodes)).ravel()
         self.peer_offset = np.arange(n_nodes, dtype=np.intp) * pshape[1] * pshape[2]
+        # One more column, always False, for states outside the table.
+        complete = np.zeros((n_nodes, _N_STATES + 1), dtype=bool)
+        complete[:, :_N_STATES] = [table[2] for table in tables]
         self.complete = complete
+
+        # By kind: whether the lanes take it, whether it is mapped, its
+        # home node (an unmapped tenure's stand-in is node 0), its key
+        # into the local tables, its fill when a peer holds the line and
+        # when none does, and what its miss broadcasts.  Commands the
+        # address filter never admits keep zeros.
+        kinds = (n_slots, _CMD_VALUES, _N_RESPS)
+        keep = np.ones(kinds, dtype=bool)
+        keep[unmapped_cpu, _CASTOUT] = False
+        mapped = np.zeros(kinds, dtype=bool)
+        mapped[:n_nodes] = True
+        home = np.zeros(kinds, dtype=np.intp)
+        home[:n_nodes] = np.arange(n_nodes)[:, None, None]
+        local_key = np.zeros(kinds, dtype=np.intp)
+        local_key[:n_nodes, :_N_CMDS] = (
+            np.arange(n_nodes * _N_CMDS).reshape(n_nodes, _N_CMDS, 1)
+            * _N_STATES
+        )
+        fills = np.array(
+            [(node._fill.write, node._fill.read_shared, node._fill.read_alone)
+             for node in nodes], dtype=np.int8,
+        )
+        fill_shared = np.zeros(kinds, dtype=np.int8)
+        fill_shared[:n_nodes, :_N_CMDS] = fills[:, _FILL_COLUMNS[:, 0], None]
+        fill_alone = np.zeros(kinds, dtype=np.int8)
+        fill_alone[:n_nodes, :_N_CMDS] = fills[:, _FILL_COLUMNS[:, 1], None]
+        miss_pop = np.zeros(kinds, dtype=np.int8)
+        miss_pop[:n_nodes, :_N_CMDS] = _MISS_POP_MAPPED[:, None]
+        miss_pop[n_nodes:, :_N_CMDS] = _MISS_POP_UNMAPPED[:, None]
         self.keep = keep.ravel()
         self.mapped = mapped.ravel()
         self.home = home.ravel()
@@ -334,55 +494,23 @@ class SetLanes:
         # PLRU tree bits: touch[meta * assoc + way] and victim[meta]
         # (at most 2**8 * 8 entries: associativity is at most 8).
         self.touch = self.victim = None
-        if first.policy_code == _POLICY_PLRU:
+        if type(policy) is PlruPolicy:
             metas = range(1 << assoc)
             self.touch = np.array(
-                [first.touch_meta(way, meta)
+                [policy._update_on_access(way, meta)
                  for meta in metas for way in range(assoc)],
                 dtype=np.int64,
             )
             self.victim = np.array(
-                [first.victim_way(meta) for meta in metas], dtype=np.intp
+                [policy.victim_way(meta) for meta in metas], dtype=np.intp
             )
 
-        # How many of each counter one tenure adds, by (cmd, resp, hit):
-        # primary, secondary, hit or miss, inclusion, satisfaction.
-        events = np.zeros((_CMD_VALUES, _N_RESPS, 2, _NO_COUNTER + 1),
-                          dtype=np.int64)
-        for cmd, (base, extra, op, hit_cid, miss_cid, fetches) in enumerate(
-            _CMD_TAB
-        ):
-            for resp in range(_N_RESPS):
-                for hit in (0, 1):
-                    row = events[cmd, resp, hit]
-                    row[base] += 1
-                    if extra >= 0:
-                        row[extra] += 1
-                    row[hit_cid if hit else miss_cid] += 1
-                    if not hit and op == _LOCAL_CASTOUT:
-                        row[_CID_INCLUSION] += 1
-                    sat = (_SAT_HIT_CID if hit else _SAT_MISS_CID)[resp]
-                    if fetches and sat >= 0:
-                        row[sat] += 1
-        self.event_counters = events.reshape(-1, _NO_COUNTER + 1)
-        # By hit * states + outcome state: fill.X on a miss, hit_state.X
-        # on a hit.
-        self.state_counters = _one_hot(list(_FILL_CID) + list(_HIT_STATE_CID))
-        # By victim state + 1 (0: nothing evicted).
-        self.evict_counters = _one_hot(
-            [_NO_COUNTER] + [
-                _CID_EVICT_DIRTY if _DIRTY_OF[s] else _CID_EVICT_CLEAN
-                for s in range(_N_STATES)
-            ]
-        )
         # What each outcome broadcasts, by (hit, state, slot, kind in
         # slot): a miss its kind's, a hit the write snoop of a write on
         # SHARED/OWNED (unmapped tenures never hit).
         broadcast = np.zeros((2, _N_STATES) + kinds, dtype=np.int8)
         broadcast[0] = miss_pop
-        broadcast[1, :, :n_nodes, :_N_CMDS] = hit_pop.transpose(2, 0, 1)[
-            ..., None
-        ]
+        broadcast[1, :, :n_nodes, :_N_CMDS] = _HIT_POP.T[:, None, :, None]
         self.broadcast = broadcast.reshape(
             2, _N_STATES, n_slots, _KINDS_PER_SLOT
         )
@@ -744,9 +872,9 @@ class SetLanes:
                             dtype=np.int8)
         own = np.flatnonzero(slot < n_nodes)
         counters[own, slot[own]] = (
-            self.event_counters[in_slot[own] * 2 + hit[own]]
-            + self.state_counters[hit[own] * _N_STATES + state[own]]
-            + self.evict_counters[victim[own]]
+            _EVENT_COUNTERS[in_slot[own] * 2 + hit[own]]
+            + _STATE_COUNTERS[hit[own] * _N_STATES + state[own]]
+            + _EVICT_COUNTERS[victim[own]]
         )
         # Every other node receives the broadcast: a snoop it admits.
         others = slot[:, None] != np.arange(n_nodes)
@@ -775,7 +903,8 @@ class SetLanes:
     def commit(self, outcome, nows, lo, hi) -> None:
         """Fold the outcomes of tenures ``lo`` up to ``hi`` (chunk
         indices, timed by ``nows``) into every node's counters and settle
-        its buffer (:meth:`~repro.memories.compiled._CompiledNode.settle`).
+        its buffer in closed form
+        (:meth:`~repro.memories.tx_buffer.TransactionBuffer.admit_drained`).
         """
         if outcome is None:
             return
@@ -800,9 +929,13 @@ class SetLanes:
         own = last_at.max(axis=1).tolist()
         broadcast = last_at[:, 1].tolist()
         for n, node in enumerate(nodes):
-            # A node with no admission in the window reads no time.
-            at = max([own[n]] + broadcast[:n] + broadcast[n + 1:])
-            node.settle(counts[n], admissions[n], float(nows[at]))
+            if admissions[n]:
+                at = max([own[n]] + broadcast[:n] + broadcast[n + 1:])
+                node.buffer.admit_drained(admissions[n], float(nows[at]))
+            counters = node.counters
+            for cid, value in enumerate(counts[n]):
+                if value:
+                    counters.increment(COUNTER_NAMES[cid], value)
 
 
 def _numbered(values, size):

@@ -12,6 +12,10 @@ sustained utilization.
 
 :class:`TransactionBuffer` models one such queue with a deterministic
 service time per operation, measured in bus cycles.
+
+Operations that each find the queue drained settle in closed form
+(:meth:`TransactionBuffer.admit_drained`); :meth:`TransactionBuffer.decoupled`
+says when a stream of bus tenures does.
 """
 
 from __future__ import annotations
@@ -173,12 +177,10 @@ class TransactionBuffer:
         """Enqueue a batch of operations; exactly ``offer`` per element.
 
         ``now_cycles`` must be ascending (replay time is monotonic).  The
-        fast path applies when the queue is idle at the first arrival and
-        consecutive arrivals are spaced at least one service time apart —
-        then every operation is accepted at depth one and only the last
-        finish time survives, so the whole batch collapses to O(1) state
-        updates.  Any other shape falls back to the per-element loop.
-        Returns the number accepted.
+        fast path, :meth:`admit_drained`, applies when the queue is idle
+        at the first arrival and consecutive arrivals are spaced at least
+        one service time apart; any other shape falls back to the
+        per-element loop.  Returns the number accepted.
         """
         arrivals = np.asarray(now_cycles, dtype=np.float64)
         count = int(arrivals.shape[0])
@@ -195,13 +197,7 @@ class TransactionBuffer:
             and self._last_finish <= first
             and bool(np.all(arrivals[:-1] + service <= arrivals[1:]))
         ):
-            stats = self.stats
-            stats.accepted += count
-            if stats.high_water < 1:
-                stats.high_water = 1
-            finish = float(arrivals[-1]) + service
-            self._finish_times.append(finish)
-            self._last_finish = finish
+            self.admit_drained(count, float(arrivals[-1]))
             return count
         accepted = 0
         offer = self.offer
@@ -209,6 +205,35 @@ class TransactionBuffer:
             if offer(now_cycle):
                 accepted += 1
         return accepted
+
+    def admit_drained(self, count: int, last: float) -> None:
+        """Admit ``count`` (at least one) operations that each find the
+        queue drained, the last arriving at ``last``: exactly ``offer``
+        per operation, in O(1).  Each is accepted at depth one, and only
+        the last one's finish time stays queued.
+        """
+        stats = self.stats
+        stats.accepted += count
+        if stats.high_water < 1:
+            stats.high_water = 1
+        finish = last + self.service_cycles
+        finish_times = self._finish_times
+        finish_times.clear()
+        finish_times.append(finish)
+        self._last_finish = finish
+
+    def decoupled(self, spacing: float, first: float) -> bool:
+        """Whether operations arriving from ``first`` on, at least
+        ``spacing`` cycles apart, each find the queue drained, so that
+        :meth:`admit_drained` settles them exactly.
+
+        The service time must be at most ``spacing``: float addition is
+        monotone, so each finish time is then at most the next arrival.
+        And nothing queued may finish after ``first``, as a fault
+        injector's burst or a restored checkpoint can leave it;
+        ``_last_finish``, the latest finish time, bounds them all.
+        """
+        return self.service_cycles <= spacing and self._last_finish <= first
 
     def reset(self) -> None:
         """Clear in-flight operations and statistics."""

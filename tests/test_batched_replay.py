@@ -19,6 +19,7 @@ pinned, and so is the routing of boards and calls the lanes refuse.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from repro.target.configs import (
     single_node_machine,
     split_smp_machine,
 )
+from repro.target.mapping import TargetMachine, TargetNodeSpec
 from repro.telemetry import CounterSampler, MemorySink
 
 N_CPUS = 8
@@ -86,6 +88,14 @@ def machine_for(kind: str, replacement: str = "lru", protocol: str = "mesi"):
         return single_node_machine(config, N_CPUS)
     if kind == "split":
         return split_smp_machine(config, N_CPUS, 2)
+    if kind == "far-cpu":
+        # Two 4-CPU nodes, and a third whose one CPU, 300, a packed
+        # record's 8-bit cpu field cannot name: it issues no tenure and
+        # snoops the others'.
+        near = split_smp_machine(config, N_CPUS, 4)
+        far = TargetNodeSpec(config=replace(config, procs_per_node=1),
+                             cpus=(300,), group=0)
+        return TargetMachine(nodes=near.nodes + (far,))
     if kind == "multi":
         other = CacheNodeConfig(
             size=64 * 1024, assoc=2, line_size=64, replacement=replacement,
@@ -580,7 +590,8 @@ class TestSetLockstep:
     (:mod:`repro.memories.lockstep`), forced onto every call, against
     scalar down to the checkpoint."""
 
-    @pytest.mark.parametrize("kind", ["single", "split", "groups4", "dm2"])
+    @pytest.mark.parametrize("kind", ["single", "split", "groups4", "dm2",
+                                      "far-cpu"])
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
     def test_every_machine_and_policy(self, lockstep_calls, kind,
                                       replacement):
@@ -903,8 +914,6 @@ class TestLockstepChooser:
     def test_mixed_geometry_group_has_no_lanes(
         self, lockstep_calls, process_calls
     ):
-        from repro.target.mapping import TargetMachine, TargetNodeSpec
-
         big = CacheNodeConfig(size=128 * 1024, assoc=4, line_size=128,
                               procs_per_node=4)
         small = CacheNodeConfig(size=64 * 1024, assoc=2, line_size=64,

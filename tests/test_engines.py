@@ -45,9 +45,10 @@ def weird_policy_board(node=0):
 
 
 def refuses_dense_state(board):
-    """True when the cache-protocol runner (dense per-node protocol
-    state) refuses the board's firmware, so compiled replays it on the
-    generic runner."""
+    """True when some coherence group of the board has no set lanes
+    (``lockstep.plan`` returns None), so the cache-protocol runner
+    refuses its firmware and compiled replays it on the generic
+    runner."""
     return _protocol_runner(board.firmware) is None
 
 

@@ -108,18 +108,38 @@ class TestOfferBatch:
                                   prime=None):
         import numpy as np
 
-        batch = TransactionBuffer(capacity=capacity, service_cycles=service)
-        loop = TransactionBuffer(capacity=capacity, service_cycles=service)
-        if prime:
-            for t in prime:
-                batch.offer(t)
-                loop.offer(t)
+        def primed():
+            buffer = TransactionBuffer(capacity=capacity, service_cycles=service)
+            for t in prime or ():
+                buffer.offer(t)
+            return buffer
+
+        def assert_same(buffer, loop):
+            assert buffer.stats == loop.stats
+            assert list(buffer._finish_times) == list(loop._finish_times)
+            assert buffer._last_finish == loop._last_finish
+
+        batch, loop = primed(), primed()
+        # Which batches take the fast path: those offer_batch settles
+        # through admit_drained.
+        fast = []
+        admit_drained = batch.admit_drained
+
+        def spy(count, last):
+            fast.append((count, last))
+            admit_drained(count, last)
+
+        batch.admit_drained = spy
         accepted_batch = batch.offer_batch(np.asarray(arrivals, dtype=np.float64))
         accepted_loop = sum(1 for t in arrivals if loop.offer(t))
         assert accepted_batch == accepted_loop
-        assert batch.stats == loop.stats
-        assert list(batch._finish_times) == list(loop._finish_times)
-        assert batch._last_finish == loop._last_finish
+        assert_same(batch, loop)
+        if fast:
+            # The closed form on its own is the offer loop too.
+            assert fast == [(len(arrivals), arrivals[-1])]
+            drained = primed()
+            drained.admit_drained(len(arrivals), float(arrivals[-1]))
+            assert_same(drained, loop)
 
     def test_well_spaced_fast_path(self):
         self.assert_batch_matches_loop([0.0, 15.0, 30.0, 45.0])

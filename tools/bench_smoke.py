@@ -14,6 +14,9 @@ identity where the compiled engine steps every group's set lanes, and
 the same records replayed under a 100-transaction sampler (Figure 10's
 profiling mode) must give both engines identical sample records and
 statistics: the compiled engine commits each window from one replay.
+Both boards must also have a protocol runner, every group on its set
+lanes: sweep4 has no speed floor, and digest identity alone would not
+notice a board sent to the generic runner.
 
 Timings are best-of-``REPEATS`` with every raw sample recorded in
 ``BENCH_replay.json`` (a single-shot number once drifted a recorded
@@ -32,8 +35,13 @@ from pathlib import Path
 from _smoke import SmokeChecks
 
 from repro.engines import ENGINES
-from repro.experiments.replay_bench import bench_trace, run_replay_benchmark
+from repro.experiments.replay_bench import (
+    bench_machine,
+    bench_trace,
+    run_replay_benchmark,
+)
 from repro.memories.board import board_for_machine
+from repro.memories.compiled import _protocol_runner
 from repro.memories.config import CacheNodeConfig
 from repro.target.configs import multi_config_machine
 from repro.telemetry import CounterSampler, MemorySink
@@ -86,6 +94,14 @@ def profiled(engine: str, machine, words):
 
 def main() -> int:
     smoke = SmokeChecks("bench")
+    for name, machine in (("split4", bench_machine()),
+                          ("sweep4", sweep4_machine())):
+        board = board_for_machine(machine, seed=SEED)
+        smoke.check(
+            f"{name}: every coherence group replays on its set lanes",
+            _protocol_runner(board.firmware) is not None,
+            f"{len(machine.groups())} group(s)",
+        )
     report = run_replay_benchmark(RECORDS, seed=SEED, repeats=REPEATS)
     for name, entry in report["engines"].items():
         spread = max(entry["seconds_all"]) - min(entry["seconds_all"])
